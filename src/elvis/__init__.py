@@ -14,7 +14,6 @@ from .errors import (
 from .geometry import (
     Ball,
     Ellipse,
-    NormalFace,
     Polygon,
     gauge,
     normal_face,
@@ -31,7 +30,6 @@ from .oracle import (
     sample_interior,
 )
 from .probfile import (
-    SweepSpec,
     dump_problem,
     load_problem,
     load_sweep,
@@ -39,11 +37,6 @@ from .probfile import (
     parse_sweep,
 )
 from .solver import (
-    BisectionTrace,
-    DeltaInterval,
-    ElvisProblem,
-    SolveResult,
-    TraceRow,
     classical_snell_angles,
     crossing_time,
     delta,
@@ -54,23 +47,16 @@ from .solver import (
 
 __all__ = [
     "Ball",
-    "BisectionTrace",
     "BracketExpansionFailedError",
     "DegenerateDimensionsError",
-    "DeltaInterval",
     "Ellipse",
     "ElvisError",
-    "ElvisProblem",
     "NonConvexError",
-    "NormalFace",
     "NotIsotropicError",
     "OracleConfig",
     "OriginNotInteriorError",
     "Polygon",
     "ProblemFormatError",
-    "SolveResult",
-    "SweepSpec",
-    "TraceRow",
     "ValidationError",
     "ZeroVectorError",
     "classical_snell_angles",

@@ -16,13 +16,14 @@ from .geometry import Ball, Ellipse, Polygon, _rotation, support
 from .solver import crossing_time, expand_bracket
 
 _INV_GOLDEN = (mp.mpf(5).sqrt() - 1) / 2
+# sample_interior gives up after this many rejected draws per requested sample.
+MAX_REJECTIONS_PER_SAMPLE = 1000
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     grid_points: int = 4096
     golden_tol: float = 1e-12
-    membership_samples: int = 10000
 
     def __post_init__(self):
         if self.grid_points < 16:
@@ -44,7 +45,7 @@ def contains(vset, point):
     raise TypeError(f"not a velocity set: {vset!r}")
 
 
-def gauge_by_membership(vset, v, cfg=None):
+def gauge_by_membership(vset, v):
     """Gauge via bisection on t in the predicate "v / t in F" (no closed forms)."""
     v = np.asarray(v, dtype=float)
     if v[0] == 0.0 and v[1] == 0.0:
@@ -90,6 +91,13 @@ def _objective_mp(problem, y):
     return t0 + t1
 
 
+def _grid_scan(problem, cfg):
+    """phi on cfg.grid_points evenly spaced points of the expanded bracket (one if it is a point)."""
+    l, r, _ = expand_bracket(problem)
+    ys = np.linspace(l, r, cfg.grid_points if r > l else 1)
+    return ys, np.array([crossing_time(problem, y) for y in ys])
+
+
 def minimize_objective(problem, cfg=None):
     """Brute-force minimizer of the crossing-time objective.
 
@@ -98,11 +106,7 @@ def minimize_objective(problem, cfg=None):
     cfg.golden_tol.  Returns (y_star, phi_star).
     """
     cfg = cfg or OracleConfig()
-    l, r, _ = expand_bracket(problem)
-    if r == l:
-        return l, crossing_time(problem, l)
-    ys = np.linspace(l, r, cfg.grid_points)
-    vals = np.array([crossing_time(problem, y) for y in ys])
+    ys, vals = _grid_scan(problem, cfg)
     i = int(np.argmin(vals))
     a = ys[max(i - 1, 0)]
     b = ys[min(i + 1, len(ys) - 1)]
@@ -132,17 +136,13 @@ def flat_minimum_interval(problem, cfg=None):
     minimum at grid resolution.
     """
     cfg = cfg or OracleConfig()
-    l, r, _ = expand_bracket(problem)
-    if r == l:
-        return l, l
-    ys = np.linspace(l, r, cfg.grid_points)
-    vals = np.array([crossing_time(problem, y) for y in ys])
+    ys, vals = _grid_scan(problem, cfg)
     vmin = float(np.min(vals))
     flat = ys[vals <= vmin + 1e-12 * max(1.0, abs(vmin))]
     return float(flat[0]), float(flat[-1])
 
 
-def sample_interior(vset, n, rng, max_tries=1000):
+def sample_interior(vset, n, rng):
     """Uniform-ish samples from F by rejection inside its support bounding box."""
     xb = support(vset, np.array([1.0, 0.0]))
     xa = -support(vset, np.array([-1.0, 0.0]))
@@ -152,7 +152,7 @@ def sample_interior(vset, n, rng, max_tries=1000):
     tries = 0
     while len(out) < n:
         tries += 1
-        if tries > max_tries * n:
+        if tries > MAX_REJECTIONS_PER_SAMPLE * n:
             raise RuntimeError("rejection sampling failed to fill the request")
         p = np.array([rng.uniform(xa, xb), rng.uniform(ya, yb)])
         if contains(vset, p):

@@ -85,28 +85,40 @@ def parse_set(obj, where):
         raise ProblemFormatError(f"{where}: non-numeric field in set descriptor") from None
 
 
-def parse_problem(text, epsilon_override=None):
-    """Parse problem-file text into a validated ElvisProblem."""
+def _read_document(text, allowed, required, where):
+    """JSON text -> dict with only allowed keys and every required key."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    _check_keys(doc, PROBLEM_KEYS, "problem")
-    for key in ("x0", "x1", "F0", "F1"):
+    _check_keys(doc, allowed, where)
+    for key in required:
         if key not in doc:
-            raise ProblemFormatError(f"problem: missing key {key!r}")
+            raise ProblemFormatError(f"{where}: missing key {key!r}")
+    return doc
+
+
+def _tolerances(doc, epsilon_override):
+    """(epsilon, max_iter) from the document, type-checked; booleans are rejected."""
+    epsilon = doc.get("epsilon", 1e-12)
+    max_iter = doc.get("max_iter", 200)
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise ProblemFormatError("key 'epsilon' must be a number")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+        raise ProblemFormatError("key 'max_iter' must be an integer")
+    if epsilon_override is not None:
+        epsilon = epsilon_override
+    return epsilon, max_iter
+
+
+def parse_problem(text, epsilon_override=None):
+    """Parse problem-file text into a validated ElvisProblem."""
+    doc = _read_document(text, PROBLEM_KEYS, ("x0", "x1", "F0", "F1"), "problem")
     x0 = _point(doc, "x0")
     x1 = _point(doc, "x1")
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")
-    epsilon = doc.get("epsilon", 1e-12)
-    max_iter = doc.get("max_iter", 200)
-    if not isinstance(epsilon, (int, float)):
-        raise ProblemFormatError("key 'epsilon' must be a number")
-    if not isinstance(max_iter, int):
-        raise ProblemFormatError("key 'max_iter' must be an integer")
-    if epsilon_override is not None:
-        epsilon = epsilon_override
+    epsilon, max_iter = _tolerances(doc, epsilon_override)
     return make_problem(x0, x1, f0, f1, epsilon, max_iter)
 
 
@@ -140,14 +152,7 @@ def dump_problem(problem):
 
 def parse_sweep(text, epsilon_override=None):
     """Parse sweep-file text into a SweepSpec (sets validated)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    _check_keys(doc, SWEEP_KEYS, "sweep")
-    for key in ("x0", "F0", "F1", "x1_grid"):
-        if key not in doc:
-            raise ProblemFormatError(f"sweep: missing key {key!r}")
+    doc = _read_document(text, SWEEP_KEYS, ("x0", "F0", "F1", "x1_grid"), "sweep")
     grid = doc["x1_grid"]
     _check_keys(grid, GRID_KEYS, "x1_grid")
     for key in GRID_KEYS:
@@ -158,10 +163,7 @@ def parse_sweep(text, epsilon_override=None):
     nx, ny = grid["nx"], grid["ny"]
     if not (isinstance(nx, int) and isinstance(ny, int) and nx >= 1 and ny >= 1):
         raise ProblemFormatError("x1_grid: 'nx' and 'ny' must be integers >= 1")
-    epsilon = doc.get("epsilon", 1e-12)
-    max_iter = doc.get("max_iter", 200)
-    if epsilon_override is not None:
-        epsilon = epsilon_override
+    epsilon, max_iter = _tolerances(doc, epsilon_override)
     x0 = _point(doc, "x0")
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .errors import BracketExpansionFailedError, ValidationError
-from .geometry import gauge, normal_face, validate
+from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
+from .geometry import Ball, normal_face, validate
 
 MAX_BRACKET_DOUBLINGS = 64
 
@@ -40,6 +39,8 @@ def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
     """Validate everything and build an ElvisProblem.
 
     x0 must lie strictly below the interface (x-axis) and x1 strictly above.
+    A set that fails validation raises with its side ("F0: " or "F1: ")
+    prefixed to the message.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -53,7 +54,17 @@ def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
         raise ValidationError("epsilon must be positive")
     if not max_iter >= 1:
         raise ValidationError("max_iter must be a positive integer")
-    return ElvisProblem(x0, x1, validate(F0), validate(F1), float(epsilon), int(max_iter))
+    return ElvisProblem(
+        x0, x1, _validate_side(F0, "F0"), _validate_side(F1, "F1"), float(epsilon), int(max_iter)
+    )
+
+
+def _validate_side(vset, name):
+    try:
+        return validate(vset)
+    except ValidationError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,7 @@ class SolveResult:
 def crossing_time(problem, y):
     """The objective phi(y): total traversal time through crossing point (y, 0)."""
     yv = np.array([y, 0.0])
-    return gauge(problem.F0, yv - problem.x0) + gauge(problem.F1, problem.x1 - yv)
+    return problem.F0.gauge(yv - problem.x0) + problem.F1.gauge(problem.x1 - yv)
 
 
 def _residual_faces(problem, y):
@@ -219,8 +230,8 @@ def solve(problem):
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
-    g0 = gauge(problem.F0, w0)
-    g1 = gauge(problem.F1, w1)
+    g0 = problem.F0.gauge(w0)
+    g1 = problem.F1.gauge(w1)
     result = SolveResult(
         y=y,
         time=g0 + g1,
@@ -240,9 +251,7 @@ def classical_snell_angles(result, problem):
     Only meaningful for isotropic (ball) velocity sets; each angle is signed
     by the x-direction of travel.
     """
-    if not (isinstance(problem.F0, geometry.Ball) and isinstance(problem.F1, geometry.Ball)):
-        from .errors import NotIsotropicError
-
+    if not (isinstance(problem.F0, Ball) and isinstance(problem.F1, Ball)):
         raise NotIsotropicError("classical refraction angles need ball velocity sets")
     theta0 = math.atan2(result.v0[0], result.v0[1])
     theta1 = math.atan2(result.v1[0], result.v1[1])

@@ -28,6 +28,15 @@ SQUARES = {
     "F0": {"kind": "polygon", "vertices": [list(v) for v in SQUARE0_VERTICES]},
     "F1": {"kind": "polygon", "vertices": [list(v) for v in SQUARE1_VERTICES]},
 }
+# Malformed problem files, each with the exit code `solve` and `validate` must both give.
+MALFORMED = {
+    "missing_F1": ({k: v for k, v in ELLIPTIC.items() if k != "F1"}, 1),
+    "max_iter_string": (dict(ELLIPTIC, max_iter="5"), 1),
+    "max_iter_fraction": (dict(ELLIPTIC, max_iter=2.5), 1),
+    "max_iter_bool": (dict(ELLIPTIC, max_iter=True), 1),
+    "degenerate_ellipse": (dict(ELLIPTIC, F1={"kind": "ellipse", "a": 1, "b": 0}), 2),
+    "x0_on_interface": (dict(ELLIPTIC, x0=[0, 0]), 2),
+}
 BALL_SWEEP = {
     "x0": [0, -1],
     "F0": {"kind": "ball", "r": 1},
@@ -184,7 +193,7 @@ class TestValidateCmd:
         path = write(tmp_path, "p.json", ELLIPTIC)
         code, out, _ = run_main(["validate", path], capsys)
         assert code == 0
-        assert "all" in out and "passed" in out
+        assert out == "all checks passed\n"
 
     def test_x0_on_interface(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", dict(ELLIPTIC, x0=[0, 0]))
@@ -197,7 +206,14 @@ class TestValidateCmd:
                      dict(ELLIPTIC, F1={"kind": "ellipse", "a": 1, "b": 0}))
         code, out, _ = run_main(["validate", path], capsys)
         assert code == 2
-        assert "DegenerateDimensions" in out
+        assert "fail: DegenerateDimensions: F1: " in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_code_matches_solve(self, tmp_path, capsys, case):
+        doc, expected = MALFORMED[case]
+        path = write(tmp_path, "p.json", doc)
+        assert run_main(["validate", path], capsys)[0] == expected
+        assert run_main(["solve", path], capsys)[0] == expected
 
 
 class TestDeterminism:

@@ -126,3 +126,14 @@ def test_sweep_unknown_grid_key():
     bad = dict(SWEEP, x1_grid=dict(SWEEP["x1_grid"], zmax=1))
     with pytest.raises(ProblemFormatError, match="'zmax'"):
         parse_sweep(json.dumps(bad))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", "x"), ("epsilon", True), ("max_iter", "5"), ("max_iter", 2.5), ("max_iter", True),
+])
+@pytest.mark.parametrize("parse, doc", [
+    (parse_problem, json.loads(ELLIPTIC)), (parse_sweep, SWEEP),
+], ids=["problem", "sweep"])
+def test_tolerance_types(parse, doc, key, value):
+    with pytest.raises(ProblemFormatError, match=f"'{key}'"):
+        parse(json.dumps(dict(doc, **{key: value})))
