@@ -31,6 +31,10 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _error_name(exc):
+    return type(exc).__name__.removesuffix("Error")
+
+
 def _result_record(result):
     return {
         "y": result.y,
@@ -66,25 +70,20 @@ def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None, out=None):
         raise ValidationError("delta-curve needs at least 2 samples")
     problem = load_problem(problem_path, epsilon_override=epsilon)
     l, r, _ = expand_bracket(problem)
-    rows = []
-    for i in range(n_samples):
-        y = l + (r - l) * i / (n_samples - 1)
-        iv = delta(problem, y)
-        rows.append((y, iv.lo, iv.hi))
+    # Residual sign change: last all-negative sample to first all-positive one.
+    root_lo, root_hi = l, None
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("y,delta_lo,delta_hi\n")
-        for y, lo, hi in rows:
-            fh.write(f"{_fmt(y)},{_fmt(lo)},{_fmt(hi)}\n")
-    # Residual sign change: last all-negative sample to first all-positive one.
-    root_lo = l
-    root_hi = r
-    for y, lo, hi in rows:
-        if hi < 0:
-            root_lo = y
-        if lo > 0:
-            root_hi = y
-            break
-    out.write(json.dumps({"root_bracket": [root_lo, root_hi]}) + "\n")
+        for i in range(n_samples):
+            y = l + (r - l) * i / (n_samples - 1)
+            iv = delta(problem, y)
+            fh.write(f"{_fmt(y)},{_fmt(iv.lo)},{_fmt(iv.hi)}\n")
+            if root_hi is None:
+                if iv.hi < 0:
+                    root_lo = y
+                if iv.lo > 0:
+                    root_hi = y
+    out.write(json.dumps({"root_bracket": [root_lo, r if root_hi is None else root_hi]}) + "\n")
     return EXIT_OK
 
 
@@ -92,22 +91,22 @@ def cmd_sweep(sweep_path, out_csv, epsilon=None, out=None):
     out = out if out is not None else sys.stdout
     spec = load_sweep(sweep_path, epsilon_override=epsilon)
     xs, ys = sweep_grid(spec)
-    lines = ["x1x,x1y,y,time,status,iterations\n"]
     successes = 0
-    for y1 in ys:
-        for x1 in xs:
-            problem = sweep_problem(spec, x1, y1)
-            try:
-                result, _ = solve(problem)
-                lines.append(
+    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x1x,x1y,y,time,status,iterations\n")
+        for y1 in ys:
+            for x1 in xs:
+                problem = sweep_problem(spec, x1, y1)
+                try:
+                    result, _ = solve(problem)
+                except BracketExpansionFailedError:
+                    fh.write(f"{_fmt(x1)},{_fmt(y1)},nan,nan,BracketExpansionFailed,0\n")
+                    continue
+                fh.write(
                     f"{_fmt(x1)},{_fmt(y1)},{_fmt(result.y)},{_fmt(result.time)},"
                     f"{result.status},{result.iterations}\n"
                 )
                 successes += 1
-            except BracketExpansionFailedError:
-                lines.append(f"{_fmt(x1)},{_fmt(y1)},nan,nan,BracketExpansionFailed,0\n")
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
     out.write(json.dumps({"nodes": len(xs) * len(ys), "solved": successes}) + "\n")
     return EXIT_OK if successes > 0 else EXIT_SOLVER
 
@@ -122,7 +121,7 @@ def cmd_validate(problem_path, epsilon=None, out=None):
     try:
         load_problem(problem_path, epsilon_override=epsilon)
     except ValidationError as exc:
-        out.write(f"fail: {type(exc).__name__.removesuffix('Error')}: {exc}\n")
+        out.write(f"fail: {_error_name(exc)}: {exc}\n")
         return EXIT_VALIDATION
     out.write("all checks passed\n")
     return EXIT_OK
@@ -171,11 +170,10 @@ def main(argv=None):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:
-        name = type(exc).__name__.removesuffix("Error")
-        print(f"validation error: {name}: {exc}", file=sys.stderr)
+        print(f"validation error: {_error_name(exc)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BracketExpansionFailedError as exc:
-        print(f"solver error: BracketExpansionFailed: {exc}", file=sys.stderr)
+        print(f"solver error: {_error_name(exc)}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

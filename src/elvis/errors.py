@@ -18,7 +18,7 @@ class OriginNotInteriorError(ValidationError):
 
 
 class DegenerateDimensionsError(ValidationError):
-    """Non-positive radii/semi-axes, or fewer than 3 distinct polygon vertices."""
+    """Non-positive or non-finite shape parameters, or fewer than 3 distinct polygon vertices."""
 
 
 class ZeroVectorError(ElvisError):

@@ -7,6 +7,7 @@ and convex polygons.  Each shape class implements the same operations
 functions of the same names dispatch to them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class Ball:
     r: float
 
     def validate(self):
-        if not self.r > 0:
-            raise DegenerateDimensionsError(f"ball radius must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise DegenerateDimensionsError(f"ball radius must be finite and positive, got {self.r}")
         return self
 
     def gauge(self, v):
@@ -107,9 +108,9 @@ class Ellipse:
     rot: float = 0.0
 
     def validate(self):
-        if not (self.a > 0 and self.b > 0):
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf and math.isfinite(self.rot)):
             raise DegenerateDimensionsError(
-                f"ellipse semi-axes must be positive, got a={self.a}, b={self.b}"
+                f"ellipse needs finite a, b > 0 and rot, got a={self.a}, b={self.b}, rot={self.rot}"
             )
         return self
 
@@ -165,9 +166,9 @@ class Polygon:
         verts = self.vertices
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise DegenerateDimensionsError("polygon needs at least 3 planar vertices")
-        scale = float(np.max(np.abs(verts)))
-        if scale == 0.0:
-            raise DegenerateDimensionsError("polygon vertices are all zero")
+        scale = float(np.max(np.abs(verts)))  # NaN or inf if any coordinate is
+        if not 0.0 < scale < math.inf:
+            raise DegenerateDimensionsError("polygon vertices must be finite and not all zero")
         col_tol = 1e-12 * scale * scale
 
         # Drop duplicate and collinear vertices (cross product of incident edges ~ 0).
@@ -236,8 +237,9 @@ class Polygon:
 def validate(vset):
     """Check the set invariants; return a validated (possibly rebuilt) set.
 
-    Polygons come back with collinear vertices removed and the half-plane
-    form attached.  Raises DegenerateDimensionsError, NonConvexError or
+    Every parameter must be finite, radii and semi-axes positive.  Polygons
+    come back with collinear vertices removed and the half-plane form
+    attached.  Raises DegenerateDimensionsError, NonConvexError or
     OriginNotInteriorError on bad input.
     """
     if not isinstance(vset, (Ball, Ellipse, Polygon)):

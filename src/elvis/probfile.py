@@ -1,11 +1,14 @@
 """Problem and sweep files: JSON documents with a fixed key set.
 
-Unknown keys are rejected so that typos fail loudly.  Parsing errors raise
-ProblemFormatError with the offending key named; semantic violations raise
-the usual ValidationError subclasses.
+Unknown keys are rejected so that typos fail loudly, and every number must be
+a finite JSON number (not a string, boolean, NaN or Infinity).  Parsing errors
+raise ProblemFormatError with the offending key named; semantic violations
+raise the usual ValidationError subclasses.
 """
 
+import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,13 +17,15 @@ from .errors import ProblemFormatError, ValidationError
 from .geometry import Ball, Ellipse, Polygon
 from .solver import ElvisProblem, make_problem
 
-PROBLEM_KEYS = {"x0", "x1", "F0", "F1", "epsilon", "max_iter"}
-SWEEP_KEYS = {"x0", "F0", "F1", "epsilon", "max_iter", "x1_grid"}
-GRID_KEYS = {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
-SET_KEYS = {
-    "ball": {"kind", "r"},
-    "ellipse": {"kind", "a", "b", "rot"},
-    "polygon": {"kind", "vertices"},
+PROBLEM_KEYS = ("x0", "x1", "F0", "F1", "epsilon", "max_iter")
+SWEEP_KEYS = ("x0", "F0", "F1", "epsilon", "max_iter", "x1_grid")
+GRID_KEYS = ("xmin", "xmax", "ymin", "ymax", "nx", "ny")
+# Set kinds whose fields are numbers: kind -> (class, {field: its default, or
+# MISSING if the field is required}), read off the dataclass.  The other kind,
+# "polygon", has the one field "vertices".
+NUMERIC_SETS = {
+    kind: (cls, {f.name: f.default for f in dataclasses.fields(cls)})
+    for kind, cls in (("ball", Ball), ("ellipse", Ellipse))
 }
 
 
@@ -41,81 +46,77 @@ class SweepSpec:
     ny: int
 
 
-def _check_keys(obj, allowed, where):
+def _object(obj, where, required, allowed):
+    """obj itself, checked to be a JSON object with every required key and no other than allowed."""
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"{where}: expected an object")
     for key in obj:
         if key not in allowed:
             raise ProblemFormatError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ProblemFormatError(f"{where}: missing key {key!r}")
+    return obj
 
 
-def _point(obj, key):
-    val = obj.get(key)
-    if (
-        not isinstance(val, (list, tuple))
-        or len(val) != 2
-        or not all(isinstance(c, (int, float)) for c in val)
-    ):
-        raise ProblemFormatError(f"key {key!r} must be a pair of numbers")
-    return np.array(val, dtype=float)
+def _number(val, what, integer=False):
+    """val itself, checked to be a finite JSON number (an integer if asked).
+
+    Booleans are not numbers; NaN, Infinity and integers beyond the float
+    range fail the magnitude test.
+    """
+    if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))
+            or not abs(val) <= sys.float_info.max):
+        raise ProblemFormatError(f"{what} must be {'an integer' if integer else 'a finite number'}")
+    return val
+
+
+def _pair(val, what):
+    if not isinstance(val, list) or len(val) != 2:
+        raise ProblemFormatError(f"{what} must be a pair of numbers")
+    return [_number(c, f"{what} coordinate") for c in val]
 
 
 def parse_set(obj, where):
     """Tagged set descriptor -> unvalidated velocity set."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ProblemFormatError(f"{where}: set descriptor needs a 'kind' tag")
-    kind = obj["kind"]
-    if kind not in SET_KEYS:
-        raise ProblemFormatError(f"{where}: unknown set kind {kind!r}")
-    _check_keys(obj, SET_KEYS[kind], where)
-    try:
-        if kind == "ball":
-            return Ball(float(obj["r"]))
-        if kind == "ellipse":
-            return Ellipse(float(obj["a"]), float(obj["b"]), float(obj.get("rot", 0.0)))
-        verts = obj["vertices"]
-        if not isinstance(verts, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in verts
-        ):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "polygon":
+        verts = _object(obj, where, ("vertices",), ("kind", "vertices"))["vertices"]
+        if not isinstance(verts, list):
             raise ProblemFormatError(f"{where}: key 'vertices' must be a list of pairs")
-        return Polygon(verts)
-    except KeyError as exc:
-        raise ProblemFormatError(f"{where}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"{where}: non-numeric field in set descriptor") from None
+        return Polygon([_pair(p, f"{where}: vertex") for p in verts])
+    if not (isinstance(kind, str) and kind in NUMERIC_SETS):
+        raise ProblemFormatError(f"{where}: 'kind' must be ball, ellipse or polygon, got {kind!r}")
+    cls, fields = NUMERIC_SETS[kind]
+    required = [name for name, default in fields.items() if default is dataclasses.MISSING]
+    _object(obj, where, required, ("kind", *fields))
+    return cls(**{
+        name: float(_number(obj.get(name, default), f"{where}: key {name!r}"))
+        for name, default in fields.items()
+    })
 
 
-def _read_document(text, allowed, required, where):
-    """JSON text -> dict with only allowed keys and every required key."""
+def _read_document(text, where, required, allowed):
+    """JSON text -> its top-level object, checked by _object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    _check_keys(doc, allowed, where)
-    for key in required:
-        if key not in doc:
-            raise ProblemFormatError(f"{where}: missing key {key!r}")
-    return doc
+    return _object(doc, where, required, allowed)
 
 
 def _tolerances(doc, epsilon_override):
-    """(epsilon, max_iter) from the document, type-checked; booleans are rejected."""
-    epsilon = doc.get("epsilon", 1e-12)
-    max_iter = doc.get("max_iter", 200)
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise ProblemFormatError("key 'epsilon' must be a number")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
-        raise ProblemFormatError("key 'max_iter' must be an integer")
-    if epsilon_override is not None:
-        epsilon = epsilon_override
-    return epsilon, max_iter
+    """(epsilon, max_iter) from the document, or epsilon_override if given."""
+    epsilon = _number(doc.get("epsilon", 1e-12), "key 'epsilon'")
+    max_iter = _number(doc.get("max_iter", 200), "key 'max_iter'", integer=True)
+    return (epsilon if epsilon_override is None else epsilon_override), max_iter
 
 
 def parse_problem(text, epsilon_override=None):
     """Parse problem-file text into a validated ElvisProblem."""
-    doc = _read_document(text, PROBLEM_KEYS, ("x0", "x1", "F0", "F1"), "problem")
-    x0 = _point(doc, "x0")
-    x1 = _point(doc, "x1")
+    doc = _read_document(text, "problem", ("x0", "x1", "F0", "F1"), PROBLEM_KEYS)
+    x0 = np.array(_pair(doc["x0"], "key 'x0'"), dtype=float)
+    x1 = np.array(_pair(doc["x1"], "key 'x1'"), dtype=float)
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")
     epsilon, max_iter = _tolerances(doc, epsilon_override)
@@ -128,10 +129,9 @@ def load_problem(path, epsilon_override=None):
 
 
 def set_to_dict(vset):
-    if isinstance(vset, Ball):
-        return {"kind": "ball", "r": vset.r}
-    if isinstance(vset, Ellipse):
-        return {"kind": "ellipse", "a": vset.a, "b": vset.b, "rot": vset.rot}
+    for kind, (cls, fields) in NUMERIC_SETS.items():
+        if type(vset) is cls:
+            return {"kind": kind, **{name: getattr(vset, name) for name in fields}}
     return {"kind": "polygon", "vertices": vset.vertices.tolist()}
 
 
@@ -151,38 +151,33 @@ def dump_problem(problem):
 
 
 def parse_sweep(text, epsilon_override=None):
-    """Parse sweep-file text into a SweepSpec (sets validated)."""
-    doc = _read_document(text, SWEEP_KEYS, ("x0", "F0", "F1", "x1_grid"), "sweep")
-    grid = doc["x1_grid"]
-    _check_keys(grid, GRID_KEYS, "x1_grid")
-    for key in GRID_KEYS:
-        if key not in grid:
-            raise ProblemFormatError(f"x1_grid: missing key {key!r}")
-        if not isinstance(grid[key], (int, float)):
-            raise ProblemFormatError(f"x1_grid: key {key!r} must be a number")
-    nx, ny = grid["nx"], grid["ny"]
-    if not (isinstance(nx, int) and isinstance(ny, int) and nx >= 1 and ny >= 1):
+    """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface)."""
+    doc = _read_document(text, "sweep", ("x0", "F0", "F1", "x1_grid"), SWEEP_KEYS)
+    grid = _object(doc["x1_grid"], "x1_grid", GRID_KEYS, GRID_KEYS)
+    xmin, xmax, ymin, ymax, nx, ny = (
+        _number(grid[key], f"x1_grid: key {key!r}", integer=key in ("nx", "ny"))
+        for key in GRID_KEYS
+    )
+    if not (nx >= 1 and ny >= 1):
         raise ProblemFormatError("x1_grid: 'nx' and 'ny' must be integers >= 1")
     epsilon, max_iter = _tolerances(doc, epsilon_override)
-    x0 = _point(doc, "x0")
+    x0 = np.array(_pair(doc["x0"], "key 'x0'"), dtype=float)
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")
-    if not grid["ymin"] > 0:
-        raise ValidationError("x1_grid: ymin must be positive (targets above the interface)")
+    if not (ymin > 0 and ymax > 0):
+        raise ValidationError("x1_grid: ymin and ymax must be positive (above the interface)")
     # Validate everything once up front with a representative target.
-    probe = make_problem(
-        x0, np.array([grid["xmin"], grid["ymin"]]), f0, f1, epsilon, max_iter
-    )
+    probe = make_problem(x0, np.array([xmin, ymin]), f0, f1, epsilon, max_iter)
     return SweepSpec(
         x0=probe.x0,
         F0=probe.F0,
         F1=probe.F1,
         epsilon=probe.epsilon,
         max_iter=probe.max_iter,
-        xmin=float(grid["xmin"]),
-        xmax=float(grid["xmax"]),
-        ymin=float(grid["ymin"]),
-        ymax=float(grid["ymax"]),
+        xmin=float(xmin),
+        xmax=float(xmax),
+        ymin=float(ymin),
+        ymax=float(ymax),
         nx=nx,
         ny=ny,
     )

@@ -38,21 +38,24 @@ class ElvisProblem:
 def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
     """Validate everything and build an ElvisProblem.
 
-    x0 must lie strictly below the interface (x-axis) and x1 strictly above.
-    A set that fails validation raises with its side ("F0: " or "F1: ")
-    prefixed to the message.
+    x0 and x1 must be finite, x0 strictly below the interface (x-axis) and
+    x1 strictly above; epsilon must be finite and positive, max_iter a whole
+    number >= 1.  A set that fails validation raises with its side ("F0: " or
+    "F1: ") prefixed to the message.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if x0.shape != (2,) or x1.shape != (2,):
         raise ValidationError("x0 and x1 must be planar points")
+    if not all(map(math.isfinite, (x0[0], x0[1], x1[0], x1[1]))):
+        raise ValidationError("x0 and x1 must be finite")
     if not x0[1] < 0:
         raise ValidationError("x0 must satisfy x0_y < 0")
     if not x1[1] > 0:
         raise ValidationError("x1 must satisfy x1_y > 0")
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
-    if not max_iter >= 1:
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
+    if not (max_iter >= 1 and max_iter % 1 == 0):
         raise ValidationError("max_iter must be a positive integer")
     return ElvisProblem(
         x0, x1, _validate_side(F0, "F0"), _validate_side(F1, "F1"), float(epsilon), int(max_iter)

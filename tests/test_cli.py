@@ -36,6 +36,11 @@ MALFORMED = {
     "max_iter_bool": (dict(ELLIPTIC, max_iter=True), 1),
     "degenerate_ellipse": (dict(ELLIPTIC, F1={"kind": "ellipse", "a": 1, "b": 0}), 2),
     "x0_on_interface": (dict(ELLIPTIC, x0=[0, 0]), 2),
+    "x0_bool": (dict(ELLIPTIC, x0=[True, -1]), 1),
+    "r_string": (dict(ELLIPTIC, F0={"kind": "ball", "r": "2"}), 1),
+    "r_bool": (dict(ELLIPTIC, F0={"kind": "ball", "r": True}), 1),
+    "rot_nan": (dict(ELLIPTIC, F0={"kind": "ellipse", "a": 1, "b": 0.5, "rot": float("nan")}), 1),
+    "epsilon_inf": (dict(ELLIPTIC, epsilon=float("inf")), 1),
 }
 BALL_SWEEP = {
     "x0": [0, -1],
@@ -179,6 +184,17 @@ class TestSweep:
         assert float(row[3]) == rec["time"]
         assert row[4] == rec["status"]
         assert int(row[5]) == rec["iterations"]
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("ymax", -1, 2), ("xmax", float("nan"), 1), ("nx", True, 1),
+    ])
+    def test_malformed_grid(self, tmp_path, capsys, key, value, expected):
+        doc = dict(BALL_SWEEP, x1_grid=dict(BALL_SWEEP["x1_grid"], **{key: value}))
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run_main(["sweep", write(tmp_path, "s.json", doc), "--out", str(out_csv)],
+                              capsys)
+        assert code == expected
+        assert not out_csv.exists()
 
     def test_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", BALL_SWEEP)

@@ -7,6 +7,7 @@ from elvis import (
     Ball,
     Ellipse,
     NotIsotropicError,
+    Polygon,
     ValidationError,
     classical_snell_angles,
     crossing_time,
@@ -35,6 +36,21 @@ class TestProblemValidation:
     def test_bad_epsilon(self):
         with pytest.raises(ValidationError):
             make_problem((0, -1), (1, 1), Ball(1), Ball(1), epsilon=0.0)
+
+    @pytest.mark.parametrize("override", [
+        {"x0": (math.nan, -1)},
+        {"x1": (1, math.inf)},
+        {"epsilon": math.inf},
+        {"max_iter": 2.5},
+        {"F0": Ball(math.inf)},
+        {"F1": Ellipse(1, 2, rot=math.nan)},
+        {"F0": Polygon([[1, 0], [math.inf, 1], [-1, 0], [0, -1]])},
+    ], ids=["x0_nan", "x1_inf", "epsilon_inf", "max_iter_fraction", "ball_inf", "rot_nan",
+            "polygon_inf_vertex"])
+    def test_non_finite_or_fractional(self, override):
+        args = dict(x0=(0, -1), x1=(1, 1), F0=Ball(1), F1=Ball(1))
+        with pytest.raises(ValidationError):
+            make_problem(**{**args, **override})
 
 
 class TestDelta:
