@@ -5,6 +5,15 @@ origin in its interior.  Three shapes are supported: balls, (rotated) ellipses
 and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
 functions of the same names dispatch to them.
+
+Each shape also has `gauge_rows`, the gauge of every row of an (N, 2) array in
+one call, which is bit-equal to `gauge` on each row.  The matrix products go
+through `_matvec_rows`, a stacked `np.matmul` that issues one matrix-vector
+product per row, so every row is rounded exactly as the per-vector `m @ v`
+(BLAS may fuse multiply-adds, which `vs @ m.T`, `einsum` or an element-wise
+formula would round differently).  The per-vector `gauge` stays separate
+because it is the solver's hot path, where array overhead on one vector costs
+more than the product itself.
 """
 
 import math
@@ -70,6 +79,11 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _matvec_rows(m, vs):
+    """m @ v for every row v of vs, each rounded as the single product m @ v."""
+    return np.matmul(m, vs[:, :, None])[:, :, 0]
+
+
 def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -87,6 +101,9 @@ class Ball:
 
     def gauge(self, v):
         return float(np.hypot(v[0], v[1]) / self.r)
+
+    def gauge_rows(self, vs):
+        return np.hypot(vs[:, 0], vs[:, 1]) / self.r
 
     def support(self, zeta):
         return float(self.r * np.hypot(zeta[0], zeta[1]))
@@ -117,6 +134,10 @@ class Ellipse:
     def gauge(self, v):
         w = _rotation(-self.rot) @ v
         return float(np.hypot(w[0] / self.a, w[1] / self.b))
+
+    def gauge_rows(self, vs):
+        w = _matvec_rows(_rotation(-self.rot), vs)
+        return np.hypot(w[:, 0] / self.a, w[:, 1] / self.b)
 
     def support(self, zeta):
         w = _rotation(-self.rot) @ zeta
@@ -208,6 +229,10 @@ class Polygon:
     def gauge(self, v):
         self._require_halfplanes()
         return float(max(0.0, np.max((self.normals @ v) / self.offsets)))
+
+    def gauge_rows(self, vs):
+        self._require_halfplanes()
+        return np.max(_matvec_rows(self.normals, vs) / self.offsets, axis=1, initial=0.0)
 
     def support(self, zeta):
         self._require_halfplanes()

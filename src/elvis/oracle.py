@@ -2,8 +2,9 @@
 
 Nothing here touches normal faces or subgradients: gauges are recovered by
 bisecting a membership predicate, and the crossing-time objective is
-minimized by a grid scan plus golden-section refinement.  Deliberately slow
-and simple.
+minimized by a grid scan plus golden-section refinement.  The grid is
+evaluated in one batched `crossing_time` call (bit-equal to per-point calls),
+and the refinement converts the sets' constants to mpmath once per call.
 """
 
 from dataclasses import dataclass
@@ -69,33 +70,43 @@ def gauge_by_membership(vset, v):
     return 0.5 * (lo + hi)
 
 
-def _gauge_mp(vset, vx, vy):
+def _gauge_mp(vset):
+    """gamma_F as a function of (vx, vy) at the current mpmath precision.
+
+    The set's constants are converted to mpf here, once, so each call only
+    does arithmetic.
+    """
     if isinstance(vset, Ball):
-        return mp.sqrt(vx * vx + vy * vy) / vset.r
+        r = mp.mpf(vset.r)
+        return lambda vx, vy: mp.sqrt(vx * vx + vy * vy) / r
     if isinstance(vset, Ellipse):
         c, s = mp.cos(-vset.rot), mp.sin(-vset.rot)
-        wx = c * vx - s * vy
-        wy = s * vx + c * vy
-        return mp.sqrt((wx / vset.a) ** 2 + (wy / vset.b) ** 2)
-    vals = [
-        (mp.mpf(n[0]) * vx + mp.mpf(n[1]) * vy) / mp.mpf(h)
-        for n, h in zip(vset.normals, vset.offsets)
-    ]
-    return max(vals + [mp.mpf(0)])
+        a, b = mp.mpf(vset.a), mp.mpf(vset.b)
+
+        def ellipse_gauge(vx, vy):
+            wx = c * vx - s * vy
+            wy = s * vx + c * vy
+            return mp.sqrt((wx / a) ** 2 + (wy / b) ** 2)
+
+        return ellipse_gauge
+    facets = [(mp.mpf(n[0]), mp.mpf(n[1]), mp.mpf(h)) for n, h in zip(vset.normals, vset.offsets)]
+    zero = mp.mpf(0)
+    return lambda vx, vy: max([(nx * vx + ny * vy) / h for nx, ny, h in facets] + [zero])
 
 
-def _objective_mp(problem, y):
-    x0, x1 = problem.x0, problem.x1
-    t0 = _gauge_mp(problem.F0, y - mp.mpf(x0[0]), -mp.mpf(x0[1]))
-    t1 = _gauge_mp(problem.F1, mp.mpf(x1[0]) - y, mp.mpf(x1[1]))
-    return t0 + t1
+def _objective_mp(problem):
+    """phi as a function of y at the current mpmath precision (see _gauge_mp)."""
+    g0, g1 = _gauge_mp(problem.F0), _gauge_mp(problem.F1)
+    x0x, x0y = mp.mpf(problem.x0[0]), mp.mpf(problem.x0[1])
+    x1x, x1y = mp.mpf(problem.x1[0]), mp.mpf(problem.x1[1])
+    return lambda y: g0(y - x0x, -x0y) + g1(x1x - y, x1y)
 
 
 def _grid_scan(problem, cfg):
     """phi on cfg.grid_points evenly spaced points of the expanded bracket (one if it is a point)."""
     l, r, _ = expand_bracket(problem)
     ys = np.linspace(l, r, cfg.grid_points if r > l else 1)
-    return ys, np.array([crossing_time(problem, y) for y in ys])
+    return ys, crossing_time(problem, ys)
 
 
 def minimize_objective(problem, cfg=None):
@@ -112,19 +123,20 @@ def minimize_objective(problem, cfg=None):
     b = ys[min(i + 1, len(ys) - 1)]
 
     with mp.workdps(40):
+        phi = _objective_mp(problem)
         a, b = mp.mpf(a), mp.mpf(b)
         c = b - _INV_GOLDEN * (b - a)
         d = a + _INV_GOLDEN * (b - a)
-        fc, fd = _objective_mp(problem, c), _objective_mp(problem, d)
+        fc, fd = phi(c), phi(d)
         while b - a > cfg.golden_tol:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - _INV_GOLDEN * (b - a)
-                fc = _objective_mp(problem, c)
+                fc = phi(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + _INV_GOLDEN * (b - a)
-                fd = _objective_mp(problem, d)
+                fd = phi(d)
         y_star = float((a + b) / 2)
     return y_star, crossing_time(problem, y_star)
 

@@ -123,9 +123,17 @@ def parse_problem(text, epsilon_override=None):
     return make_problem(x0, x1, f0, f1, epsilon, max_iter)
 
 
+def _read_text(path):
+    """The file's text; bytes that are not UTF-8 raise ProblemFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"file is not UTF-8 text: {exc}") from None
+
+
 def load_problem(path, epsilon_override=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read(), epsilon_override)
+    return parse_problem(_read_text(path), epsilon_override)
 
 
 def set_to_dict(vset):
@@ -184,8 +192,7 @@ def parse_sweep(text, epsilon_override=None):
 
 
 def load_sweep(path, epsilon_override=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_sweep(fh.read(), epsilon_override)
+    return parse_sweep(_read_text(path), epsilon_override)
 
 
 def sweep_grid(spec):

@@ -116,9 +116,17 @@ class SolveResult:
 
 
 def crossing_time(problem, y):
-    """The objective phi(y): total traversal time through crossing point (y, 0)."""
-    yv = np.array([y, 0.0])
-    return problem.F0.gauge(yv - problem.x0) + problem.F1.gauge(problem.x1 - yv)
+    """The objective phi(y): total traversal time through crossing point (y, 0).
+
+    y is a number (the result is a float) or a 1-D array (the result is an
+    array of phi at every entry).  Both go through the shapes' batched
+    `gauge_rows`, which is bit-equal to the per-vector `gauge`, so an array
+    gives exactly the values of the per-point calls.
+    """
+    ys = np.asarray(y, dtype=float)
+    pts = np.column_stack((ys.ravel(), np.zeros(ys.size)))
+    times = problem.F0.gauge_rows(pts - problem.x0) + problem.F1.gauge_rows(problem.x1 - pts)
+    return float(times[0]) if ys.ndim == 0 else times
 
 
 def _residual_faces(problem, y):

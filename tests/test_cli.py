@@ -28,6 +28,8 @@ SQUARES = {
     "F0": {"kind": "polygon", "vertices": [list(v) for v in SQUARE0_VERTICES]},
     "F1": {"kind": "polygon", "vertices": [list(v) for v in SQUARE1_VERTICES]},
 }
+# A UTF-16 byte-order mark followed by "{]": not UTF-8 text.
+NOT_UTF8 = b"\xff\xfe{]"
 # Malformed problem files, each with the exit code `solve` and `validate` must both give.
 MALFORMED = {
     "missing_F1": ({k: v for k, v in ELLIPTIC.items() if k != "F1"}, 1),
@@ -41,6 +43,7 @@ MALFORMED = {
     "r_bool": (dict(ELLIPTIC, F0={"kind": "ball", "r": True}), 1),
     "rot_nan": (dict(ELLIPTIC, F0={"kind": "ellipse", "a": 1, "b": 0.5, "rot": float("nan")}), 1),
     "epsilon_inf": (dict(ELLIPTIC, epsilon=float("inf")), 1),
+    "not_utf8": (NOT_UTF8, 1),
 }
 BALL_SWEEP = {
     "x0": [0, -1],
@@ -51,8 +54,12 @@ BALL_SWEEP = {
 
 
 def write(tmp_path, name, doc):
+    """Write doc as JSON (raw bytes are written as they are); return the path."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -184,6 +191,14 @@ class TestSweep:
         assert float(row[3]) == rec["time"]
         assert row[4] == rec["status"]
         assert int(row[5]) == rec["iterations"]
+
+    def test_not_utf8(self, tmp_path, capsys):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = run_main(["sweep", write(tmp_path, "s.json", NOT_UTF8), "--out",
+                                 str(out_csv)], capsys)
+        assert code == 1
+        assert err.startswith("parse error: file is not UTF-8 text")
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("key, value, expected", [
         ("ymax", -1, 2), ("xmax", float("nan"), 1), ("nx", True, 1),

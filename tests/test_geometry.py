@@ -8,6 +8,7 @@ from elvis import (
     NonConvexError,
     OriginNotInteriorError,
     Polygon,
+    ValidationError,
     ZeroVectorError,
     gauge,
     gauge_by_membership,
@@ -88,6 +89,41 @@ class TestGauge:
         sq = validate(Polygon(SQUARE0_VERTICES))
         for vset in (Ball(2.0), Ellipse(1.0, 3.0), sq):
             assert gauge(vset, (0, 0)) == 0.0
+
+
+class TestGaugeRows:
+    """gauge_rows must equal gauge on every row bit for bit; a numpy or BLAS
+    build that rounds the stacked matmul differently from m @ v fails here."""
+
+    @staticmethod
+    def random_polygon(rng):
+        """Convex polygon with 3-48 vertices on an ellipse around a point near the origin."""
+        while True:
+            n = int(rng.integers(3, 49))
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            a, b = rng.uniform(0.5, 3.0, 2)
+            pts = np.column_stack((a * np.cos(t), b * np.sin(t))) + rng.uniform(-0.3, 0.3, 2)
+            try:
+                return validate(Polygon(pts))
+            except ValidationError:
+                continue
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
+    def test_bit_equal_to_gauge(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            if kind == "ball":
+                vset = validate(Ball(float(rng.uniform(0.1, 10.0))))
+            elif kind == "ellipse":
+                a, b = rng.uniform(0.1, 10.0, 2)
+                rot = rng.uniform(-2 * np.pi, 2 * np.pi)
+                vset = validate(Ellipse(float(a), float(b), float(rot)))
+            else:
+                vset = self.random_polygon(rng)
+            vs = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-6, 6, (200, 1))
+            vs[0] = 0.0
+            expected = np.array([gauge(vset, v) for v in vs])
+            assert vset.gauge_rows(vs).tobytes() == expected.tobytes()
 
 
 class TestSupport:

@@ -21,7 +21,7 @@ from elvis import (
 )
 from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE
 
-from conftest import random_ball, random_ellipse, random_problem
+from conftest import random_ball, random_ellipse, random_polygon, random_problem
 
 
 class TestProblemValidation:
@@ -173,6 +173,30 @@ class TestSolve:
             l, r, _ = expand_bracket(p)
             for y in np.linspace(l, r, 1000):
                 assert result.time <= crossing_time(p, y) + 1e-7
+
+    @pytest.mark.parametrize("f0", [random_ball, random_ellipse, random_polygon])
+    @pytest.mark.parametrize("f1", [random_ball, random_ellipse, random_polygon])
+    def test_crossing_time_array_bit_equal(self, f0, f1):
+        """An array of y gives, bit for bit, the sums of per-vector gauges."""
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            while True:
+                x0 = (rng.uniform(-3, 3), rng.uniform(-3, -0.1))
+                x1 = (rng.uniform(-3, 3), rng.uniform(0.1, 3))
+                try:
+                    p = make_problem(x0, x1, f0(rng), f1(rng))
+                    break
+                except ValidationError:
+                    continue
+            l, r, _ = expand_bracket(p)
+            ys = np.linspace(l, r, 257)
+            expected = np.array([gauge(p.F0, (y - p.x0[0], -p.x0[1]))
+                                 + gauge(p.F1, (p.x1[0] - y, p.x1[1])) for y in ys])
+            assert crossing_time(p, ys).tobytes() == expected.tobytes()
+            assert crossing_time(p, ys[:1]).tobytes() == expected[:1].tobytes()
+            for y, t in zip(ys[::64], expected[::64]):
+                assert type(crossing_time(p, y)) is float
+                assert crossing_time(p, float(y)) == t
 
     def test_convergence_bound(self, elliptic_problem):
         result, trace = solve(elliptic_problem)
