@@ -43,6 +43,7 @@ from .solver import (
     expand_bracket,
     make_problem,
     solve,
+    solve_batch,
 )
 
 __all__ = [
@@ -78,6 +79,7 @@ __all__ = [
     "polar",
     "sample_interior",
     "solve",
+    "solve_batch",
     "support",
     "validate",
 ]

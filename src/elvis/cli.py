@@ -8,23 +8,24 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import (
     BracketExpansionFailedError,
     ProblemFormatError,
     ValidationError,
 )
-from .probfile import (
-    load_problem,
-    load_sweep,
-    sweep_grid,
-    sweep_problem,
-)
-from .solver import delta, expand_bracket, solve
+from .probfile import load_problem, load_sweep, sweep_grid
+from .solver import delta_rows, expand_bracket, solve, solve_batch
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+
+# Sweep nodes or delta-curve samples per batched call: large grids and sample
+# counts are worked off block by block, so memory stays bounded.
+BATCH_ROWS = 4096
 
 
 def _fmt(x):
@@ -74,15 +75,19 @@ def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None, out=None):
     root_lo, root_hi = l, None
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("y,delta_lo,delta_hi\n")
-        for i in range(n_samples):
-            y = l + (r - l) * i / (n_samples - 1)
-            iv = delta(problem, y)
-            fh.write(f"{_fmt(y)},{_fmt(iv.lo)},{_fmt(iv.hi)}\n")
+        for start in range(0, n_samples, BATCH_ROWS):
+            i = np.arange(start, min(start + BATCH_ROWS, n_samples))
+            ys = l + (r - l) * i / (n_samples - 1)
+            los, his = delta_rows(problem, ys)
+            fh.writelines(f"{_fmt(y)},{_fmt(lo)},{_fmt(hi)}\n" for y, lo, hi in zip(ys, los, his))
             if root_hi is None:
-                if iv.hi < 0:
-                    root_lo = y
-                if iv.lo > 0:
-                    root_hi = y
+                positive = np.flatnonzero(los > 0)
+                stop = positive[0] if positive.size else len(ys)
+                negative = np.flatnonzero(his[:stop] < 0)
+                if negative.size:
+                    root_lo = ys[negative[-1]]
+                if positive.size:
+                    root_hi = ys[stop]
     out.write(json.dumps({"root_bracket": [root_lo, r if root_hi is None else root_hi]}) + "\n")
     return EXIT_OK
 
@@ -91,15 +96,15 @@ def cmd_sweep(sweep_path, out_csv, epsilon=None, out=None):
     out = out if out is not None else sys.stdout
     spec = load_sweep(sweep_path, epsilon_override=epsilon)
     xs, ys = sweep_grid(spec)
+    # Row-major nodes: y varies over rows, x within a row.
+    x1s = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
     successes = 0
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("x1x,x1y,y,time,status,iterations\n")
-        for y1 in ys:
-            for x1 in xs:
-                problem = sweep_problem(spec, x1, y1)
-                try:
-                    result, _ = solve(problem)
-                except BracketExpansionFailedError:
+        for start in range(0, len(x1s), BATCH_ROWS):
+            block = x1s[start:start + BATCH_ROWS]
+            for (x1, y1), result in zip(block, solve_batch(spec, block)):
+                if result is None:
                     fh.write(f"{_fmt(x1)},{_fmt(y1)},nan,nan,BracketExpansionFailed,0\n")
                     continue
                 fh.write(

@@ -6,18 +6,22 @@ and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
 functions of the same names dispatch to them.
 
-Each shape also has `gauge_rows`, the gauge of every row of an (N, 2) array in
-one call, which is bit-equal to `gauge` on each row.  The matrix products go
-through `_matvec_rows`, a stacked `np.matmul` that issues one matrix-vector
-product per row, so every row is rounded exactly as the per-vector `m @ v`
-(BLAS may fuse multiply-adds, which `vs @ m.T`, `einsum` or an element-wise
-formula would round differently).  The per-vector `gauge` stays separate
-because it is the solver's hot path, where array overhead on one vector costs
-more than the product itself.
+Each shape also has row forms, `gauge_rows` and `boundary_face_rows`, which
+take an (N, 2) array and are bit-equal to `gauge` and `boundary_face` on each
+row; `normal_face_rows` is the row form of `normal_face`.  The matrix products
+go through `_matvec_rows`, a stacked `np.matmul` that issues one
+matrix-vector product per row, so every row is rounded exactly as the
+per-vector `m @ v` (BLAS may fuse multiply-adds, which `vs @ m.T`, `einsum` or
+an element-wise formula would round differently).  The per-vector forms stay
+separate because they are the scalar solver's hot path, where array overhead
+on one vector costs more than the product itself.  Both forms read the same
+cached constants: an ellipse's two rotation matrices and a polygon's facet
+points n_i/h_i.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +88,27 @@ def _matvec_rows(m, vs):
     return np.matmul(m, vs[:, :, None])[:, :, 0]
 
 
+def _x_range_rows(zeta_lo, zeta_hi):
+    """NormalFace.x_range of every row, as arrays (lo, hi)."""
+    if zeta_lo is zeta_hi:  # point faces
+        a = zeta_lo[:, 0]
+        return a, a
+    a, b = zeta_lo[:, 0], zeta_hi[:, 0]
+    ordered = a <= b
+    return np.where(ordered, a, b), np.where(ordered, b, a)
+
+
+def _point_with_x_rows(zeta_lo, zeta_hi, x):
+    """NormalFace.point_with_x of every row, with the same operations and clamps."""
+    a, b = zeta_lo[:, 0], zeta_hi[:, 0]
+    flat = a == b
+    t = (x - a) / np.where(flat, 1.0, b - a)
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(1.0 < t, 1.0, t)[:, None]
+    mixed = (1.0 - t) * zeta_lo + t * zeta_hi
+    return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
+
+
 def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -115,6 +140,10 @@ class Ball:
         """Normal face at the boundary point p: the gauge gradient p / r^2."""
         return NormalFace.point(p / (self.r * self.r))
 
+    def boundary_face_rows(self, ps):
+        zeta = ps / (self.r * self.r)
+        return zeta, zeta
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -131,16 +160,26 @@ class Ellipse:
             )
         return self
 
+    # Computed once per instance; cached_property stores into the instance
+    # dict, so the dataclass fields, equality and repr are untouched.
+    @cached_property
+    def _to_axes(self):
+        return _rotation(-self.rot)
+
+    @cached_property
+    def _from_axes(self):
+        return _rotation(self.rot)
+
     def gauge(self, v):
-        w = _rotation(-self.rot) @ v
+        w = self._to_axes @ v
         return float(np.hypot(w[0] / self.a, w[1] / self.b))
 
     def gauge_rows(self, vs):
-        w = _matvec_rows(_rotation(-self.rot), vs)
+        w = _matvec_rows(self._to_axes, vs)
         return np.hypot(w[:, 0] / self.a, w[:, 1] / self.b)
 
     def support(self, zeta):
-        w = _rotation(-self.rot) @ zeta
+        w = self._to_axes @ zeta
         return float(np.hypot(self.a * w[0], self.b * w[1]))
 
     def polar(self):
@@ -148,9 +187,15 @@ class Ellipse:
 
     def boundary_face(self, p):
         """Normal face at the boundary point p: the gauge gradient, taken in the axis frame."""
-        w = _rotation(-self.rot) @ p
+        w = self._to_axes @ p
         zw = np.array([w[0] / (self.a * self.a), w[1] / (self.b * self.b)])
-        return NormalFace.point(_rotation(self.rot) @ zw)
+        return NormalFace.point(self._from_axes @ zw)
+
+    def boundary_face_rows(self, ps):
+        w = _matvec_rows(self._to_axes, ps)
+        zw = np.column_stack((w[:, 0] / (self.a * self.a), w[:, 1] / (self.b * self.b)))
+        zeta = _matvec_rows(self._from_axes, zw)
+        return zeta, zeta
 
 
 class Polygon:
@@ -158,19 +203,23 @@ class Polygon:
 
     `validate` strips collinear vertices and returns a polygon carrying the
     half-plane form (unit outward normals `normals` and positive offsets
-    `offsets`, facet i joining vertex i to vertex i+1) and its
-    `circumradius`.  Operations other than `validate` require the
-    half-plane form to be present.
+    `offsets`, facet i joining vertex i to vertex i+1), the facet points
+    `facet_points` (row i is n_i/h_i, the point of the polar boundary that
+    facet i exposes) and its `circumradius`.  Operations other than
+    `validate` require the half-plane form to be present.
     """
 
     def __init__(self, vertices, normals=None, offsets=None):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.normals = None if normals is None else np.asarray(normals, dtype=float)
         self.offsets = None if offsets is None else np.asarray(offsets, dtype=float)
-        self.circumradius = (
-            None if normals is None
-            else float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
-        )
+        self.circumradius = None
+        self.facet_points = None
+        if normals is not None:
+            self.circumradius = float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
+            # Normal faces hand out rows of this array, so nobody may write to it.
+            self.facet_points = self.normals / self.offsets[:, None]
+            self.facet_points.flags.writeable = False
 
     @property
     def is_validated(self):
@@ -242,21 +291,31 @@ class Polygon:
         """Polar polygon: vertex i is n_i / h_i, the point where the polar lines
         of vertices i and i+1 (the ends of facet i) meet."""
         self._require_halfplanes()
-        return Polygon(self.normals / self.offsets[:, None]).validate()
+        return Polygon(self.facet_points).validate()
 
     def boundary_face(self, p):
         """Normal face at the boundary point p: facet j's n_j/h_j, or the polar
         edge joining the two incident facets' points when p is on a vertex."""
         self._require_halfplanes()
-        verts, normals, offsets = self.vertices, self.normals, self.offsets
+        verts, points = self.vertices, self.facet_points
         dists = np.hypot(verts[:, 0] - p[0], verts[:, 1] - p[1])
         i = int(np.argmin(dists))
         if dists[i] <= VERTEX_FACE_TOL * self.circumradius:
             # Vertex i is shared by facets i-1 and i.
             j = i - 1 if i > 0 else len(verts) - 1
-            return NormalFace.segment(normals[j] / offsets[j], normals[i] / offsets[i])
-        j = int(np.argmax((normals @ p) / offsets))
-        return NormalFace.point(normals[j] / offsets[j])
+            return NormalFace.segment(points[j], points[i])
+        j = int(np.argmax((self.normals @ p) / self.offsets))
+        return NormalFace.point(points[j])
+
+    def boundary_face_rows(self, ps):
+        self._require_halfplanes()
+        verts = self.vertices
+        dists = np.hypot(verts[:, 0] - ps[:, :1], verts[:, 1] - ps[:, 1:])
+        i = np.argmin(dists, axis=1)
+        snap = dists[np.arange(len(ps)), i] <= VERTEX_FACE_TOL * self.circumradius
+        j = np.argmax(_matvec_rows(self.normals, ps) / self.offsets, axis=1)
+        # Index -1 is the last facet, the one before vertex 0.
+        return self.facet_points[np.where(snap, i - 1, j)], self.facet_points[np.where(snap, i, j)]
 
 
 def validate(vset):
@@ -298,3 +357,14 @@ def normal_face(vset, v):
     if v[0] == 0.0 and v[1] == 0.0:
         raise ZeroVectorError("normal_face needs a nonzero direction")
     return vset.boundary_face(v / vset.gauge(v))
+
+
+def normal_face_rows(vset, vs):
+    """normal_face of every row of an (N, 2) array, as the rows (zeta_lo, zeta_hi).
+
+    Row n is bit-equal to normal_face(vset, vs[n]).zeta_lo and .zeta_hi.
+    """
+    vs = np.asarray(vs, dtype=float)
+    if ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
+        raise ZeroVectorError("normal_face needs a nonzero direction")
+    return vset.boundary_face_rows(vs / vset.gauge_rows(vs)[:, None])

@@ -5,15 +5,27 @@ convex in the crossing abscissa y.  The residual delta(y) is the x-component
 of zeta0 + zeta1 over all admissible normal-face selections; every value in
 the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
+
+`solve_batch` runs the same bisection for many targets x1 that share x0, F0
+and F1, all nodes in lockstep on arrays, through the row kernels of
+`geometry`; every node's result is equal to `solve`'s field by field.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
-from .geometry import Ball, normal_face, validate
+from .geometry import (
+    Ball,
+    _point_with_x_rows,
+    _x_range_rows,
+    normal_face,
+    normal_face_rows,
+    validate,
+)
 
 MAX_BRACKET_DOUBLINGS = 64
 
@@ -21,6 +33,8 @@ STATUS_CONVERGED = "Converged"
 STATUS_RESIDUAL_ZERO_IN_FACE = "ResidualZeroInFace"
 STATUS_MAX_ITERATIONS = "MaxIterations"
 BRACKET_EXPANDED_PREFIX = "BracketExpanded+"
+# solve_batch's status codes: index into this tuple.
+_STATUSES = (STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, STATUS_MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,26 @@ def delta(problem, y):
     return interval
 
 
+def _residual_rows(problem, ys, x1s):
+    """_residual_faces at every ys[n] for the target x1s[n] (x1s may be one shared point).
+
+    Returns the interval ends (lo, hi) and the (zeta_lo, zeta_hi) rows of face0
+    and neg_face1, each row bit-equal to the scalar call's.
+    """
+    pts = np.column_stack((ys, np.zeros(len(ys))))
+    face0 = normal_face_rows(problem.F0, pts - problem.x0)
+    neg_face1 = normal_face_rows(problem.F1, x1s - pts)
+    a0, b0 = _x_range_rows(*face0)
+    a1m, b1m = _x_range_rows(*neg_face1)
+    return a0 - b1m, b0 - a1m, face0, neg_face1
+
+
+def delta_rows(problem, ys):
+    """delta at every entry of the 1-D array ys, as arrays (lo, hi), bit-equal entry by entry."""
+    lo, hi, _, _ = _residual_rows(problem, np.asarray(ys, dtype=float), problem.x1)
+    return lo, hi
+
+
 def _select_multipliers(interval, face0, neg_face1, target):
     """Pick zeta0, zeta1 from the faces with (zeta0 + zeta1)_x as close to target as possible."""
     target = min(max(target, interval.lo), interval.hi)
@@ -254,6 +288,122 @@ def solve(problem):
         status=status,
     )
     return result, trace
+
+
+def _expand_rows(problem, x1s, end, width, nodes, left, expanded):
+    """One phase of expand_bracket (the left end, or the right one) for the given nodes.
+
+    Moves end[n] and sets expanded[n] in place, with expand_bracket's
+    arithmetic.  Every node still being pushed has been pushed the same
+    number of times, so one try count serves them all.  Returns the nodes
+    whose end still pointed outward after MAX_BRACKET_DOUBLINGS pushes.
+    """
+    eps = problem.epsilon
+    step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
+    for tries in itertools.count():
+        lo, hi, _, _ = _residual_rows(problem, end[nodes], x1s[nodes])
+        outward = lo > eps if left else hi < -eps
+        nodes, step = nodes[outward], step[outward]
+        if nodes.size == 0 or tries >= MAX_BRACKET_DOUBLINGS:
+            return nodes
+        end[nodes] = end[nodes] - step if left else end[nodes] + step
+        step = step * 2.0
+        expanded[nodes] = True
+
+
+def solve_batch(problem, x1s):
+    """solve for every target x1s[n] of an (N, 2) array; one SolveResult per node.
+
+    problem supplies x0, F0, F1, epsilon and max_iter (any object with those
+    attributes, such as a SweepSpec; an ElvisProblem's own x1 is not used).
+    The nodes run expand_bracket and the bisection in lockstep on arrays, each
+    with its own bracket, width and status, and stop by exactly solve's rules
+    on row kernels bit-equal to solve's, so result n equals
+    solve(problem with x1 = x1s[n])[0] field by field.  Result n is None
+    where solve raises BracketExpansionFailedError.  No trace is kept.
+    """
+    x1s = np.asarray(x1s, dtype=float).reshape(-1, 2)
+    if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
+        raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
+    n = len(x1s)
+    eps, max_iter = problem.epsilon, problem.max_iter
+    x0x, x1x = problem.x0[0], x1s[:, 0]
+    l = np.where(x1x < x0x, x1x, x0x)  # min(x0x, x1x)
+    r = np.where(x1x > x0x, x1x, x0x)  # max(x0x, x1x)
+    expanded = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    failed[_expand_rows(problem, x1s, l, r - l, np.arange(n), True, expanded)] = True
+    nodes = np.flatnonzero(~failed)
+    failed[_expand_rows(problem, x1s, r, r[nodes] - l[nodes], nodes, False, expanded)] = True
+    nodes = np.flatnonzero(~failed)
+
+    # The state at each node's last iteration, filled in as nodes stop.
+    y_end = np.zeros(n)
+    lo_end, hi_end = np.zeros(n), np.zeros(n)
+    faces_end = [np.zeros((n, 2)) for _ in range(4)]
+    iterations = np.zeros(n, dtype=int)
+    status = np.zeros(n, dtype=int)
+    # The running nodes' state, compacted to them; every running node is at step k.
+    l, r, x1_run = l[nodes], r[nodes], x1s[nodes]
+    d = r - l
+    k = 0
+    while nodes.size:
+        y = 0.5 * (l + r)
+        lo, hi, face0, neg_face1 = _residual_rows(problem, y, x1_run)
+        hit = (lo <= eps) & (hi >= -eps)
+        ulp = np.fromiter(map(math.ulp, np.abs(y)), dtype=float, count=y.size)
+        stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * ulp)
+        if stop.any():
+            done = nodes[stop]
+            y_end[done], lo_end[done], hi_end[done] = y[stop], lo[stop], hi[stop]
+            for end, rows in zip(faces_end, face0 + neg_face1):
+                end[done] = rows[stop]
+            iterations[done] = k + 1
+            inside = (lo[stop] < 0.0) & (0.0 < hi[stop])
+            status[done] = np.where(hit[stop], np.where(inside, 1, 0), 2)
+            go = ~stop
+            nodes, y, lo, l, r, d, x1_run = (a[go] for a in (nodes, y, lo, l, r, d, x1_run))
+        right = lo > eps
+        r = np.where(right, y, r)
+        l = np.where(right, l, y)
+        d = d * 0.5
+        k += 1
+
+    solved = np.flatnonzero(~failed)
+    y, lo, hi = y_end[solved], lo_end[solved], hi_end[solved]
+    zlo0, zhi0, zlo1, zhi1 = (end[solved] for end in faces_end)
+    # _select_multipliers with target 0, row by row.
+    target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
+    target = np.where(hi < target, hi, target)  # min(target, hi)
+    a0, b0 = _x_range_rows(zlo0, zhi0)
+    a1m, _ = _x_range_rows(zlo1, zhi1)
+    z0x = target + a1m
+    z0x = np.where(a0 > z0x, a0, z0x)
+    z0x = np.where(b0 < z0x, b0, z0x)
+    zeta0 = _point_with_x_rows(zlo0, zhi0, z0x)
+    zeta1 = -_point_with_x_rows(zlo1, zhi1, -(target - z0x))
+    pts = np.column_stack((y, np.zeros(len(y))))
+    w0 = pts - problem.x0
+    w1 = x1s[solved] - pts
+    g0 = problem.F0.gauge_rows(w0)
+    g1 = problem.F1.gauge_rows(w1)
+    times = (g0 + g1).tolist()
+    v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
+
+    results = [None] * n
+    for m, i in enumerate(solved.tolist()):
+        name = _STATUSES[status[i]]
+        results[i] = SolveResult(
+            y=y[m],
+            time=times[m],
+            v0=v0[m],
+            v1=v1[m],
+            zeta0=zeta0[m],
+            zeta1=zeta1[m],
+            iterations=int(iterations[i]),
+            status=BRACKET_EXPANDED_PREFIX + name if expanded[i] else name,
+        )
+    return results
 
 
 def classical_snell_angles(result, problem):

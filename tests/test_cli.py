@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from elvis import cli
 from elvis.cli import main
 
 from conftest import SQUARE0_VERTICES, SQUARE1_VERTICES
@@ -268,6 +269,23 @@ class TestDeterminism:
                 blobs.append(out)
             blobs += [trace.read_bytes(), curve.read_bytes(), grid.read_bytes()]
             outputs.append(blobs)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("doc, argv", [
+        (SQUARES, ["delta-curve", "--samples", "64"]),
+        (ELLIPTIC, ["delta-curve", "--samples", "50"]),
+        (dict(BALL_SWEEP, F1=SQUARES["F1"]), ["sweep"]),
+    ])
+    def test_batch_blocks_do_not_change_output(self, tmp_path, capsys, monkeypatch, doc, argv):
+        """Working a grid or a sample range off in small blocks gives the same bytes."""
+        path = write(tmp_path, "in.json", doc)
+        outputs = []
+        for rows in (cli.BATCH_ROWS, 4):
+            monkeypatch.setattr(cli, "BATCH_ROWS", rows)
+            out_csv = tmp_path / f"out{rows}.csv"
+            code, out, err = run_main(argv[:1] + [path] + argv[1:] + ["--out", str(out_csv)],
+                                      capsys)
+            outputs.append((code, out, err, out_csv.read_bytes()))
         assert outputs[0] == outputs[1]
 
 

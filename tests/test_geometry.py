@@ -19,6 +19,8 @@ from elvis import (
     validate,
 )
 
+from elvis.geometry import VERTEX_FACE_TOL, normal_face_rows
+
 from conftest import SQUARE0_VERTICES, boundary_points, random_validated_set
 
 
@@ -45,6 +47,17 @@ class TestValidate:
             assert np.all(slack >= -1e-12)
             tight = np.flatnonzero(slack <= 1e-12)
             assert set(tight) == {k, (k - 1) % 4}
+
+    def test_cached_constants(self):
+        """Cached kernel constants leave equality and repr alone and cannot be written."""
+        e = validate(Ellipse(2.0, 0.5, 0.3))
+        gauge(e, (1.0, 1.0))
+        assert e == Ellipse(2.0, 0.5, 0.3)
+        assert repr(e) == "Ellipse(a=2.0, b=0.5, rot=0.3)"
+        sq = validate(Polygon(SQUARE0_VERTICES))
+        assert sq.facet_points.tobytes() == (sq.normals / sq.offsets[:, None]).tobytes()
+        with pytest.raises(ValueError):
+            normal_face(sq, (2, 0.6)).zeta_lo[0] = 0.0
 
     def test_origin_outside(self):
         with pytest.raises(OriginNotInteriorError):
@@ -91,35 +104,35 @@ class TestGauge:
             assert gauge(vset, (0, 0)) == 0.0
 
 
+def random_row_set(rng, kind):
+    """Validated ball, ellipse (rotation over +-2 pi) or 3-48-gon for the row-kernel tests."""
+    if kind == "ball":
+        return validate(Ball(float(rng.uniform(0.1, 10.0))))
+    if kind == "ellipse":
+        a, b = rng.uniform(0.1, 10.0, 2)
+        rot = rng.uniform(-2 * np.pi, 2 * np.pi)
+        return validate(Ellipse(float(a), float(b), float(rot)))
+    while True:
+        # Convex polygon with 3-48 vertices on an ellipse around a point near the origin.
+        n = int(rng.integers(3, 49))
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        a, b = rng.uniform(0.5, 3.0, 2)
+        pts = np.column_stack((a * np.cos(t), b * np.sin(t))) + rng.uniform(-0.3, 0.3, 2)
+        try:
+            return validate(Polygon(pts))
+        except ValidationError:
+            continue
+
+
 class TestGaugeRows:
     """gauge_rows must equal gauge on every row bit for bit; a numpy or BLAS
     build that rounds the stacked matmul differently from m @ v fails here."""
-
-    @staticmethod
-    def random_polygon(rng):
-        """Convex polygon with 3-48 vertices on an ellipse around a point near the origin."""
-        while True:
-            n = int(rng.integers(3, 49))
-            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-            a, b = rng.uniform(0.5, 3.0, 2)
-            pts = np.column_stack((a * np.cos(t), b * np.sin(t))) + rng.uniform(-0.3, 0.3, 2)
-            try:
-                return validate(Polygon(pts))
-            except ValidationError:
-                continue
 
     @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
     def test_bit_equal_to_gauge(self, kind):
         rng = np.random.default_rng(21)
         for _ in range(40):
-            if kind == "ball":
-                vset = validate(Ball(float(rng.uniform(0.1, 10.0))))
-            elif kind == "ellipse":
-                a, b = rng.uniform(0.1, 10.0, 2)
-                rot = rng.uniform(-2 * np.pi, 2 * np.pi)
-                vset = validate(Ellipse(float(a), float(b), float(rot)))
-            else:
-                vset = self.random_polygon(rng)
+            vset = random_row_set(rng, kind)
             vs = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-6, 6, (200, 1))
             vs[0] = 0.0
             expected = np.array([gauge(vset, v) for v in vs])
@@ -181,6 +194,49 @@ class TestNormalFace:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             normal_face(Ball(1.0), (0, 0))
+
+
+class TestNormalFaceRows:
+    """normal_face_rows must equal normal_face on every row bit for bit."""
+
+    @staticmethod
+    def near_vertex_rows(vset, rng):
+        """Directions to every vertex, to points 0.5 tol from it along an incident
+        edge (snapped to the vertex) and to points 2 tol from it (not snapped),
+        where tol = VERTEX_FACE_TOL * circumradius."""
+        verts = vset.vertices
+        tol = VERTEX_FACE_TOL * vset.circumradius
+        snapped, apart = [], []
+        for i, q in enumerate(verts):
+            for nb in (verts[i - 1], verts[(i + 1) % len(verts)]):
+                e = (nb - q) / np.hypot(*(nb - q))
+                snapped.append(q + 0.5 * tol * e)
+                apart.append(q + 2.0 * tol * e)
+        on_vertex = verts * 10.0 ** rng.uniform(-3, 3, (len(verts), 1))
+        return np.vstack((verts, on_vertex, snapped)), np.array(apart)
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
+    def test_bit_equal_to_normal_face(self, kind):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            vset = random_row_set(rng, kind)
+            vs = rng.normal(size=(100, 2)) * 10.0 ** rng.uniform(-6, 6, (100, 1))
+            if kind == "polygon":
+                snapped, apart = self.near_vertex_rows(vset, rng)
+                vs = np.vstack((vs, snapped, apart))
+            lo, hi = normal_face_rows(vset, vs)
+            faces = [normal_face(vset, v) for v in vs]
+            assert lo.tobytes() == np.array([f.zeta_lo for f in faces]).tobytes()
+            assert hi.tobytes() == np.array([f.zeta_hi for f in faces]).tobytes()
+            if kind == "polygon":
+                # Both branches of the vertex snap are taken.
+                n0, n1 = 100, 100 + len(snapped)
+                assert np.all(np.any(lo[n0:n1] != hi[n0:n1], axis=1))
+                assert np.all(lo[n1:] == hi[n1:])
+
+    def test_zero_row(self):
+        with pytest.raises(ZeroVectorError):
+            normal_face_rows(Ball(1.0), [[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestInvariants:

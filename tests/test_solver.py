@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from elvis import (
     Ball,
+    BracketExpansionFailedError,
     Ellipse,
     NotIsotropicError,
     Polygon,
@@ -17,11 +20,27 @@ from elvis import (
     make_problem,
     minimize_objective,
     solve,
+    solve_batch,
     support,
 )
-from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE
+from elvis import solver
+from elvis.cli import main
+from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, delta_rows
 
 from conftest import random_ball, random_ellipse, random_polygon, random_problem
+
+MAKERS = [random_ball, random_ellipse, random_polygon]
+
+
+def random_pair_problem(rng, f0, f1):
+    """Problem with sets drawn by the makers f0 and f1 (redrawn until valid)."""
+    while True:
+        x0 = (rng.uniform(-3, 3), rng.uniform(-3, -0.1))
+        x1 = (rng.uniform(-3, 3), rng.uniform(0.1, 3))
+        try:
+            return make_problem(x0, x1, f0(rng), f1(rng))
+        except ValidationError:
+            continue
 
 
 class TestProblemValidation:
@@ -86,6 +105,19 @@ class TestDelta:
                 fd = (crossing_time(p, y + h) - crossing_time(p, y - h)) / (2 * h)
                 iv = delta(p, y)
                 assert iv.lo == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("f0", MAKERS)
+    @pytest.mark.parametrize("f1", MAKERS)
+    def test_delta_rows_bit_equal(self, f0, f1):
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            p = random_pair_problem(rng, f0, f1)
+            l, r, _ = expand_bracket(p)
+            ys = np.linspace(l, r, 101)
+            lo, hi = delta_rows(p, ys)
+            ivs = [delta(p, y) for y in ys]
+            assert lo.tobytes() == np.array([iv.lo for iv in ivs]).tobytes()
+            assert hi.tobytes() == np.array([iv.hi for iv in ivs]).tobytes()
 
     def test_interval_monotone_over_bracket(self):
         rng = np.random.default_rng(12)
@@ -174,20 +206,13 @@ class TestSolve:
             for y in np.linspace(l, r, 1000):
                 assert result.time <= crossing_time(p, y) + 1e-7
 
-    @pytest.mark.parametrize("f0", [random_ball, random_ellipse, random_polygon])
-    @pytest.mark.parametrize("f1", [random_ball, random_ellipse, random_polygon])
+    @pytest.mark.parametrize("f0", MAKERS)
+    @pytest.mark.parametrize("f1", MAKERS)
     def test_crossing_time_array_bit_equal(self, f0, f1):
         """An array of y gives, bit for bit, the sums of per-vector gauges."""
         rng = np.random.default_rng(15)
         for _ in range(5):
-            while True:
-                x0 = (rng.uniform(-3, 3), rng.uniform(-3, -0.1))
-                x1 = (rng.uniform(-3, 3), rng.uniform(0.1, 3))
-                try:
-                    p = make_problem(x0, x1, f0(rng), f1(rng))
-                    break
-                except ValidationError:
-                    continue
+            p = random_pair_problem(rng, f0, f1)
             l, r, _ = expand_bracket(p)
             ys = np.linspace(l, r, 257)
             expected = np.array([gauge(p.F0, (y - p.x0[0], -p.x0[1]))
@@ -204,6 +229,100 @@ class TestSolve:
         d0 = trace.rows[0].d
         for row in trace:
             assert abs(row.y - y_star) <= d0 / 2.0 ** row.k + 1e-12
+
+
+def solve_each(problem, x1s):
+    """Per-node solve results for the targets x1s; None where the bracket fails."""
+    results = []
+    for x1 in x1s:
+        try:
+            results.append(solve(dataclasses.replace(problem, x1=np.array(x1)))[0])
+        except BracketExpansionFailedError:
+            results.append(None)
+    return results
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None or g is None:
+            assert g is w
+            continue
+        for f in dataclasses.fields(w):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert type(a) is type(b), f.name
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+
+def grid(x, y):
+    """Row-major targets over the x and y values."""
+    return np.column_stack((np.tile(x, len(y)), np.repeat(y, len(x))))
+
+
+class TestSolveBatch:
+    """solve_batch must give per-node solve's SolveResult, field by field."""
+
+    @pytest.mark.parametrize("f0", MAKERS)
+    @pytest.mark.parametrize("f1", MAKERS)
+    def test_equals_solve_per_node(self, f0, f1):
+        rng = np.random.default_rng(31)
+        statuses = set()
+        for _ in range(3):
+            p = random_pair_problem(rng, f0, f1)
+            # Targets almost above x0 push anisotropic minimizers out of the bracket.
+            x1s = grid(p.x0[0] + np.array([-3, -1, -0.2, -0.01, 0, 0.01, 0.2, 1, 3]),
+                       [0.1, 1.0, 3.0])
+            results = solve_batch(p, x1s)
+            assert_same_results(results, solve_each(p, x1s))
+            statuses.update(res.status for res in results)
+        if (f0, f1) != (random_ball, random_ball):  # two balls never expand
+            assert any(st.startswith("BracketExpanded+") for st in statuses)
+
+    def test_max_iterations(self, elliptic_problem):
+        p = dataclasses.replace(elliptic_problem, max_iter=3)
+        x1s = grid(np.linspace(-2, 2, 7), [0.5, 1.0, 2.0])
+        results = solve_batch(p, x1s)
+        assert_same_results(results, solve_each(p, x1s))
+        assert any(res.status == "MaxIterations" for res in results)
+
+    def test_squares_stop_on_vertex_faces(self, square_problem):
+        x1s = grid(np.arange(-4.0, 4.0 + 1e-9, 2.0 / 3.0), [1.0])
+        results = solve_batch(square_problem, x1s)
+        assert_same_results(results, solve_each(square_problem, x1s))
+        assert sum(res.status == STATUS_RESIDUAL_ZERO_IN_FACE for res in results) >= 4
+
+    def test_bracket_expansion_failed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_BRACKET_DOUBLINGS", 0)
+        p = make_problem((0, -1), (0.1, 1), Ellipse(3.0, 0.1, rot=np.pi / 4), Ball(1))
+        # Targets near x0 need an expanded bracket; the far right one does not.
+        x1s = np.array([[0.1, 1.0], [0.0, 2.0], [3.0, 0.2]])
+        results = solve_batch(p, x1s)
+        assert_same_results(results, solve_each(p, x1s))
+        assert [res is None for res in results] == [True, True, False]
+
+        doc = {"x0": [0, -1], "F0": {"kind": "ellipse", "a": 3.0, "b": 0.1, "rot": np.pi / 4},
+               "F1": {"kind": "ball", "r": 1},
+               "x1_grid": {"xmin": 0.1, "xmax": 3.0, "ymin": 1, "ymax": 1, "nx": 2, "ny": 1}}
+        spec, out_csv = tmp_path / "s.json", tmp_path / "s.csv"
+        spec.write_text(json.dumps(doc))
+        assert main(["sweep", str(spec), "--out", str(out_csv)]) == 0
+        rows = out_csv.read_text().splitlines()
+        assert rows[1] == "0.10000000000000001,1,nan,nan,BracketExpansionFailed,0"
+        assert rows[2].startswith("3,1,")
+        assert json.loads(capsys.readouterr().out) == {"nodes": 2, "solved": 1}
+
+        doc["x1_grid"]["xmax"] = 0.1
+        spec.write_text(json.dumps(doc))
+        assert main(["sweep", str(spec), "--out", str(out_csv)]) == 3
+        assert json.loads(capsys.readouterr().out) == {"nodes": 2, "solved": 0}
+        assert out_csv.read_text().count(",nan,nan,BracketExpansionFailed,0\n") == 2
+
+    def test_rejects_targets_on_or_below_interface(self, elliptic_problem):
+        with pytest.raises(ValidationError):
+            solve_batch(elliptic_problem, [[1.0, 1.0], [1.0, 0.0]])
 
 
 class TestClassicalSnell:
