@@ -5,6 +5,7 @@ external tooling.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,11 +50,10 @@ def _result_record(result):
     }
 
 
-def cmd_solve(problem_path, trace_path=None, epsilon=None, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_solve(problem_path, trace_path=None, epsilon=None):
     problem = load_problem(problem_path, epsilon_override=epsilon)
     result, trace = solve(problem)
-    out.write(json.dumps(_result_record(result), indent=2) + "\n")
+    sys.stdout.write(json.dumps(_result_record(result), indent=2) + "\n")
     if trace_path:
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,l,r,y,d,delta_lo,delta_hi\n")
@@ -65,8 +65,7 @@ def cmd_solve(problem_path, trace_path=None, epsilon=None, out=None):
     return EXIT_OK
 
 
-def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None):
     if n_samples < 2:
         raise ValidationError("delta-curve needs at least 2 samples")
     problem = load_problem(problem_path, epsilon_override=epsilon)
@@ -78,22 +77,19 @@ def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None, out=None):
         for start in range(0, n_samples, BATCH_ROWS):
             i = np.arange(start, min(start + BATCH_ROWS, n_samples))
             ys = l + (r - l) * i / (n_samples - 1)
-            los, his = delta_rows(problem, ys)
-            fh.writelines(f"{_fmt(y)},{_fmt(lo)},{_fmt(hi)}\n" for y, lo, hi in zip(ys, los, his))
-            if root_hi is None:
-                positive = np.flatnonzero(los > 0)
-                stop = positive[0] if positive.size else len(ys)
-                negative = np.flatnonzero(his[:stop] < 0)
-                if negative.size:
-                    root_lo = ys[negative[-1]]
-                if positive.size:
-                    root_hi = ys[stop]
-    out.write(json.dumps({"root_bracket": [root_lo, r if root_hi is None else root_hi]}) + "\n")
+            for y, lo, hi in zip(ys, *delta_rows(problem, ys)):
+                fh.write(f"{_fmt(y)},{_fmt(lo)},{_fmt(hi)}\n")
+                if root_hi is None:
+                    if hi < 0:
+                        root_lo = y
+                    elif lo > 0:
+                        root_hi = y
+    bracket = [root_lo, r if root_hi is None else root_hi]
+    sys.stdout.write(json.dumps({"root_bracket": bracket}) + "\n")
     return EXIT_OK
 
 
-def cmd_sweep(sweep_path, out_csv, epsilon=None, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_sweep(sweep_path, out_csv, epsilon=None):
     spec = load_sweep(sweep_path, epsilon_override=epsilon)
     xs, ys = sweep_grid(spec)
     # Row-major nodes: y varies over rows, x within a row.
@@ -112,27 +108,28 @@ def cmd_sweep(sweep_path, out_csv, epsilon=None, out=None):
                     f"{result.status},{result.iterations}\n"
                 )
                 successes += 1
-    out.write(json.dumps({"nodes": len(xs) * len(ys), "solved": successes}) + "\n")
+    sys.stdout.write(json.dumps({"nodes": len(xs) * len(ys), "solved": successes}) + "\n")
     return EXIT_OK if successes > 0 else EXIT_SOLVER
 
 
-def cmd_validate(problem_path, epsilon=None, out=None):
+def cmd_validate(problem_path, epsilon=None):
     """Run the same parse and validation as `solve` and report the outcome.
 
     Parse errors propagate (exit 1 via main); a validation failure is
     reported as one `fail:` line with exit code 2.
     """
-    out = out if out is not None else sys.stdout
     try:
         load_problem(problem_path, epsilon_override=epsilon)
     except ValidationError as exc:
-        out.write(f"fail: {_error_name(exc)}: {exc}\n")
+        sys.stdout.write(f"fail: {_error_name(exc)}: {exc}\n")
         return EXIT_VALIDATION
-    out.write("all checks passed\n")
+    sys.stdout.write("all checks passed\n")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="elvis",
         description="Time-optimal interface crossings for convex velocity sets.",

@@ -6,17 +6,20 @@ and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
 functions of the same names dispatch to them.
 
-Each shape also has row forms, `gauge_rows` and `boundary_face_rows`, which
-take an (N, 2) array and are bit-equal to `gauge` and `boundary_face` on each
-row; `normal_face_rows` is the row form of `normal_face`.  The matrix products
-go through `_matvec_rows`, a stacked `np.matmul` that issues one
-matrix-vector product per row, so every row is rounded exactly as the
-per-vector `m @ v` (BLAS may fuse multiply-adds, which `vs @ m.T`, `einsum` or
-an element-wise formula would round differently).  The per-vector forms stay
-separate because they are the scalar solver's hot path, where array overhead
-on one vector costs more than the product itself.  Both forms read the same
-cached constants: an ellipse's two rotation matrices and a polygon's facet
-points n_i/h_i.
+There is one kernel per operation.  `gauge(v)` and `boundary_face(p)` take a
+vector of shape (2,) or rows of shape (N, 2), and row n of the result is bit
+for bit the result for the vector alone.  `boundary_face` returns the face as
+the pair (zeta_lo, zeta_hi), the same array twice for a point face;
+`normal_face` wraps one vector's pair in a `NormalFace` and `normal_face_rows`
+hands the rows' pair on.  Every matrix product goes through `_matvec`, the one
+place that knows the BLAS rounding rule: `m @ v` for a vector and, for rows,
+a stacked `np.matmul` that issues one matrix-vector product per row, so each
+row is rounded exactly as `m @ v` (BLAS may fuse multiply-adds, which
+`vs @ m.T`, `einsum` or an element-wise formula would round differently).
+Components are read from the transpose, `v.T[0]` and `v.T[1]`, which are
+scalars for a vector and columns for rows.  The kernels read cached
+constants: an ellipse's rotation matrices and squared semi-axes, and a
+polygon's facet points n_i/h_i.
 """
 
 import math
@@ -49,15 +52,6 @@ class NormalFace:
     zeta_lo: np.ndarray
     zeta_hi: np.ndarray
 
-    @classmethod
-    def point(cls, zeta):
-        z = np.asarray(zeta, dtype=float)
-        return cls(z, z)
-
-    @classmethod
-    def segment(cls, zeta_lo, zeta_hi):
-        return cls(np.asarray(zeta_lo, dtype=float), np.asarray(zeta_hi, dtype=float))
-
     @property
     def is_point(self):
         return bool(np.all(self.zeta_lo == self.zeta_hi))
@@ -83,9 +77,9 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def _matvec_rows(m, vs):
-    """m @ v for every row v of vs, each rounded as the single product m @ v."""
-    return np.matmul(m, vs[:, :, None])[:, :, 0]
+def _matvec(m, v):
+    """m @ v for a vector, or for every row of an (N, 2) array rounded as that single product."""
+    return m @ v if v.ndim == 1 else np.matmul(m, v[:, :, None])[:, :, 0]
 
 
 def _x_range_rows(zeta_lo, zeta_hi):
@@ -125,10 +119,8 @@ class Ball:
         return self
 
     def gauge(self, v):
-        return float(np.hypot(v[0], v[1]) / self.r)
-
-    def gauge_rows(self, vs):
-        return np.hypot(vs[:, 0], vs[:, 1]) / self.r
+        v = v.T
+        return np.hypot(v[0], v[1]) / self.r
 
     def support(self, zeta):
         return float(self.r * np.hypot(zeta[0], zeta[1]))
@@ -138,10 +130,7 @@ class Ball:
 
     def boundary_face(self, p):
         """Normal face at the boundary point p: the gauge gradient p / r^2."""
-        return NormalFace.point(p / (self.r * self.r))
-
-    def boundary_face_rows(self, ps):
-        zeta = ps / (self.r * self.r)
+        zeta = p / (self.r * self.r)
         return zeta, zeta
 
 
@@ -170,13 +159,13 @@ class Ellipse:
     def _from_axes(self):
         return _rotation(self.rot)
 
-    def gauge(self, v):
-        w = self._to_axes @ v
-        return float(np.hypot(w[0] / self.a, w[1] / self.b))
+    @cached_property
+    def _axes_squared(self):
+        return np.array([self.a * self.a, self.b * self.b])
 
-    def gauge_rows(self, vs):
-        w = _matvec_rows(self._to_axes, vs)
-        return np.hypot(w[:, 0] / self.a, w[:, 1] / self.b)
+    def gauge(self, v):
+        w = _matvec(self._to_axes, v).T
+        return np.hypot(w[0] / self.a, w[1] / self.b)
 
     def support(self, zeta):
         w = self._to_axes @ zeta
@@ -187,14 +176,7 @@ class Ellipse:
 
     def boundary_face(self, p):
         """Normal face at the boundary point p: the gauge gradient, taken in the axis frame."""
-        w = self._to_axes @ p
-        zw = np.array([w[0] / (self.a * self.a), w[1] / (self.b * self.b)])
-        return NormalFace.point(self._from_axes @ zw)
-
-    def boundary_face_rows(self, ps):
-        w = _matvec_rows(self._to_axes, ps)
-        zw = np.column_stack((w[:, 0] / (self.a * self.a), w[:, 1] / (self.b * self.b)))
-        zeta = _matvec_rows(self._from_axes, zw)
+        zeta = _matvec(self._from_axes, _matvec(self._to_axes, p) / self._axes_squared)
         return zeta, zeta
 
 
@@ -277,11 +259,7 @@ class Polygon:
 
     def gauge(self, v):
         self._require_halfplanes()
-        return float(max(0.0, np.max((self.normals @ v) / self.offsets)))
-
-    def gauge_rows(self, vs):
-        self._require_halfplanes()
-        return np.max(_matvec_rows(self.normals, vs) / self.offsets, axis=1, initial=0.0)
+        return np.maximum.reduce(_matvec(self.normals, v) / self.offsets, axis=-1, initial=0.0)
 
     def support(self, zeta):
         self._require_halfplanes()
@@ -297,25 +275,15 @@ class Polygon:
         """Normal face at the boundary point p: facet j's n_j/h_j, or the polar
         edge joining the two incident facets' points when p is on a vertex."""
         self._require_halfplanes()
-        verts, points = self.vertices, self.facet_points
-        dists = np.hypot(verts[:, 0] - p[0], verts[:, 1] - p[1])
-        i = int(np.argmin(dists))
-        if dists[i] <= VERTEX_FACE_TOL * self.circumradius:
-            # Vertex i is shared by facets i-1 and i.
-            j = i - 1 if i > 0 else len(verts) - 1
-            return NormalFace.segment(points[j], points[i])
-        j = int(np.argmax((self.normals @ p) / self.offsets))
-        return NormalFace.point(points[j])
-
-    def boundary_face_rows(self, ps):
-        self._require_halfplanes()
         verts = self.vertices
-        dists = np.hypot(verts[:, 0] - ps[:, :1], verts[:, 1] - ps[:, 1:])
-        i = np.argmin(dists, axis=1)
-        snap = dists[np.arange(len(ps)), i] <= VERTEX_FACE_TOL * self.circumradius
-        j = np.argmax(_matvec_rows(self.normals, ps) / self.offsets, axis=1)
-        # Index -1 is the last facet, the one before vertex 0.
-        return self.facet_points[np.where(snap, i - 1, j)], self.facet_points[np.where(snap, i, j)]
+        dists = np.hypot(verts[:, 0] - p[..., :1], verts[:, 1] - p[..., 1:])
+        i = dists.argmin(axis=-1)
+        snap = dists.min(axis=-1) <= VERTEX_FACE_TOL * self.circumradius
+        j = (_matvec(self.normals, p) / self.offsets).argmax(axis=-1)
+        # The face is facet j's point, or on vertex i the edge from facet i-1's
+        # point to facet i's; index -1 is the last facet, the one before vertex 0.
+        k = j + (i - j) * snap
+        return self.facet_points[k - snap], self.facet_points[k]
 
 
 def validate(vset):
@@ -333,7 +301,7 @@ def validate(vset):
 
 def gauge(vset, v):
     """Minkowski gauge gamma_F(v): least t > 0 with v in t*F (0 at v = 0)."""
-    return vset.gauge(np.asarray(v, dtype=float))
+    return float(vset.gauge(np.asarray(v, dtype=float)))
 
 
 def support(vset, zeta):
@@ -356,7 +324,7 @@ def normal_face(vset, v):
     v = np.asarray(v, dtype=float)
     if v[0] == 0.0 and v[1] == 0.0:
         raise ZeroVectorError("normal_face needs a nonzero direction")
-    return vset.boundary_face(v / vset.gauge(v))
+    return NormalFace(*vset.boundary_face(v / vset.gauge(v)))
 
 
 def normal_face_rows(vset, vs):
@@ -367,4 +335,4 @@ def normal_face_rows(vset, vs):
     vs = np.asarray(vs, dtype=float)
     if ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
         raise ZeroVectorError("normal_face needs a nonzero direction")
-    return vset.boundary_face_rows(vs / vset.gauge_rows(vs)[:, None])
+    return vset.boundary_face(vs / vset.gauge(vs)[:, None])

@@ -7,8 +7,8 @@ the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
 
 `solve_batch` runs the same bisection for many targets x1 that share x0, F0
-and F1, all nodes in lockstep on arrays, through the row kernels of
-`geometry`; every node's result is equal to `solve`'s field by field.
+and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
+applied to rows; every node's result is equal to `solve`'s field by field.
 """
 
 import itertools
@@ -133,13 +133,13 @@ def crossing_time(problem, y):
     """The objective phi(y): total traversal time through crossing point (y, 0).
 
     y is a number (the result is a float) or a 1-D array (the result is an
-    array of phi at every entry).  Both go through the shapes' batched
-    `gauge_rows`, which is bit-equal to the per-vector `gauge`, so an array
+    array of phi at every entry).  Both go through the shapes' `gauge` on
+    rows, which is bit-equal row by row to `gauge` on one vector, so an array
     gives exactly the values of the per-point calls.
     """
     ys = np.asarray(y, dtype=float)
     pts = np.column_stack((ys.ravel(), np.zeros(ys.size)))
-    times = problem.F0.gauge_rows(pts - problem.x0) + problem.F1.gauge_rows(problem.x1 - pts)
+    times = problem.F0.gauge(pts - problem.x0) + problem.F1.gauge(problem.x1 - pts)
     return float(times[0]) if ys.ndim == 0 else times
 
 
@@ -279,7 +279,7 @@ def solve(problem):
     g1 = problem.F1.gauge(w1)
     result = SolveResult(
         y=y,
-        time=g0 + g1,
+        time=float(g0 + g1),
         v0=w0 / g0,
         v1=w1 / g1,
         zeta0=zeta0,
@@ -318,7 +318,7 @@ def solve_batch(problem, x1s):
     attributes, such as a SweepSpec; an ElvisProblem's own x1 is not used).
     The nodes run expand_bracket and the bisection in lockstep on arrays, each
     with its own bracket, width and status, and stop by exactly solve's rules
-    on row kernels bit-equal to solve's, so result n equals
+    with the same kernels on rows, bit-equal to solve's, so result n equals
     solve(problem with x1 = x1s[n])[0] field by field.  Result n is None
     where solve raises BracketExpansionFailedError.  No trace is kept.
     """
@@ -385,8 +385,8 @@ def solve_batch(problem, x1s):
     pts = np.column_stack((y, np.zeros(len(y))))
     w0 = pts - problem.x0
     w1 = x1s[solved] - pts
-    g0 = problem.F0.gauge_rows(w0)
-    g1 = problem.F1.gauge_rows(w1)
+    g0 = problem.F0.gauge(w0)
+    g1 = problem.F1.gauge(w1)
     times = (g0 + g1).tolist()
     v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from elvis import cli
+from elvis import cli, solver
 from elvis.cli import main
 
 from conftest import SQUARE0_VERTICES, SQUARE1_VERTICES
@@ -115,6 +115,20 @@ class TestSolve:
         assert code == 1
         assert "eps" in err
 
+    def test_bracket_expansion_failed_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_BRACKET_DOUBLINGS", 0)
+        doc = dict(SYMMETRIC, x0=[0, -1], x1=[0.1, 1],
+                   F0={"kind": "ellipse", "a": 3.0, "b": 0.1, "rot": np.pi / 4})
+        code, out, err = run_main(["solve", write(tmp_path, "p.json", doc)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("solver error: BracketExpansionFailed: ")
+
+    def test_missing_file_exit_1(self, tmp_path, capsys):
+        code, _, err = run_main(["solve", str(tmp_path / "missing.json")], capsys)
+        assert code == 1
+        assert err.startswith("i/o error: ")
+
     def test_epsilon_override(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", ELLIPTIC)
         code, out, _ = run_main(["--epsilon", "1e-3", "solve", path], capsys)
@@ -149,6 +163,14 @@ class TestDeltaCurve:
         assert code == 0
         lo, hi = json.loads(out)["root_bracket"]
         assert lo <= -0.401 <= hi or (lo <= -0.396 and hi >= -0.406)
+
+    def test_one_sample_exit_2(self, tmp_path, capsys):
+        out_csv = tmp_path / "curve.csv"
+        code, _, err = run_main(["delta-curve", write(tmp_path, "p.json", SYMMETRIC),
+                                 "--samples", "1", "--out", str(out_csv)], capsys)
+        assert code == 2
+        assert "at least 2 samples" in err
+        assert not out_csv.exists()
 
     def test_squares_have_interval_rows(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", SQUARES)

@@ -125,7 +125,7 @@ def random_row_set(rng, kind):
 
 
 class TestGaugeRows:
-    """gauge_rows must equal gauge on every row bit for bit; a numpy or BLAS
+    """gauge on rows must equal gauge on each row bit for bit; a numpy or BLAS
     build that rounds the stacked matmul differently from m @ v fails here."""
 
     @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
@@ -136,7 +136,7 @@ class TestGaugeRows:
             vs = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-6, 6, (200, 1))
             vs[0] = 0.0
             expected = np.array([gauge(vset, v) for v in vs])
-            assert vset.gauge_rows(vs).tobytes() == expected.tobytes()
+            assert vset.gauge(vs).tobytes() == expected.tobytes()
 
 
 class TestSupport:

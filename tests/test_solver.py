@@ -186,6 +186,16 @@ class TestSolve:
         assert result.time == pytest.approx(phi_star, abs=1e-8)
         assert result.y == pytest.approx(y_star, abs=1e-7)
 
+    @pytest.mark.parametrize("x1x, rot, side", [(0.1, np.pi / 4, "right"),
+                                                (-0.1, -np.pi / 4, "left")], ids=["right", "left"])
+    def test_bracket_expansion_failed(self, monkeypatch, x1x, rot, side):
+        """A bracket end that must move but may not raises from that end's loop."""
+        p = make_problem((0, -1), (x1x, 1), Ellipse(3.0, 0.1, rot=rot), Ball(1))
+        assert expand_bracket(p)[2]
+        monkeypatch.setattr(solver, "MAX_BRACKET_DOUBLINGS", 0)
+        with pytest.raises(BracketExpansionFailedError, match=f"^{side} bracket end"):
+            expand_bracket(p)
+
     def test_optimality_certificate(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
