@@ -3,20 +3,41 @@
 Nothing here touches normal faces or subgradients: gauges are recovered by
 bisecting a membership predicate, and the crossing-time objective is
 minimized by a grid scan plus golden-section refinement.  The grid is
-evaluated in one batched `crossing_time` call (bit-equal to per-point calls),
-and the refinement converts the sets' constants to mpmath once per call.
+evaluated in one batched `crossing_time` call (bit-equal to per-point calls).
+The refinement does 136-bit mpmath arithmetic on raw libmp values, calling the
+functions mpf's operators call, in the same order: the gauge terms that do not
+depend on y are computed once per call, and a polygon keeps only the facets
+that can attain its maximum on the refine bracket.
 """
 
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_cos,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sin,
+    mpf_sqrt,
+    mpf_sub,
+    to_float,
+)
 
 from .errors import ZeroVectorError
-from .geometry import Ball, Ellipse, Polygon, _rotation, support
+from .geometry import Ball, Ellipse, Polygon, support
 from .solver import crossing_time, expand_bracket
 
-_INV_GOLDEN = (mp.mpf(5).sqrt() - 1) / 2
+# 1/golden ratio as a raw value, computed at mpmath's default 53 bits.  This
+# rounded value steers every refine step, so it is part of the output bits.
+_INV_GOLDEN = ((mp.mpf(5).sqrt() - 1) / 2)._mpf_
 # sample_interior gives up after this many rejected draws per requested sample.
 MAX_REJECTIONS_PER_SAMPLE = 1000
 
@@ -39,7 +60,7 @@ def contains(vset, point):
     if isinstance(vset, Ball):
         return x * x + y * y <= vset.r * vset.r
     if isinstance(vset, Ellipse):
-        w = _rotation(-vset.rot) @ np.array([x, y])
+        w = vset._to_axes @ np.array([x, y])
         return (w[0] / vset.a) ** 2 + (w[1] / vset.b) ** 2 <= 1.0
     if isinstance(vset, Polygon):
         return bool(np.all(vset.normals @ np.array([x, y]) <= vset.offsets))
@@ -70,36 +91,79 @@ def gauge_by_membership(vset, v):
     return 0.5 * (lo + hi)
 
 
-def _gauge_mp(vset):
-    """gamma_F as a function of (vx, vy) at the current mpmath precision.
+def _live_facets(vset, vy, vx_ends):
+    """Indices of the facets that can attain the polygon gauge of (vx, vy) for vx in vx_ends.
 
-    The set's constants are converted to mpf here, once, so each call only
-    does arithmetic.
+    Each facet term (nx*vx + ny*vy)/h is linear in vx, so a facet that the
+    facet j with the largest end sum exceeds at both ends lies below j on the
+    whole interval.  The terms are compared in float with a margin about six
+    orders of magnitude above their round-off, so the maximum over the kept
+    facets is the maximum over all of them at any precision.
     """
-    if isinstance(vset, Ball):
-        r = mp.mpf(vset.r)
-        return lambda vx, vy: mp.sqrt(vx * vx + vy * vy) / r
-    if isinstance(vset, Ellipse):
-        c, s = mp.cos(-vset.rot), mp.sin(-vset.rot)
-        a, b = mp.mpf(vset.a), mp.mpf(vset.b)
+    ends = np.array(vx_ends)
+    terms = (vset.normals[:, :1] * ends + vset.normals[:, 1:] * vy) / vset.offsets[:, None]
+    j = np.argmax(terms.sum(axis=1))
+    margin = 1e-9 * (np.max(np.abs(ends)) + abs(vy)) / np.min(vset.offsets)
+    return np.flatnonzero(np.any(terms[j] - terms <= margin, axis=1))
 
-        def ellipse_gauge(vx, vy):
-            wx = c * vx - s * vy
-            wy = s * vx + c * vy
-            return mp.sqrt((wx / a) ** 2 + (wy / b) ** 2)
+
+def _gauge_raw(vset, vy, vx_ends, prec, rnd):
+    """gamma_F(vx, vy) for one fixed float vy, as a function of raw libmp vx.
+
+    vx stays within the float interval vx_ends.  The terms that do not depend
+    on vx are computed here, once, and a polygon keeps only its live facets;
+    each call does the arithmetic of the plain mpf formulas
+    sqrt(vx*vx + vy*vy)/r, sqrt((wx/a)**2 + (wy/b)**2) with (wx, wy) the
+    rotated vector, and max((nx*vx + ny*vy)/h, 0), in the same order.
+    """
+    vy_mp = from_float(vy)
+    if isinstance(vset, Ball):
+        r = from_float(vset.r)
+        vy2 = mpf_mul(vy_mp, vy_mp, prec, rnd)
+        return lambda vx: mpf_div(
+            mpf_sqrt(mpf_add(mpf_mul(vx, vx, prec, rnd), vy2, prec, rnd), prec, rnd), r, prec, rnd
+        )
+    if isinstance(vset, Ellipse):
+        c = mpf_cos(from_float(-vset.rot), prec, rnd)
+        s = mpf_sin(from_float(-vset.rot), prec, rnd)
+        a, b = from_float(vset.a), from_float(vset.b)
+        s_vy, c_vy = mpf_mul(s, vy_mp, prec, rnd), mpf_mul(c, vy_mp, prec, rnd)
+
+        def ellipse_gauge(vx):
+            wx = mpf_sub(mpf_mul(c, vx, prec, rnd), s_vy, prec, rnd)
+            wy = mpf_add(mpf_mul(s, vx, prec, rnd), c_vy, prec, rnd)
+            wx2 = mpf_pow_int(mpf_div(wx, a, prec, rnd), 2, prec, rnd)
+            wy2 = mpf_pow_int(mpf_div(wy, b, prec, rnd), 2, prec, rnd)
+            return mpf_sqrt(mpf_add(wx2, wy2, prec, rnd), prec, rnd)
 
         return ellipse_gauge
-    facets = [(mp.mpf(n[0]), mp.mpf(n[1]), mp.mpf(h)) for n, h in zip(vset.normals, vset.offsets)]
-    zero = mp.mpf(0)
-    return lambda vx, vy: max([(nx * vx + ny * vy) / h for nx, ny, h in facets] + [zero])
+    live = _live_facets(vset, vy, vx_ends)
+    facets = [
+        (from_float(nx), mpf_mul(from_float(ny), vy_mp, prec, rnd), from_float(h))
+        for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())
+    ]
+
+    def polygon_gauge(vx):
+        best = fzero
+        for nx, ny_vy, h in facets:
+            t = mpf_div(mpf_add(mpf_mul(nx, vx, prec, rnd), ny_vy, prec, rnd), h, prec, rnd)
+            if mpf_gt(t, best):
+                best = t
+        return best
+
+    return polygon_gauge
 
 
-def _objective_mp(problem):
-    """phi as a function of y at the current mpmath precision (see _gauge_mp)."""
-    g0, g1 = _gauge_mp(problem.F0), _gauge_mp(problem.F1)
-    x0x, x0y = mp.mpf(problem.x0[0]), mp.mpf(problem.x0[1])
-    x1x, x1y = mp.mpf(problem.x1[0]), mp.mpf(problem.x1[1])
-    return lambda y: g0(y - x0x, -x0y) + g1(x1x - y, x1y)
+def _objective_raw(problem, a, b, prec, rnd):
+    """phi as a function of raw libmp y in the float bracket [a, b] (see _gauge_raw)."""
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    g0 = _gauge_raw(problem.F0, -x0y, (a - x0x, b - x0x), prec, rnd)
+    g1 = _gauge_raw(problem.F1, x1y, (x1x - a, x1x - b), prec, rnd)
+    x0x, x1x = from_float(x0x), from_float(x1x)
+    return lambda y: mpf_add(
+        g0(mpf_sub(y, x0x, prec, rnd)), g1(mpf_sub(x1x, y, prec, rnd)), prec, rnd
+    )
 
 
 def _grid_scan(problem, cfg):
@@ -119,25 +183,30 @@ def minimize_objective(problem, cfg=None):
     cfg = cfg or OracleConfig()
     ys, vals = _grid_scan(problem, cfg)
     i = int(np.argmin(vals))
-    a = ys[max(i - 1, 0)]
-    b = ys[min(i + 1, len(ys) - 1)]
+    a = float(ys[max(i - 1, 0)])
+    b = float(ys[min(i + 1, len(ys) - 1)])
 
     with mp.workdps(40):
-        phi = _objective_mp(problem)
-        a, b = mp.mpf(a), mp.mpf(b)
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
+        prec, rnd = mp.mp._prec_rounding
+        phi = _objective_raw(problem, a, b, prec, rnd)
+        a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
+
+        def golden_step(a, b):
+            return mpf_mul(_INV_GOLDEN, mpf_sub(b, a, prec, rnd), prec, rnd)
+
+        c = mpf_sub(b, golden_step(a, b), prec, rnd)
+        d = mpf_add(a, golden_step(a, b), prec, rnd)
         fc, fd = phi(c), phi(d)
-        while b - a > cfg.golden_tol:
-            if fc < fd:
+        while mpf_gt(mpf_sub(b, a, prec, rnd), tol):
+            if mpf_lt(fc, fd):
                 b, d, fd = d, c, fc
-                c = b - _INV_GOLDEN * (b - a)
+                c = mpf_sub(b, golden_step(a, b), prec, rnd)
                 fc = phi(c)
             else:
                 a, c, fc = c, d, fd
-                d = a + _INV_GOLDEN * (b - a)
+                d = mpf_add(a, golden_step(a, b), prec, rnd)
                 fd = phi(d)
-        y_star = float((a + b) / 2)
+        y_star = to_float(mpf_div(mpf_add(a, b, prec, rnd), from_int(2), prec, rnd), rnd=rnd)
     return y_star, crossing_time(problem, y_star)
 
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -6,11 +9,15 @@ from elvis import (
     Ellipse,
     OracleConfig,
     Polygon,
+    ValidationError,
     ZeroVectorError,
     contains,
+    crossing_time,
+    expand_bracket,
     flat_minimum_interval,
     gauge,
     gauge_by_membership,
+    make_problem,
     minimize_objective,
     solve,
     validate,
@@ -107,3 +114,137 @@ class TestContains:
         assert not contains(sq, (1.001, 0.0))
         assert contains(Ball(1.0), (0.6, 0.6))
         assert not contains(Ellipse(2.0, 1.0), (0.0, 1.1))
+
+
+def reference_minimize(problem, cfg):
+    """minimize_objective with its refine on plain mpf objects: the form the raw refine replaced.
+
+    The same grid scan, then the golden section with every gauge term
+    recomputed at each y and every polygon facet evaluated.
+    """
+    l, r, _ = expand_bracket(problem)
+    ys = np.linspace(l, r, cfg.grid_points if r > l else 1)
+    vals = crossing_time(problem, ys)
+    i = int(np.argmin(vals))
+    a = ys[max(i - 1, 0)]
+    b = ys[min(i + 1, len(ys) - 1)]
+
+    def gauge_mp(vset):
+        if isinstance(vset, Ball):
+            r = mp.mpf(vset.r)
+            return lambda vx, vy: mp.sqrt(vx * vx + vy * vy) / r
+        if isinstance(vset, Ellipse):
+            c, s = mp.cos(-vset.rot), mp.sin(-vset.rot)
+            ea, eb = mp.mpf(vset.a), mp.mpf(vset.b)
+
+            def ellipse_gauge(vx, vy):
+                wx = c * vx - s * vy
+                wy = s * vx + c * vy
+                return mp.sqrt((wx / ea) ** 2 + (wy / eb) ** 2)
+
+            return ellipse_gauge
+        facets = [(mp.mpf(n[0]), mp.mpf(n[1]), mp.mpf(h)) for n, h in zip(vset.normals, vset.offsets)]
+        zero = mp.mpf(0)
+        return lambda vx, vy: max([(nx * vx + ny * vy) / h for nx, ny, h in facets] + [zero])
+
+    inv_golden = (mp.mpf(5).sqrt() - 1) / 2
+    with mp.workdps(40):
+        g0, g1 = gauge_mp(problem.F0), gauge_mp(problem.F1)
+        x0x, x0y = mp.mpf(problem.x0[0]), mp.mpf(problem.x0[1])
+        x1x, x1y = mp.mpf(problem.x1[0]), mp.mpf(problem.x1[1])
+
+        def phi(y):
+            return g0(y - x0x, -x0y) + g1(x1x - y, x1y)
+
+        a, b = mp.mpf(a), mp.mpf(b)
+        c = b - inv_golden * (b - a)
+        d = a + inv_golden * (b - a)
+        fc, fd = phi(c), phi(d)
+        while b - a > cfg.golden_tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv_golden * (b - a)
+                fc = phi(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_golden * (b - a)
+                fd = phi(d)
+        y_star = float((a + b) / 2)
+    return y_star, crossing_time(problem, y_star)
+
+
+def pair_problem(rng, make0, make1):
+    """Random problem with F0 drawn by make0 and F1 by make1 (redrawn until valid)."""
+    while True:
+        x0 = (float(rng.uniform(-3, 3)), float(rng.uniform(-3, -0.1)))
+        x1 = (float(rng.uniform(-3, 3)), float(rng.uniform(0.1, 3)))
+        try:
+            return make_problem(x0, x1, make0(rng), make1(rng))
+        except ValidationError:
+            continue
+
+
+def exact_polygon_pair_minimum(problem):
+    """min over y of phi for two polygons, in exact rational arithmetic.
+
+    phi is convex and piecewise linear, so its minimum lies at a kink: where
+    the crossing direction points at a vertex v with v_y > 0, at
+    y = x0_x - x0_y*v_x/v_y for F0 and y = x1_x - x1_y*v_x/v_y for F1.  Facet
+    (p, p + e) contributes the gauge term (e_y*v_x - e_x*v_y)/(e_y*p_x - e_x*p_y).
+    """
+    x0x, x0y = (Fraction(float(u)) for u in problem.x0)
+    x1x, x1y = (Fraction(float(u)) for u in problem.x1)
+
+    def exact(vset):
+        verts = [(Fraction(float(x)), Fraction(float(y))) for x, y in vset.vertices]
+        facets = []
+        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+            ex, ey = qx - px, qy - py
+            facets.append((ey, ex, ey * px - ex * py))
+        return verts, lambda vx, vy: max([(ey * vx - ex * vy) / h for ey, ex, h in facets] + [0])
+
+    verts0, g0 = exact(problem.F0)
+    verts1, g1 = exact(problem.F1)
+    kinks = [x0x - x0y * vx / vy for vx, vy in verts0 if vy > 0]
+    kinks += [x1x - x1y * vx / vy for vx, vy in verts1 if vy > 0]
+    return min(g0(y - x0x, -x0y) + g1(x1x - y, x1y) for y in kinks)
+
+
+class TestRawRefine:
+    """The raw libmp refine gives the plain-mpf refine's (y*, phi*) to the last bit."""
+
+    CONFIGS = (OracleConfig(), OracleConfig(golden_tol=1e-14))
+    MAKERS = (random_ball, random_ellipse, random_polygon)
+
+    @staticmethod
+    def bits(result):
+        return [(repr(u), type(u)) for u in result]
+
+    @pytest.mark.parametrize("k0", range(3))
+    @pytest.mark.parametrize("k1", range(3))
+    def test_bit_equal_to_mpf_reference(self, k0, k1):
+        make0, make1 = self.MAKERS[k0], self.MAKERS[k1]
+        rng = np.random.default_rng([23, k0, k1])
+        for _ in range(3):
+            p = pair_problem(rng, make0, make1)
+            for cfg in self.CONFIGS:
+                want = reference_minimize(p, cfg)
+                assert self.bits(minimize_objective(p, cfg)) == self.bits(want)
+
+    def test_kink_inside_refine_bracket(self, square0, square1):
+        # The minimum is pinned at y = 1, where the crossing direction from x0
+        # meets the vertex (1, 1) of square0: the refine bracket straddles that
+        # kink, so two facets of F0 stay live and the maximum switches between
+        # them inside the bracket.
+        p = make_problem((0.0, -1.0), (2.0, 1.0), square0, square1)
+        for cfg in self.CONFIGS:
+            assert self.bits(minimize_objective(p, cfg)) == self.bits(reference_minimize(p, cfg))
+
+    def test_polygon_pairs_against_exact_minimum(self):
+        rng = np.random.default_rng(24)
+        cfg = OracleConfig(golden_tol=1e-14)
+        for _ in range(30):
+            p = pair_problem(rng, random_polygon, random_polygon)
+            exact = exact_polygon_pair_minimum(p)
+            _, phi_star = minimize_objective(p, cfg)
+            assert abs(phi_star - exact) <= 1e-13 * max(1.0, float(exact))
