@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -52,10 +53,13 @@ def _result_record(result):
 
 def cmd_solve(problem_path, trace_path=None, epsilon=None):
     problem = load_problem(problem_path, epsilon_override=epsilon)
-    result, trace = solve(problem)
-    sys.stdout.write(json.dumps(_result_record(result), indent=2) + "\n")
-    if trace_path:
-        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
+    # The trace file is opened before solving, so an unwritable path fails
+    # with nothing on stdout.
+    trace_file = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
+    with trace_file as fh:
+        result, trace = solve(problem)
+        sys.stdout.write(json.dumps(_result_record(result), indent=2) + "\n")
+        if fh:
             fh.write("k,l,r,y,d,delta_lo,delta_hi\n")
             for row in trace:
                 fh.write(

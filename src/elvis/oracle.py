@@ -2,14 +2,35 @@
 
 Nothing here touches normal faces or subgradients: gauges are recovered by
 bisecting a membership predicate, and the crossing-time objective is
-minimized by a grid scan plus golden-section refinement.  The grid is
-evaluated in one batched `crossing_time` call (bit-equal to per-point calls).
-The refinement does 136-bit mpmath arithmetic on raw libmp values, calling the
-functions mpf's operators call, in the same order: the gauge terms that do not
-depend on y are computed once per call, and a polygon keeps only the facets
-that can attain its maximum on the refine bracket.
+minimized by a grid scan plus golden-section refinement.
+
+Both stages only ask yes/no questions of their values: which grid point has
+the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.
+Each question is first put to a float screen, closed-form float gauges with
+a proven error bound, in the manner of adaptive-precision predicates
+(Shewchuk, Discrete Comput. Geom. 18, 1997).  Only what the bound leaves
+open is settled by the exact values: `crossing_time` on the grid points the
+screen cannot rule out (bit-equal row by row to the full batched call), and
+the 136-bit phi of a golden point, computed on first need and kept.  That
+phi does mpmath arithmetic on raw libmp values, calling the functions mpf's
+operators call, in the same order: the gauge terms that do not depend on y
+are computed once per call, and a polygon keeps only the facets that can
+attain its maximum on the refine bracket.  Every answer is the one the exact
+values give, so (y*, phi*) keep their bits.
+
+The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
+2**-53, for float +, -, *, /, and an error under one ulp for `math.hypot`,
+`math.cos`, `math.sin`, their numpy forms and `to_float`.  Underflow breaks
+the model only by an absolute 2**-1075 per operation, so the screens run
+only on problems whose scales (|x0_y|, |x1_y|, the inner and outer radii of
+both sets, golden_tol) lie in [2**-64, 2**64] and whose abscissae (x0_x,
+x1_x, the grid ends) are at most 2**64 in size.  There every bound term
+exceeds 2**-250, underflow adds under 2**-700 to any result even after the
+later operations amplify it, and nothing overflows; other problems take the
+exact path throughout.
 """
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -40,6 +61,15 @@ from .solver import crossing_time, expand_bracket
 _INV_GOLDEN = ((mp.mpf(5).sqrt() - 1) / 2)._mpf_
 # sample_interior gives up after this many rejected draws per requested sample.
 MAX_REJECTIONS_PER_SAMPLE = 1000
+
+# Float screen constants, with u = 2**-53.  Each is the factor of a bound
+# whose derivation needs less (see _grid_screen and _side_screen); math.inf
+# sends every decision to the exact values.
+_GRID_REL = 1e-12  # about 9000 u; the derivation needs 42 u
+_STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
+_MP_REL = 2.0**-120  # the derivation needs 2**-132
+# Scales outside this range leave the screens off (see the module notes).
+_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 
 
 @dataclass(frozen=True)
@@ -166,11 +196,211 @@ def _objective_raw(problem, a, b, prec, rnd):
     )
 
 
-def _grid_scan(problem, cfg):
-    """phi on cfg.grid_points evenly spaced points of the expanded bracket (one if it is a point)."""
+def _radii(vset):
+    """(rho, R): radii of origin-centred discs inside and around vset, so |v|/R <= gamma(v) <= |v|/rho."""
+    if isinstance(vset, Ball):
+        return vset.r, vset.r
+    if isinstance(vset, Ellipse):
+        return min(vset.a, vset.b), max(vset.a, vset.b)
+    return float(np.min(vset.offsets)), vset.circumradius
+
+
+def _axes(vset):
+    """(c, s, a, b) with gamma(v) = |((c*vx - s*vy)/a, (s*vx + c*vy)/b)| for a ball or ellipse.
+
+    c, s are the cosine and sine of -rot; a ball is an unrotated ellipse with
+    a = b = r.
+    """
+    if isinstance(vset, Ball):
+        return 1.0, 0.0, vset.r, vset.r
+    return math.cos(-vset.rot), math.sin(-vset.rot), vset.a, vset.b
+
+
+def _float_gauge(vset, vx, vy):
+    """gamma(vx[n], vy) in float by closed forms, for an array vx and one float vy.
+
+    A polygon takes the max of its facet terms (n_x*vx + n_y*vy)/h laid out
+    facets-major, shape (k, N); the 0 of the gauge's max never wins, since
+    vy != 0 makes some term positive.
+    """
+    if isinstance(vset, Polygon):
+        nx, ny = vset.normals.T
+        return ((nx[:, None] * vx + (ny * vy)[:, None]) / vset.offsets[:, None]).max(axis=0)
+    c, s, a, b = _axes(vset)
+    return np.hypot((c * vx - s * vy) / a, (s * vx + c * vy) / b)
+
+
+def _well_scaled(problem, ys, tol):
+    """Whether the float screens' error model holds for this problem (see the module notes)."""
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    scales = (abs(x0y), abs(x1y), tol, *_radii(problem.F0), *_radii(problem.F1))
+    positions = (x0x, x1x, float(ys[0]), float(ys[-1]))
+    return (all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
+            and all(abs(p) <= _SCALE_MAX for p in positions))
+
+
+def _grid_screen(problem, ys):
+    """(approx, bound): float phi at every ys[i] and a bound on its distance to crossing_time.
+
+    |approx_i - v_i| <= bound_i for v_i = crossing_time(problem, ys[i]), with
+    bound_i = _GRID_REL*(|v0|_1/rho0 + |v1|_1/rho1) for the vectors
+    v0 = (y - x0_x, -x0_y), v1 = (x1_x - y, x1_y) that crossing_time forms.
+    Proof: gamma(v) <= |v|_1/rho, and both evaluations of a side start from
+    the same float v.  A polygon term errs by under 4 u |v|_1/rho either way
+    (BLAS may fuse its dot product); an ellipse component by under
+    (2 + 2 + 1) u |v|_1/rho (cosine and sine within 2 u, the products and
+    difference, the quotient), so its gauge by under 9.1 u |v|_1/rho either
+    way, and a ball's by under 4 u |v|_1/rho; the final sums add u each.
+    That is under 39 u in all, and the roundings of bound and of
+    approx -+ bound add under 3 u, against _GRID_REL of about 9000 u.
+    """
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    v0x, v1x = ys - x0x, x1x - ys
+    approx = _float_gauge(problem.F0, v0x, -x0y) + _float_gauge(problem.F1, v1x, x1y)
+    bound = _GRID_REL * ((np.abs(v0x) + abs(x0y)) / _radii(problem.F0)[0]
+                         + (np.abs(v1x) + abs(x1y)) / _radii(problem.F1)[0])
+    return approx, bound
+
+
+def _grid_argmin(problem, ys, screened):
+    """int(np.argmin(crossing_time(problem, ys))), evaluating crossing_time only where needed.
+
+    With screened, crossing_time runs only on the candidates i with
+    approx_i - bound_i <= U = min_j (approx_j + bound_j) (see _grid_screen).
+    Let m be the first index of the least v.  For every j, v_m <= v_j <=
+    approx_j + bound_j, so v_m <= U and approx_m - bound_m <= v_m <= U: m is
+    a candidate.  The candidates come in index order, and none before m has
+    v = v_m, so the first argmin of v over the candidates is m.
+    """
+    if not screened:
+        return int(np.argmin(crossing_time(problem, ys)))
+    approx, bound = _grid_screen(problem, ys)
+    cand = np.flatnonzero(approx - bound <= np.min(approx + bound))
+    return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
+
+
+def _side_screen(vset, vy, vx_ends):
+    """Float screen for one gauge term gamma(vx, vy) of phi, vy fixed and vx in vx_ends.
+
+    Returns (point, difference).  point(yf, vx) takes a golden point's
+    to_float value yf and vx computed from it in float, and returns the
+    point's float data; its last entry is the scale s = |yf| + |vx| + |vy|.
+    The float vx errs by under 2.01 u s (to_float truncates: under 2 u |y|;
+    the subtraction: u |vx|).  difference(p, q, dx) takes two points and the
+    float dx of their exact vx_p - vx_q, relative error under 2.01 u, and
+    returns (D, E): a float D and a bound E >= |D - (g_p - g_q)| + e_p + e_q,
+    where g is the exact gauge and e bounds the error of this side's share
+    of the 136-bit phi (its gauge, and its part of the final sum): under
+    11 roundings of 2**-136 relative, so under 2**-132 s/rho, which E takes
+    as _MP_REL*s/rho.  With A = s_p + s_q:
+
+    Ball or ellipse, w = M v = ((c*vx - s*vy)/a, (s*vx + c*vy)/b) and
+    m = M e_x = (c/a, s/b), |m| <= 1/rho.  As the points share vy,
+    g_p^2 - g_q^2 = (w_p - w_q).(w_p + w_q) = (vx_p - vx_q) m.(w_p + w_q),
+    so g_p - g_q = dx*h with h = m.(w_p + w_q)/G, G = g_p + g_q, |h| <= 1/rho.
+    The float w errs by under 13 u s/rho per point (so by eps < 13 u A/rho
+    over both), m by under 4.3 u/rho, G by under eps + 3 u G, m.(w_p + w_q)
+    by under 7.4 u G/rho + eps/rho, so h by under (11.5 u + 26 u A/(rho G))/rho
+    and D = dx*h by under 26 u |dx|/rho (1 + A/(rho G)).  E takes _STEP_REL
+    for 26 u; the slack covers terms of order u**2 and the roundings of the
+    sums that _step_screen forms.
+
+    Polygon, only the live facets (the maximum over them is the gauge on
+    vx_ends, see _live_facets).  A facet term (n_x*vx + n_y*vy)/h errs by
+    under 4.1 u s/rho, so a facet that leads both points by more than
+    2 _STEP_REL s/rho is the exact maximum at both, and g_p - g_q =
+    dx*n_x/h, within 4.1 u |dx|/rho.  Otherwise D is the plain difference of
+    the float maxima, within 5.2 u A/rho.
+    """
+    rho = _radii(vset)[0]
+    inv_rho, avy = 1.0 / rho, abs(vy)
+    rel, mp_rel = _STEP_REL, _MP_REL
+    if isinstance(vset, Polygon):
+        live = _live_facets(vset, vy, vx_ends)
+        facets = [
+            (nx, ny * vy, h)
+            for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())
+        ]
+        slopes = [nx / h for nx, _, h in facets]
+
+        def polygon_point(yf, vx):
+            """(leading facet, its term, its lead over the runner-up, s)."""
+            lead, top, gap = 0, -math.inf, math.inf
+            for j, (nx, ny_vy, h) in enumerate(facets):
+                t = (nx * vx + ny_vy) / h
+                if t > top:
+                    lead, top, gap = j, t, t - top
+                elif top - t < gap:
+                    gap = top - t
+            return lead, top, gap, abs(yf) + abs(vx) + avy
+
+        def polygon_difference(p, q, dx):
+            lead_p, top_p, gap_p, s_p = p
+            lead_q, top_q, gap_q, s_q = q
+            mp_err = mp_rel * (s_p + s_q) * inv_rho
+            margin = 2.0 * rel * inv_rho
+            if lead_p == lead_q and gap_p > margin * s_p and gap_q > margin * s_q:
+                return dx * slopes[lead_p], rel * abs(dx) * inv_rho + mp_err
+            return top_p - top_q, rel * (s_p + s_q) * inv_rho + mp_err
+
+        return polygon_point, polygon_difference
+
+    cos, sin, a, b = _axes(vset)
+    sin_vy, cos_vy = sin * vy, cos * vy
+    mx, my = cos / a, sin / b
+
+    def smooth_point(yf, vx):
+        """(w_x, w_y, gamma, s)."""
+        wx = (cos * vx - sin_vy) / a
+        wy = (sin * vx + cos_vy) / b
+        return wx, wy, math.hypot(wx, wy), abs(yf) + abs(vx) + avy
+
+    def smooth_difference(p, q, dx):
+        wx_p, wy_p, g_p, s_p = p
+        wx_q, wy_q, g_q, s_q = q
+        g = g_p + g_q
+        scale = (s_p + s_q) * inv_rho
+        return (dx * ((mx * (wx_p + wx_q) + my * (wy_p + wy_q)) / g),
+                rel * (1.0 + scale / g) * abs(dx) * inv_rho + mp_rel * scale)
+
+    return smooth_point, smooth_difference
+
+
+def _step_screen(problem, a, b):
+    """Float screen for phi(c) - phi(d) at golden points of the float bracket [a, b].
+
+    Returns (point, difference).  point(y) gives the float data of the raw
+    libmp point y; difference(p, q, delta) takes two such data and the float
+    delta = to_float(mpf_sub(y_p, y_q)), and returns (D, E) with
+    |D - (phi_p - phi_q)| <= E for the 136-bit values phi_p, phi_q that
+    _objective_raw gives.  Each side contributes its _side_screen pair (F0's
+    vx is y - x0_x, moving by delta; F1's is x1_x - y, moving by -delta).
+    Then D + E < 0 proves phi_p < phi_q and D - E > 0 proves phi_p > phi_q;
+    float rounding keeps the sign of a sum, so these tests are exact.
+    """
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    point0, difference0 = _side_screen(problem.F0, -x0y, (a - x0x, b - x0x))
+    point1, difference1 = _side_screen(problem.F1, x1y, (x1x - a, x1x - b))
+
+    def point(y):
+        yf = to_float(y)
+        return point0(yf, yf - x0x), point1(yf, x1x - yf)
+
+    def difference(p, q, delta):
+        d0, e0 = difference0(p[0], q[0], delta)
+        d1, e1 = difference1(p[1], q[1], -delta)
+        return d0 + d1, e0 + e1
+
+    return point, difference
+
+
+def _grid(problem, cfg):
+    """cfg.grid_points evenly spaced points of the expanded bracket (one if it is a point)."""
     l, r, _ = expand_bracket(problem)
-    ys = np.linspace(l, r, cfg.grid_points if r > l else 1)
-    return ys, crossing_time(problem, ys)
+    return np.linspace(l, r, cfg.grid_points if r > l else 1)
 
 
 def minimize_objective(problem, cfg=None):
@@ -178,34 +408,55 @@ def minimize_objective(problem, cfg=None):
 
     Grid scan over the (expanded) bracket locates the minimal cell; a
     golden-section search run at extended precision refines it to
-    cfg.golden_tol.  Returns (y_star, phi_star).
+    cfg.golden_tol.  Returns (y_star, phi_star).  Both stages decide by the
+    float screens where their bounds allow and by exact values elsewhere,
+    with the answers the exact values give throughout.
     """
     cfg = cfg or OracleConfig()
-    ys, vals = _grid_scan(problem, cfg)
-    i = int(np.argmin(vals))
+    ys = _grid(problem, cfg)
+    screened = _well_scaled(problem, ys, cfg.golden_tol)
+    i = _grid_argmin(problem, ys, screened)
     a = float(ys[max(i - 1, 0)])
     b = float(ys[min(i + 1, len(ys) - 1)])
 
     with mp.workdps(40):
         prec, rnd = mp.mp._prec_rounding
         phi = _objective_raw(problem, a, b, prec, rnd)
+        screen_point, screen_difference = _step_screen(problem, a, b) if screened else (None, None)
         a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
 
-        def golden_step(a, b):
-            return mpf_mul(_INV_GOLDEN, mpf_sub(b, a, prec, rnd), prec, rnd)
+        def point(y):
+            """A golden point: [raw y, float screen data, 136-bit phi once needed]."""
+            return [y, screen_point(y) if screened else None, None]
 
-        c = mpf_sub(b, golden_step(a, b), prec, rnd)
-        d = mpf_add(a, golden_step(a, b), prec, rnd)
-        fc, fd = phi(c), phi(d)
-        while mpf_gt(mpf_sub(b, a, prec, rnd), tol):
-            if mpf_lt(fc, fd):
-                b, d, fd = d, c, fc
-                c = mpf_sub(b, golden_step(a, b), prec, rnd)
-                fc = phi(c)
+        def less(p, q):
+            """phi(p) < phi(q): by the float screen when its bound settles it, else exactly."""
+            if screened:
+                delta = to_float(mpf_sub(p[0], q[0], prec, rnd))
+                diff, err = screen_difference(p[1], q[1], delta)
+                if diff + err < 0:
+                    return True
+                if diff - err > 0:
+                    return False
+            for pt in (p, q):
+                if pt[2] is None:
+                    pt[2] = phi(pt[0])
+            return mpf_lt(p[2], q[2])
+
+        # w = b - a is both the loop's width and the golden step's base.
+        w = mpf_sub(b, a, prec, rnd)
+        step = mpf_mul(_INV_GOLDEN, w, prec, rnd)
+        c = point(mpf_sub(b, step, prec, rnd))
+        d = point(mpf_add(a, step, prec, rnd))
+        while mpf_gt(w, tol):
+            if less(c, d):
+                b, d = d[0], c
+                w = mpf_sub(b, a, prec, rnd)
+                c = point(mpf_sub(b, mpf_mul(_INV_GOLDEN, w, prec, rnd), prec, rnd))
             else:
-                a, c, fc = c, d, fd
-                d = mpf_add(a, golden_step(a, b), prec, rnd)
-                fd = phi(d)
+                a, c = c[0], d
+                w = mpf_sub(b, a, prec, rnd)
+                d = point(mpf_add(a, mpf_mul(_INV_GOLDEN, w, prec, rnd), prec, rnd))
         y_star = to_float(mpf_div(mpf_add(a, b, prec, rnd), from_int(2), prec, rnd), rnd=rnd)
     return y_star, crossing_time(problem, y_star)
 
@@ -217,7 +468,8 @@ def flat_minimum_interval(problem, cfg=None):
     minimum at grid resolution.
     """
     cfg = cfg or OracleConfig()
-    ys, vals = _grid_scan(problem, cfg)
+    ys = _grid(problem, cfg)
+    vals = crossing_time(problem, ys)
     vmin = float(np.min(vals))
     flat = ys[vals <= vmin + 1e-12 * max(1.0, abs(vmin))]
     return float(flat[0]), float(flat[-1])

@@ -351,8 +351,7 @@ def solve_batch(problem, x1s):
         y = 0.5 * (l + r)
         lo, hi, face0, neg_face1 = _residual_rows(problem, y, x1_run)
         hit = (lo <= eps) & (hi >= -eps)
-        ulp = np.fromiter(map(math.ulp, np.abs(y)), dtype=float, count=y.size)
-        stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * ulp)
+        stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
         if stop.any():
             done = nodes[stop]
             y_end[done], lo_end[done], hi_end[done] = y[stop], lo[stop], hi[stop]

@@ -124,6 +124,14 @@ class TestSolve:
         assert out == ""
         assert err.startswith("solver error: BracketExpansionFailed: ")
 
+    def test_unwritable_trace_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", ELLIPTIC)
+        trace = tmp_path / "missing" / "trace.csv"
+        code, out, err = run_main(["solve", path, "--trace", str(trace)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("i/o error: ")
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code, _, err = run_main(["solve", str(tmp_path / "missing.json")], capsys)
         assert code == 1

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import mpf_sub, to_float
 
 from elvis import (
     Ball,
@@ -19,6 +21,7 @@ from elvis import (
     gauge_by_membership,
     make_problem,
     minimize_objective,
+    oracle,
     solve,
     validate,
 )
@@ -248,3 +251,64 @@ class TestRawRefine:
             exact = exact_polygon_pair_minimum(p)
             _, phi_star = minimize_objective(p, cfg)
             assert abs(phi_star - exact) <= 1e-13 * max(1.0, float(exact))
+
+
+def translated(problem, shift):
+    """The problem moved by shift along the interface."""
+    x0, x1 = problem.x0, problem.x1
+    return make_problem((x0[0] + shift, x0[1]), (x1[0] + shift, x1[1]), problem.F0, problem.F1)
+
+
+class TestFloatScreen:
+    """The float screens' error bounds hold, and deciding by them changes no output bit."""
+
+    MAKERS = (random_ball, random_ellipse, random_polygon)
+
+    @pytest.mark.parametrize("k0", range(3))
+    @pytest.mark.parametrize("k1", range(3))
+    def test_grid_bound(self, k0, k1):
+        rng = np.random.default_rng([25, k0, k1])
+        for _ in range(3):
+            p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
+            ys = oracle._grid(p, OracleConfig())
+            approx, bound = oracle._grid_screen(p, ys)
+            assert np.all(np.abs(approx - crossing_time(p, ys)) <= bound)
+
+    @pytest.mark.parametrize("k0", range(3))
+    @pytest.mark.parametrize("k1", range(3))
+    def test_step_bound(self, k0, k1):
+        rng = np.random.default_rng([26, k0, k1])
+        for shift in (0.0, 1e3, 1e6):
+            p = translated(pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1]), shift)
+            l, r, _ = expand_bracket(p)
+            y0 = float(rng.uniform(l, r))
+            a, b = y0 - 5e-3, y0 + 5e-3
+            with mp.workdps(40):
+                prec, rnd = mp.mp._prec_rounding
+                phi = oracle._objective_raw(p, a, b, prec, rnd)
+                point, difference = oracle._step_screen(p, a, b)
+                for gap in 10.0 ** -np.arange(3, 16):
+                    c = mp.mpf(a) + mp.mpf(rng.uniform(0.1, 0.4)) * (mp.mpf(b) - mp.mpf(a))
+                    d = c + mp.mpf(gap) * mp.mpf(rng.uniform(1.0, 2.0))
+                    delta = to_float(mpf_sub(c._mpf_, d._mpf_, prec, rnd))
+                    dd, e = difference(point(c._mpf_), point(d._mpf_), delta)
+                    with mp.workprec(600):
+                        err = abs(mp.mpf(dd) - (mp.mpf(phi(c._mpf_)) - mp.mpf(phi(d._mpf_))))
+                    assert err <= e
+
+    def test_exact_path_gives_same_bits(self, monkeypatch, square0):
+        rng = np.random.default_rng(27)
+        problems = [pair_problem(rng, self.MAKERS[k % 3], self.MAKERS[k // 3 % 3])
+                    for k in range(60)]
+        problems += [translated(p, shift) for p in problems[:6] for shift in (1e3, 1e6)]
+        # phi is 2 on the whole refine bracket, so every screened step has
+        # D = 0 and must fall back to the exact values.
+        problems.append(make_problem((0.0, -1.0), (0.5, 1.0), square0, square0))
+        # Scales far outside [2**-64, 2**64] leave the screens off.
+        problems.append(make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25)))
+        configs = TestRawRefine.CONFIGS
+        screened = [TestRawRefine.bits(minimize_objective(p, cfg)) for p in problems for cfg in configs]
+        for name in ("_GRID_REL", "_STEP_REL", "_MP_REL"):
+            monkeypatch.setattr(oracle, name, math.inf)  # every decision by exact values
+        exact = [TestRawRefine.bits(minimize_objective(p, cfg)) for p in problems for cfg in configs]
+        assert screened == exact

@@ -291,6 +291,23 @@ class TestSolveBatch:
         if (f0, f1) != (random_ball, random_ball):  # two balls never expand
             assert any(st.startswith("BracketExpanded+") for st in statuses)
 
+    def test_stop_spacing_equals_ulp(self):
+        """The stop test's np.spacing(|y|) is math.ulp(|y|), per-node solve's rule.
+
+        Checked on 0, every power of two, the subnormals' ends and 200 000
+        magnitudes over 600 decades; the one float left out is the largest,
+        where np.spacing overflows to inf and a midpoint 0.5*(l + r) has
+        already overflowed.
+        """
+        rng = np.random.default_rng(36)
+        powers = 2.0 ** np.arange(-1074, 1024)
+        ys = np.concatenate((
+            [0.0, 5e-324, 2.2250738585072009e-308],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers[:-1], np.inf),
+            10.0 ** rng.uniform(-310.0, 290.0, 200_000),
+        ))
+        assert np.array_equal(np.spacing(ys), [math.ulp(y) for y in ys])
+
     def test_max_iterations(self, elliptic_problem):
         p = dataclasses.replace(elliptic_problem, max_iter=3)
         x1s = grid(np.linspace(-2, 2, 7), [0.5, 1.0, 2.0])
