@@ -122,27 +122,46 @@ def gauge_by_membership(vset, v):
 
 
 def _live_facets(vset, vy, vx_ends):
-    """Indices of the facets that can attain the polygon gauge of (vx, vy) for vx in vx_ends.
+    """The facets (nx, ny, h) that can attain the polygon gauge of (vx, vy) for vx in vx_ends.
 
     Each facet term (nx*vx + ny*vy)/h is linear in vx, so a facet that the
     facet j with the largest end sum exceeds at both ends lies below j on the
     whole interval.  The terms are compared in float with a margin about six
     orders of magnitude above their round-off, so the maximum over the kept
-    facets is the maximum over all of them at any precision.
+    facets is the maximum over all of them at any precision.  A ball or an
+    ellipse has no facets: None.
     """
+    if not isinstance(vset, Polygon):
+        return None
     ends = np.array(vx_ends)
     terms = (vset.normals[:, :1] * ends + vset.normals[:, 1:] * vy) / vset.offsets[:, None]
     j = np.argmax(terms.sum(axis=1))
     margin = 1e-9 * (np.max(np.abs(ends)) + abs(vy)) / np.min(vset.offsets)
-    return np.flatnonzero(np.any(terms[j] - terms <= margin, axis=1))
+    live = np.flatnonzero(np.any(terms[j] - terms <= margin, axis=1))
+    return [(nx, ny, h)
+            for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())]
 
 
-def _gauge_raw(vset, vy, vx_ends, prec, rnd):
+def _sides(problem, a, b):
+    """phi's two gauge terms on the float bracket [a, b], as (vset, vy, live facets) each.
+
+    F0's term is gamma_F0(y - x0_x, -x0_y) and F1's is gamma_F1(x1_x - y, x1_y);
+    the live facets (see _live_facets) are found once here and serve both the
+    exact refine and the float screen.
+    """
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    return ((problem.F0, -x0y, _live_facets(problem.F0, -x0y, (a - x0x, b - x0x))),
+            (problem.F1, x1y, _live_facets(problem.F1, x1y, (x1x - a, x1x - b))))
+
+
+def _gauge_raw(vset, vy, live, prec, rnd):
     """gamma_F(vx, vy) for one fixed float vy, as a function of raw libmp vx.
 
-    vx stays within the float interval vx_ends.  The terms that do not depend
-    on vx are computed here, once, and a polygon keeps only its live facets;
-    each call does the arithmetic of the plain mpf formulas
+    vx stays within the float interval the live facets were found for.  The
+    terms that do not depend on vx are computed here, once, and a polygon
+    keeps only its live facets; each call does the arithmetic of the plain
+    mpf formulas
     sqrt(vx*vx + vy*vy)/r, sqrt((wx/a)**2 + (wy/b)**2) with (wx, wy) the
     rotated vector, and max((nx*vx + ny*vy)/h, 0), in the same order.
     """
@@ -167,11 +186,8 @@ def _gauge_raw(vset, vy, vx_ends, prec, rnd):
             return mpf_sqrt(mpf_add(wx2, wy2, prec, rnd), prec, rnd)
 
         return ellipse_gauge
-    live = _live_facets(vset, vy, vx_ends)
-    facets = [
-        (from_float(nx), mpf_mul(from_float(ny), vy_mp, prec, rnd), from_float(h))
-        for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())
-    ]
+    facets = [(from_float(nx), mpf_mul(from_float(ny), vy_mp, prec, rnd), from_float(h))
+              for nx, ny, h in live]
 
     def polygon_gauge(vx):
         best = fzero
@@ -184,13 +200,12 @@ def _gauge_raw(vset, vy, vx_ends, prec, rnd):
     return polygon_gauge
 
 
-def _objective_raw(problem, a, b, prec, rnd):
-    """phi as a function of raw libmp y in the float bracket [a, b] (see _gauge_raw)."""
-    x0x, x0y = (float(u) for u in problem.x0)
-    x1x, x1y = (float(u) for u in problem.x1)
-    g0 = _gauge_raw(problem.F0, -x0y, (a - x0x, b - x0x), prec, rnd)
-    g1 = _gauge_raw(problem.F1, x1y, (x1x - a, x1x - b), prec, rnd)
-    x0x, x1x = from_float(x0x), from_float(x1x)
+def _objective_raw(problem, sides, prec, rnd):
+    """phi as a function of raw libmp y in the float bracket of sides (see _sides, _gauge_raw)."""
+    (vset0, vy0, live0), (vset1, vy1, live1) = sides
+    g0 = _gauge_raw(vset0, vy0, live0, prec, rnd)
+    g1 = _gauge_raw(vset1, vy1, live1, prec, rnd)
+    x0x, x1x = from_float(float(problem.x0[0])), from_float(float(problem.x1[0]))
     return lambda y: mpf_add(
         g0(mpf_sub(y, x0x, prec, rnd)), g1(mpf_sub(x1x, y, prec, rnd)), prec, rnd
     )
@@ -281,8 +296,8 @@ def _grid_argmin(problem, ys, screened):
     return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
 
 
-def _side_screen(vset, vy, vx_ends):
-    """Float screen for one gauge term gamma(vx, vy) of phi, vy fixed and vx in vx_ends.
+def _side_screen(vset, vy, live):
+    """Float screen for one gauge term gamma(vx, vy) of phi, vy fixed and vx in its bracket.
 
     Returns (point, difference).  point(yf, vx) takes a golden point's
     to_float value yf and vx computed from it in float, and returns the
@@ -308,7 +323,7 @@ def _side_screen(vset, vy, vx_ends):
     sums that _step_screen forms.
 
     Polygon, only the live facets (the maximum over them is the gauge on
-    vx_ends, see _live_facets).  A facet term (n_x*vx + n_y*vy)/h errs by
+    the bracket, see _live_facets).  A facet term (n_x*vx + n_y*vy)/h errs by
     under 4.1 u s/rho, so a facet that leads both points by more than
     2 _STEP_REL s/rho is the exact maximum at both, and g_p - g_q =
     dx*n_x/h, within 4.1 u |dx|/rho.  Otherwise D is the plain difference of
@@ -318,11 +333,7 @@ def _side_screen(vset, vy, vx_ends):
     inv_rho, avy = 1.0 / rho, abs(vy)
     rel, mp_rel = _STEP_REL, _MP_REL
     if isinstance(vset, Polygon):
-        live = _live_facets(vset, vy, vx_ends)
-        facets = [
-            (nx, ny * vy, h)
-            for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())
-        ]
+        facets = [(nx, ny * vy, h) for nx, ny, h in live]
         slopes = [nx / h for nx, _, h in facets]
 
         def polygon_point(yf, vx):
@@ -368,8 +379,8 @@ def _side_screen(vset, vy, vx_ends):
     return smooth_point, smooth_difference
 
 
-def _step_screen(problem, a, b):
-    """Float screen for phi(c) - phi(d) at golden points of the float bracket [a, b].
+def _step_screen(problem, sides):
+    """Float screen for phi(c) - phi(d) at golden points of the float bracket of sides.
 
     Returns (point, difference).  point(y) gives the float data of the raw
     libmp point y; difference(p, q, delta) takes two such data and the float
@@ -380,10 +391,9 @@ def _step_screen(problem, a, b):
     Then D + E < 0 proves phi_p < phi_q and D - E > 0 proves phi_p > phi_q;
     float rounding keeps the sign of a sum, so these tests are exact.
     """
-    x0x, x0y = (float(u) for u in problem.x0)
-    x1x, x1y = (float(u) for u in problem.x1)
-    point0, difference0 = _side_screen(problem.F0, -x0y, (a - x0x, b - x0x))
-    point1, difference1 = _side_screen(problem.F1, x1y, (x1x - a, x1x - b))
+    x0x, x1x = float(problem.x0[0]), float(problem.x1[0])
+    point0, difference0 = _side_screen(*sides[0])
+    point1, difference1 = _side_screen(*sides[1])
 
     def point(y):
         yf = to_float(y)
@@ -408,9 +418,11 @@ def minimize_objective(problem, cfg=None):
 
     Grid scan over the (expanded) bracket locates the minimal cell; a
     golden-section search run at extended precision refines it to
-    cfg.golden_tol.  Returns (y_star, phi_star).  Both stages decide by the
-    float screens where their bounds allow and by exact values elsewhere,
-    with the answers the exact values give throughout.
+    cfg.golden_tol, or until a step no longer narrows the bracket, which
+    happens when golden_tol is below the 136-bit spacing of y.  Returns
+    (y_star, phi_star).  Both stages decide by the float screens where their
+    bounds allow and by exact values elsewhere, with the answers the exact
+    values give throughout.
     """
     cfg = cfg or OracleConfig()
     ys = _grid(problem, cfg)
@@ -421,8 +433,9 @@ def minimize_objective(problem, cfg=None):
 
     with mp.workdps(40):
         prec, rnd = mp.mp._prec_rounding
-        phi = _objective_raw(problem, a, b, prec, rnd)
-        screen_point, screen_difference = _step_screen(problem, a, b) if screened else (None, None)
+        sides = _sides(problem, a, b)
+        phi = _objective_raw(problem, sides, prec, rnd)
+        screen_point, screen_difference = _step_screen(problem, sides) if screened else (None, None)
         a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
 
         def point(y):
@@ -449,6 +462,7 @@ def minimize_objective(problem, cfg=None):
         c = point(mpf_sub(b, step, prec, rnd))
         d = point(mpf_add(a, step, prec, rnd))
         while mpf_gt(w, tol):
+            w_last = w
             if less(c, d):
                 b, d = d[0], c
                 w = mpf_sub(b, a, prec, rnd)
@@ -457,6 +471,8 @@ def minimize_objective(problem, cfg=None):
                 a, c = c[0], d
                 w = mpf_sub(b, a, prec, rnd)
                 d = point(mpf_add(a, mpf_mul(_INV_GOLDEN, w, prec, rnd), prec, rnd))
+            if not mpf_lt(w, w_last):
+                break  # the 136-bit spacing of y: golden_tol is below it
         y_star = to_float(mpf_div(mpf_add(a, b, prec, rnd), from_int(2), prec, rnd), rnd=rnd)
     return y_star, crossing_time(problem, y_star)
 

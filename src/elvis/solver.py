@@ -6,6 +6,11 @@ of zeta0 + zeta1 over all admissible normal-face selections; every value in
 the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
 
+`solve` evaluates the residual for several bisection levels at a time: the
+midpoints of the next _LOOKAHEAD levels in one call of the row kernels, then
+a walk down the loop's own path through them, so every step, trace row and
+result bit is that of the loop that evaluates one midpoint per step.
+
 `solve_batch` runs the same bisection for many targets x1 that share x0, F0
 and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
 applied to rows; every node's result is equal to `solve`'s field by field.
@@ -20,6 +25,7 @@ import numpy as np
 from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
 from .geometry import (
     Ball,
+    NormalFace,
     _point_with_x_rows,
     _x_range_rows,
     normal_face,
@@ -28,6 +34,9 @@ from .geometry import (
 )
 
 MAX_BRACKET_DOUBLINGS = 64
+# Bisection levels solve evaluates per call of the row kernels (2**5 - 1 = 31
+# midpoints); deeper trees cost more in unvisited rows than they save.
+_LOOKAHEAD = 5
 
 STATUS_CONVERGED = "Converged"
 STATUS_RESIDUAL_ZERO_IN_FACE = "ResidualZeroInFace"
@@ -237,41 +246,81 @@ def expand_bracket(problem):
     return l, r, expanded
 
 
+def _midpoint_tree(l, r, depth):
+    """Midpoints of the next depth bisection levels below the bracket [l, r], in heap order.
+
+    Node 0 is the bracket's own midpoint; node i splits its bracket at its
+    midpoint into the brackets of node 2i + 1 (the left half) and node 2i + 2
+    (the right half).  Every midpoint is the loop's 0.5 * (l + r) on its
+    bracket's ends: the root on l and r themselves, the rest on Python
+    floats, which round alike.  A level's brackets are the neighbouring pairs
+    of the sorted ends so far, so its midpoints come out sorted too.  The tree
+    stops above the first level whose first or last midpoint is not finite
+    (an overflowed sum): such a node would feed inf to the residual kernels,
+    and the walk may never visit it.
+    """
+    ys = [0.5 * (l + r)]
+    ends = [float(l), float(ys[0]), float(r)]
+    for _ in range(depth - 1):
+        mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+        if not (math.isfinite(mids[0]) and math.isfinite(mids[-1])):
+            break
+        ys += mids
+        merged = ends + mids
+        merged[::2], merged[1::2] = ends, mids
+        ends = merged
+    return np.array(ys)
+
+
 def solve(problem):
     """Run the bisection and return (SolveResult, BisectionTrace).
 
     Terminates as soon as the residual interval meets [-eps, eps]; the status
     is ResidualZeroInFace when zero sits strictly inside a genuine interval
     (a non-smooth face is active and the solution need not be unique).
+
+    Each round evaluates the midpoints of the next _LOOKAHEAD bisection levels
+    in one call of the row kernels, which give every row the bits of the
+    one-point kernels, and then walks the loop's own path down that tree, one
+    trace row per level.  Steps, trace and result are those of the plain
+    loop that evaluates one midpoint at a time; only the dispatch is shared.
     """
-    eps = problem.epsilon
+    eps, max_iter = problem.epsilon, problem.max_iter
     l, r, expanded = expand_bracket(problem)
     d = r - l
     trace = BisectionTrace()
     k = 0
-    while True:
-        y = 0.5 * (l + r)
-        interval, face0, neg_face1 = _residual_faces(problem, y)
-        trace.append(TraceRow(k, l, r, y, d, interval.lo, interval.hi))
-        if interval.lo <= eps and interval.hi >= -eps:
-            if interval.lo < 0.0 < interval.hi:
-                status = STATUS_RESIDUAL_ZERO_IN_FACE
+    status = None
+    while status is None:
+        ys = _midpoint_tree(l, r, min(_LOOKAHEAD, max_iter - k))
+        lo, hi, face0, neg_face1 = _residual_rows(problem, ys, problem.x1)
+        i = 0
+        while i < len(ys):
+            y, y_lo, y_hi = ys[i], lo[i], hi[i]
+            trace.append(TraceRow(k, l, r, y, d, y_lo, y_hi))
+            if y_lo <= eps and y_hi >= -eps:
+                if y_lo < 0.0 < y_hi:
+                    status = STATUS_RESIDUAL_ZERO_IN_FACE
+                else:
+                    status = STATUS_CONVERGED
+                break
+            if k + 1 >= max_iter or d <= 4.0 * math.ulp(abs(y)):
+                status = STATUS_MAX_ITERATIONS
+                break
+            if y_lo > eps:
+                r = y
+                i = 2 * i + 1
             else:
-                status = STATUS_CONVERGED
-            break
-        if k + 1 >= problem.max_iter or d <= 4.0 * math.ulp(abs(y)):
-            status = STATUS_MAX_ITERATIONS
-            break
-        if interval.lo > eps:
-            r = y
-        else:
-            l = y
-        d *= 0.5
-        k += 1
+                l = y
+                i = 2 * i + 2
+            d *= 0.5
+            k += 1
     if expanded:
         status = BRACKET_EXPANDED_PREFIX + status
 
-    zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1, 0.0)
+    interval = DeltaInterval(y_lo, y_hi)
+    zeta0, zeta1 = _select_multipliers(interval, NormalFace(face0[0][i], face0[1][i]),
+                                       NormalFace(neg_face1[0][i], neg_face1[1][i]), 0.0)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv

@@ -1,4 +1,8 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 from mpmath.libmp import mpf_sub, to_float
 
+import elvis
 from elvis import (
     Ball,
     Ellipse,
@@ -108,6 +113,27 @@ class TestMinimize:
             flat = ("ResidualZeroInFace" in result.status) or (flat_hi - flat_lo > 1e-8)
             if not flat:
                 assert result.y == pytest.approx(y_star, abs=1e-8)
+
+    def test_refine_ends_below_working_precision(self):
+        """golden_tol under the 136-bit spacing of y ends the refine instead of looping forever.
+
+        At |y| = 1e30 that spacing is about 1.5e-11, so b - a stops shrinking
+        above the default golden_tol of 1e-12.  The call runs in a child
+        process with a timeout, so a refine that never ends fails the test.
+        """
+        p = translated(pair_problem(np.random.default_rng(27), random_ellipse, random_polygon), 1e30)
+        code = ("from elvis import Ellipse, Polygon, make_problem, minimize_objective\n"
+                f"p = make_problem({p.x0.tolist()}, {p.x1.tolist()}, {p.F0!r}, {p.F1!r})\n"
+                "print(repr(minimize_objective(p)))")
+        src = os.path.dirname(os.path.dirname(elvis.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        y_star, phi_star = ast.literal_eval(proc.stdout)
+        assert y_star == 1e30
+        assert phi_star == solve(p)[0].time
 
 
 class TestContains:
@@ -285,8 +311,9 @@ class TestFloatScreen:
             a, b = y0 - 5e-3, y0 + 5e-3
             with mp.workdps(40):
                 prec, rnd = mp.mp._prec_rounding
-                phi = oracle._objective_raw(p, a, b, prec, rnd)
-                point, difference = oracle._step_screen(p, a, b)
+                sides = oracle._sides(p, a, b)
+                phi = oracle._objective_raw(p, sides, prec, rnd)
+                point, difference = oracle._step_screen(p, sides)
                 for gap in 10.0 ** -np.arange(3, 16):
                     c = mp.mpf(a) + mp.mpf(rng.uniform(0.1, 0.4)) * (mp.mpf(b) - mp.mpf(a))
                     d = c + mp.mpf(gap) * mp.mpf(rng.uniform(1.0, 2.0))

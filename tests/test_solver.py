@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,103 @@ class TestSolve:
         d0 = trace.rows[0].d
         for row in trace:
             assert abs(row.y - y_star) <= d0 / 2.0 ** row.k + 1e-12
+
+
+def one_level_solve(problem):
+    """solve as the plain loop: one _residual_faces call per bisection step."""
+    eps = problem.epsilon
+    l, r, expanded = expand_bracket(problem)
+    d = r - l
+    trace = solver.BisectionTrace()
+    k = 0
+    while True:
+        y = 0.5 * (l + r)
+        interval, face0, neg_face1 = solver._residual_faces(problem, y)
+        trace.append(solver.TraceRow(k, l, r, y, d, interval.lo, interval.hi))
+        if interval.lo <= eps and interval.hi >= -eps:
+            if interval.lo < 0.0 < interval.hi:
+                status = STATUS_RESIDUAL_ZERO_IN_FACE
+            else:
+                status = STATUS_CONVERGED
+            break
+        if k + 1 >= problem.max_iter or d <= 4.0 * math.ulp(abs(y)):
+            status = solver.STATUS_MAX_ITERATIONS
+            break
+        if interval.lo > eps:
+            r = y
+        else:
+            l = y
+        d *= 0.5
+        k += 1
+    if expanded:
+        status = solver.BRACKET_EXPANDED_PREFIX + status
+
+    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1, 0.0)
+    yv = np.array([y, 0.0])
+    w0 = yv - problem.x0
+    w1 = problem.x1 - yv
+    g0 = problem.F0.gauge(w0)
+    g1 = problem.F1.gauge(w1)
+    result = solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(trace),
+                                status)
+    return result, trace
+
+
+def field_bits(obj):
+    """Every dataclass field of obj as (name, type, bytes or repr)."""
+    return [(f.name, type(v), v.tobytes() if isinstance(v, (np.ndarray, np.generic)) else repr(v))
+            for f in dataclasses.fields(obj) for v in [getattr(obj, f.name)]]
+
+
+def assert_same_solve(got, want):
+    """Two (SolveResult, BisectionTrace) pairs agree byte for byte, types included."""
+    assert field_bits(got[0]) == field_bits(want[0])
+    assert [field_bits(row) for row in got[1]] == [field_bits(row) for row in want[1]]
+
+
+class TestLookahead:
+    """solve walks lookahead trees and must equal the one-level loop byte for byte."""
+
+    @pytest.mark.parametrize("f0", MAKERS)
+    @pytest.mark.parametrize("f1", MAKERS)
+    def test_equals_one_level_loop(self, f0, f1):
+        rng = np.random.default_rng(37)
+        statuses = set()
+        for n in range(4):
+            p = random_pair_problem(rng, f0, f1)
+            if n % 2:  # a target almost above x0 pushes anisotropic minimizers outside
+                p = dataclasses.replace(p, x1=np.array([p.x0[0] + rng.uniform(-0.05, 0.05), p.x1[1]]))
+            for change in ({}, {"epsilon": 1e-300}, *({"max_iter": m} for m in (1, 4, 5, 6, 10, 11, 31))):
+                q = dataclasses.replace(p, **change)
+                got = solve(q)
+                assert_same_solve(got, one_level_solve(q))
+                statuses.add(got[0].status)
+        assert any(st.endswith("MaxIterations") for st in statuses)
+        if (f0, f1) != (random_ball, random_ball):  # two balls never expand
+            assert any(st.startswith("BracketExpanded+") for st in statuses)
+
+    def test_squares(self, square_problem):
+        """The squares' sweep line of criterion 6, x1 = +-10/3 (full depth) included."""
+        for x1x in np.linspace(-4.0, 4.0, 13):
+            p = dataclasses.replace(square_problem, x1=np.array([x1x, 1.0]))
+            got = solve(p)
+            assert_same_solve(got, one_level_solve(p))
+            if abs(abs(x1x) - 10 / 3) < 1e-9:
+                assert got[0].iterations > 10
+
+    @pytest.mark.parametrize("x0, x1, f0, f1, want", [
+        ((0.0, -1.0), (1.7e308, 1.0), Ball(1.0), Ball(1.0), (8.5e307, 1.7e308, "Converged", 1)),
+        ((1e307, -1.0), (1.6e308, 1.0), Ball(1.0), Ball(2.0),
+         (1.0000000000000001e307, 7.5e307, "MaxIterations", 56)),
+    ], ids=["unit-balls", "far-bracket"])
+    def test_unvisited_overflow_is_silent(self, x0, x1, f0, f1, want):
+        """Deep midpoints that overflow are left out of the tree, not evaluated."""
+        p = make_problem(x0, x1, f0, f1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve(p)
+            assert_same_solve(got, one_level_solve(p))
+        assert (got[0].y, got[0].time, got[0].status, got[0].iterations) == want
 
 
 def solve_each(problem, x1s):
