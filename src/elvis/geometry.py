@@ -20,6 +20,12 @@ Components are read from the transpose, `v.T[0]` and `v.T[1]`, which are
 scalars for a vector and columns for rows.  The kernels read cached
 constants: an ellipse's rotation matrices and squared semi-axes, and a
 polygon's facet points n_i/h_i.
+
+`normal_face_rows` refuses a zero row, as `normal_face` refuses a zero
+vector; since a row is zero only if its y-component is, one reduction over
+the y-components clears the usual case.  `Polygon.validate` takes the cross
+products of every vertex's incident edges in one array expression, the same
+IEEE operations per vertex as a loop over the vertices.
 """
 
 import math
@@ -103,8 +109,12 @@ def _point_with_x_rows(zeta_lo, zeta_hi, x):
     return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
 
 
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _edges_and_crosses(verts):
+    """Edge i from vertex i to vertex i+1 (cyclically), and at every vertex i the cross
+    product of its incident edges, edge i-1 x edge i."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    before = np.roll(edges, 1, axis=0)
+    return edges, before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
 
 
 @dataclass(frozen=True)
@@ -223,33 +233,24 @@ class Polygon:
             raise DegenerateDimensionsError("polygon vertices must be finite and not all zero")
         col_tol = 1e-12 * scale * scale
 
-        # Drop duplicate and collinear vertices (cross product of incident edges ~ 0).
-        verts = list(verts)
-        changed = True
-        while changed and len(verts) >= 3:
-            changed = False
-            for i in range(len(verts)):
-                a = verts[i - 1]
-                b = verts[i]
-                c = verts[(i + 1) % len(verts)]
-                if abs(_cross2(b - a, c - b)) <= col_tol:
-                    del verts[i]
-                    changed = True
-                    break
+        # Drop duplicate and collinear vertices (cross product of incident edges ~ 0),
+        # the first such vertex at a time, until none is left.
+        verts = verts.copy()  # the validated polygon owns its vertices
+        edges, crosses = _edges_and_crosses(verts)
+        while len(verts) >= 3:
+            small = np.flatnonzero(np.abs(crosses) <= col_tol)
+            if small.size == 0:
+                break
+            verts = np.delete(verts, small[0], axis=0)
+            edges, crosses = _edges_and_crosses(verts)
         if len(verts) < 3:
             raise DegenerateDimensionsError("fewer than 3 distinct vertices after collinear removal")
-        verts = np.array(verts)
 
-        crosses = np.array(
-            [_cross2(verts[i] - verts[i - 1], verts[(i + 1) % len(verts)] - verts[i])
-             for i in range(len(verts))]
-        )
         if np.all(crosses < 0):
             raise NonConvexError("vertices are ordered clockwise; counterclockwise required")
         if not np.all(crosses > 0):
             raise NonConvexError("vertices are not in strictly convex order")
 
-        edges = np.roll(verts, -1, axis=0) - verts
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
         offsets = np.sum(normals * verts, axis=1)
@@ -333,6 +334,7 @@ def normal_face_rows(vset, vs):
     Row n is bit-equal to normal_face(vset, vs[n]).zeta_lo and .zeta_hi.
     """
     vs = np.asarray(vs, dtype=float)
-    if ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
+    # A row is zero only if its y-component is, so one reduction clears the usual case.
+    if not vs[:, 1].all() and ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
         raise ZeroVectorError("normal_face needs a nonzero direction")
     return vset.boundary_face(vs / vset.gauge(vs)[:, None])

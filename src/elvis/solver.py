@@ -9,7 +9,10 @@ interval's position relative to [-eps, eps] converges linearly.
 `solve` evaluates the residual for several bisection levels at a time: the
 midpoints of the next _LOOKAHEAD levels in one call of the row kernels, then
 a walk down the loop's own path through them, so every step, trace row and
-result bit is that of the loop that evaluates one midpoint per step.
+result bit is that of the loop that evaluates one midpoint per step.  The
+walk records each step as a plain tuple; the trace builds its `TraceRow`s
+from them the first time its rows are read, so a caller that ignores the
+trace does not pay for them.
 
 `solve_batch` runs the same bisection for many targets x1 that share x0, F0
 and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
@@ -18,7 +21,7 @@ applied to rows; every node's result is equal to `solve`'s field by field.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,18 +115,42 @@ class TraceRow:
     delta_hi: float
 
 
-@dataclass
 class BisectionTrace:
-    rows: list = field(default_factory=list)
+    """The bisection's steps, one TraceRow each, in order.
+
+    `solve` records a step as the plain tuple of its TraceRow fields; the
+    rows are built from those tuples the first time `rows` is read or the
+    trace is iterated, and kept, so a caller that never reads the trace
+    never pays for them.
+    """
+
+    def __init__(self, rows=()):
+        self._rows = list(rows)
+        self._steps = []  # field tuples of the steps after _rows
+
+    @property
+    def rows(self):
+        if self._steps:
+            self._rows += [TraceRow(*step) for step in self._steps]
+            self._steps.clear()
+        return self._rows
 
     def append(self, row):
         self.rows.append(row)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows) + len(self._steps)
 
     def __iter__(self):
         return iter(self.rows)
+
+    def __eq__(self, other):
+        if type(other) is not BisectionTrace:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self):
+        return f"BisectionTrace(rows={self.rows!r})"
 
 
 @dataclass(frozen=True)
@@ -179,9 +206,17 @@ def _residual_rows(problem, ys, x1s):
     Returns the interval ends (lo, hi) and the (zeta_lo, zeta_hi) rows of face0
     and neg_face1, each row bit-equal to the scalar call's.
     """
-    pts = np.column_stack((ys, np.zeros(len(ys))))
-    face0 = normal_face_rows(problem.F0, pts - problem.x0)
-    neg_face1 = normal_face_rows(problem.F1, x1s - pts)
+    # The rows (y, 0) - x0 and x1 - (y, 0), entry by entry as those subtractions round them.
+    x0x, x0y = problem.x0
+    x1x, x1y = x1s.T
+    v0 = np.empty((len(ys), 2))
+    v0[:, 0] = ys - x0x
+    v0[:, 1] = 0.0 - x0y
+    v1 = np.empty((len(ys), 2))
+    v1[:, 0] = x1x - ys
+    v1[:, 1] = x1y
+    face0 = normal_face_rows(problem.F0, v0)
+    neg_face1 = normal_face_rows(problem.F1, v1)
     a0, b0 = _x_range_rows(*face0)
     a1m, b1m = _x_range_rows(*neg_face1)
     return a0 - b1m, b0 - a1m, face0, neg_face1
@@ -289,6 +324,7 @@ def solve(problem):
     l, r, expanded = expand_bracket(problem)
     d = r - l
     trace = BisectionTrace()
+    record = trace._steps.append
     k = 0
     status = None
     while status is None:
@@ -297,7 +333,7 @@ def solve(problem):
         i = 0
         while i < len(ys):
             y, y_lo, y_hi = ys[i], lo[i], hi[i]
-            trace.append(TraceRow(k, l, r, y, d, y_lo, y_hi))
+            record((k, l, r, y, d, y_lo, y_hi))
             if y_lo <= eps and y_hi >= -eps:
                 if y_lo < 0.0 < y_hi:
                     status = STATUS_RESIDUAL_ZERO_IN_FACE

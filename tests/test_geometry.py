@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,121 @@ class TestValidate:
     def test_too_few_vertices(self):
         with pytest.raises(DegenerateDimensionsError):
             validate(Polygon([(1, 0), (1.0, 0.0), (0, 1)]))
+
+
+def loop_validate(polygon):
+    """Polygon.validate written vertex by vertex: the reference the array form must equal.
+
+    Collinear vertices go one at a time, the first in vertex order each pass,
+    and every cross product is taken on one vertex's two incident edges.
+    """
+    verts = polygon.vertices
+    if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
+        raise DegenerateDimensionsError("polygon needs at least 3 planar vertices")
+    scale = float(np.max(np.abs(verts)))
+    if not 0.0 < scale < math.inf:
+        raise DegenerateDimensionsError("polygon vertices must be finite and not all zero")
+    col_tol = 1e-12 * scale * scale
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    verts = list(verts)
+    changed = True
+    while changed and len(verts) >= 3:
+        changed = False
+        for i in range(len(verts)):
+            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
+            if abs(cross(b - a, c - b)) <= col_tol:
+                del verts[i]
+                changed = True
+                break
+    if len(verts) < 3:
+        raise DegenerateDimensionsError("fewer than 3 distinct vertices after collinear removal")
+    verts = np.array(verts)
+    crosses = np.array([cross(verts[i] - verts[i - 1], verts[(i + 1) % len(verts)] - verts[i])
+                        for i in range(len(verts))])
+    if np.all(crosses < 0):
+        raise NonConvexError("vertices are ordered clockwise; counterclockwise required")
+    if not np.all(crosses > 0):
+        raise NonConvexError("vertices are not in strictly convex order")
+    edges = np.roll(verts, -1, axis=0) - verts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+    offsets = np.sum(normals * verts, axis=1)
+    if not np.all(offsets > 1e-12 * scale):
+        raise OriginNotInteriorError("origin is not strictly inside the polygon")
+    return Polygon(verts, normals, offsets)
+
+
+def validate_outcome(validate_fn, vertices):
+    """The validated arrays' bytes and the circumradius, or the error's type and message."""
+    try:
+        p = validate_fn(Polygon(vertices))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(p, name) for name in ("vertices", "normals", "offsets", "facet_points")]
+    return [(a.shape, a.tobytes()) for a in arrays], repr(p.circumradius)
+
+
+def edge_insert(verts, i, *points):
+    """verts with points inserted on edge i, in order.  (t, f) puts one at t
+    along the edge, moved outward (inward if f < 0) so far that it alone would
+    make the cross product of its incident edges about f * col_tol."""
+    a, b = verts[i], verts[(i + 1) % len(verts)]
+    e = b - a
+    length = np.hypot(*e)
+    col_tol = 1e-12 * np.max(np.abs(verts)) ** 2
+    outward = np.array([e[1], -e[0]]) / length
+    return np.insert(verts, i + 1, [a + t * e + f * col_tol / length * outward
+                                    for t, f in points], axis=0)
+
+
+class TestValidateMatchesLoop:
+    """Polygon.validate's array form equals the vertex-by-vertex loop, errors included."""
+
+    def test_random_and_degenerate_polygons(self):
+        rng = np.random.default_rng(41)
+        cases, outcomes = 0, {}
+        for _ in range(40):
+            verts = random_row_set(rng, "polygon").vertices * 10.0 ** rng.uniform(-4, 4)
+            n = len(verts)
+            i = int(rng.integers(n))
+            variants = {
+                "convex": verts,
+                "duplicate": np.insert(verts, i, verts[i], axis=0),
+                "midpoint": edge_insert(verts, i, (0.5, 0.0)),
+                "two on one edge": edge_insert(verts, i, (1 / 3, 0.0), (2 / 3, 0.0)),
+                "within tol": edge_insert(verts, i, (0.5, 0.5)),
+                "within tol inward": edge_insert(verts, i, (0.5, -0.5)),
+                "outside tol": edge_insert(verts, i, (0.5, 2.0)),
+                "outside tol inward": edge_insert(verts, i, (0.5, -2.0)),
+                # Each point's cross is 0.7 col_tol; once the first in vertex
+                # order goes, the other's is 2.1 col_tol, so it stays.
+                "chain": edge_insert(verts, i, (1 / 3, 2.1), (2 / 3, 2.1)),
+                "clockwise": verts[::-1],
+                "non-convex": np.insert(verts, i + 1, 0.1 * (verts[i] + verts[(i + 1) % n]), axis=0),
+                "origin outside": verts + 3.0 * np.max(np.abs(verts)),
+                "collinear": np.outer(np.linspace(-1.0, 1.0, n), rng.normal(size=2)),
+            }
+            for name, vs in variants.items():
+                got = validate_outcome(Polygon.validate, vs)
+                assert got == validate_outcome(loop_validate, vs), name
+                # Vertices added to the convex polygon that survive, or the error raised.
+                added = got[0][0][0][0] - n if isinstance(got[0], list) else got[0]
+                outcomes.setdefault(name, set()).add(added)
+                cases += 1
+        assert cases == 520
+        # Every branch is taken: within the tolerance the inserted point goes,
+        # outside it stays (or, inward, makes the polygon non-convex).
+        for name in ("convex", "duplicate", "midpoint", "two on one edge", "within tol",
+                     "within tol inward"):
+            assert outcomes[name] == {0}, name
+        assert outcomes["outside tol"] == outcomes["chain"] == {1}
+        for name in ("outside tol inward", "clockwise", "non-convex"):
+            assert outcomes[name] == {NonConvexError}, name
+        assert outcomes["origin outside"] == {OriginNotInteriorError}
+        assert outcomes["collinear"] == {DegenerateDimensionsError}
 
 
 class TestGauge:
@@ -235,8 +352,19 @@ class TestNormalFaceRows:
                 assert np.all(lo[n1:] == hi[n1:])
 
     def test_zero_row(self):
-        with pytest.raises(ZeroVectorError):
-            normal_face_rows(Ball(1.0), [[1.0, 0.0], [0.0, 0.0]])
+        for zero in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]):
+            with pytest.raises(ZeroVectorError):
+                normal_face_rows(Ball(1.0), [[1.0, 0.0], zero])
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
+    def test_rows_on_the_x_axis(self, kind):
+        """A zero y-component alone is no zero direction: such rows pass the guard."""
+        vset = random_row_set(np.random.default_rng(5), kind)
+        vs = np.array([[1.0, 0.0], [-2.5, 0.0], [3e-9, -0.0], [0.5, 1.0]])
+        lo, hi = normal_face_rows(vset, vs)
+        faces = [normal_face(vset, v) for v in vs]
+        assert lo.tobytes() == np.array([f.zeta_lo for f in faces]).tobytes()
+        assert hi.tobytes() == np.array([f.zeta_hi for f in faces]).tobytes()
 
 
 class TestInvariants:

@@ -13,6 +13,7 @@ from elvis import (
     NotIsotropicError,
     Polygon,
     ValidationError,
+    ZeroVectorError,
     classical_snell_angles,
     crossing_time,
     delta,
@@ -170,6 +171,29 @@ class TestSolve:
             assert delta(elliptic_problem, row.l).lo <= eps
             assert delta(elliptic_problem, row.r).hi >= -eps
 
+    def test_trace_api(self, square_problem):
+        """The rows solve records are TraceRows, built once and then the same objects."""
+        result, trace = solve(square_problem)
+        assert len(trace) == result.iterations > 10
+        rows = trace.rows
+        assert all(type(row) is solver.TraceRow for row in rows)
+        assert [f.name for f in dataclasses.fields(rows[0])] == [
+            "k", "l", "r", "y", "d", "delta_lo", "delta_hi"]
+        assert [type(v) for v in dataclasses.astuple(rows[-1])] == [int] + [np.float64] * 6
+        assert [row.k for row in rows] == list(range(result.iterations))
+        assert trace.rows is rows and len(trace) == result.iterations
+        first, second = list(trace), list(trace)
+        assert all(a is b is c for a, b, c in zip(first, second, rows))
+        assert trace.rows[3].d == rows[0].d / 8.0
+        # A row appended after solve's own steps goes last; building the rows
+        # leaves the trace equal to one built row by row.
+        extra = solver.TraceRow(len(rows), 0.0, 1.0, 0.5, 1.0, -1.0, 1.0)
+        _, fresh = solve(square_problem)
+        fresh.append(extra)
+        assert len(fresh) == result.iterations + 1 and fresh.rows[-1] is extra
+        assert fresh == solver.BisectionTrace(rows + [extra])
+        assert repr(fresh) == f"BisectionTrace(rows={rows + [extra]!r})"
+
     def test_degenerate_equal_projections(self):
         p = make_problem((0, -1), (0, 2), Ball(1), Ball(2))
         result, trace = solve(p)
@@ -233,6 +257,19 @@ class TestSolve:
             for y, t in zip(ys[::64], expected[::64]):
                 assert type(crossing_time(p, y)) is float
                 assert crossing_time(p, float(y)) == t
+
+    @pytest.mark.parametrize("f0", [Ball(1.0), Ellipse(2.0, 0.5, 0.3)])
+    def test_zero_direction_bypassing_make_problem(self, f0, square1):
+        """x0 on the interface (only a hand-built problem has one): at y = x0_x the
+        source row is zero, and the residual raises instead of dividing 0 by 0."""
+        p = solver.ElvisProblem(np.array([0.5, 0.0]), np.array([1.0, 1.0]), f0, square1)
+        for ys in ([0.5], [-1.0, 0.5, 2.0]):
+            with pytest.raises(ZeroVectorError):
+                delta_rows(p, ys)
+        with pytest.raises(ZeroVectorError):
+            delta(p, 0.5)
+        lo, hi = delta_rows(p, [-1.0, 2.0])
+        assert [lo[1], hi[1]] == [delta(p, 2.0).lo, delta(p, 2.0).hi]
 
     def test_convergence_bound(self, elliptic_problem):
         result, trace = solve(elliptic_problem)
