@@ -96,13 +96,14 @@ def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None):
 def cmd_sweep(sweep_path, out_csv, epsilon=None):
     spec = load_sweep(sweep_path, epsilon_override=epsilon)
     xs, ys = sweep_grid(spec)
-    # Row-major nodes: y varies over rows, x within a row.
-    x1s = np.column_stack((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
+    nodes = len(xs) * len(ys)
     successes = 0
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("x1x,x1y,y,time,status,iterations\n")
-        for start in range(0, len(x1s), BATCH_ROWS):
-            block = x1s[start:start + BATCH_ROWS]
+        for start in range(0, nodes, BATCH_ROWS):
+            # Row-major nodes: y varies over rows, x within a row.
+            i = np.arange(start, min(start + BATCH_ROWS, nodes))
+            block = np.column_stack((xs[i % len(xs)], ys[i // len(xs)]))
             for (x1, y1), result in zip(block, solve_batch(spec, block)):
                 if result is None:
                     fh.write(f"{_fmt(x1)},{_fmt(y1)},nan,nan,BracketExpansionFailed,0\n")
@@ -112,7 +113,7 @@ def cmd_sweep(sweep_path, out_csv, epsilon=None):
                     f"{result.status},{result.iterations}\n"
                 )
                 successes += 1
-    sys.stdout.write(json.dumps({"nodes": len(xs) * len(ys), "solved": successes}) + "\n")
+    sys.stdout.write(json.dumps({"nodes": nodes, "solved": successes}) + "\n")
     return EXIT_OK if successes > 0 else EXIT_SOLVER
 
 

@@ -17,9 +17,11 @@ a stacked `np.matmul` that issues one matrix-vector product per row, so each
 row is rounded exactly as `m @ v` (BLAS may fuse multiply-adds, which
 `vs @ m.T`, `einsum` or an element-wise formula would round differently).
 Components are read from the transpose, `v.T[0]` and `v.T[1]`, which are
-scalars for a vector and columns for rows.  The kernels read cached
-constants: an ellipse's rotation matrices and squared semi-axes, and a
-polygon's facet points n_i/h_i.
+scalars for a vector and columns for rows.  Every shape is a frozen value,
+and the kernels read constants derived from its fields once (as
+`cached_property`s, which leave fields, equality and repr alone): an
+ellipse's rotation matrices and squared semi-axes, and a polygon's half-plane
+form and facet points n_i/h_i, which are read-only like its vertices.
 
 `normal_face_rows` refuses a zero row, as `normal_face` refuses a zero
 vector; since a row is zero only if its y-component is, one reduction over
@@ -109,12 +111,14 @@ def _point_with_x_rows(zeta_lo, zeta_hi, x):
     return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
 
 
-def _edges_and_crosses(verts):
-    """Edge i from vertex i to vertex i+1 (cyclically), and at every vertex i the cross
-    product of its incident edges, edge i-1 x edge i."""
-    edges = np.roll(verts, -1, axis=0) - verts
-    before = np.roll(edges, 1, axis=0)
-    return edges, before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
+def _edges(verts):
+    """Row i is the edge from vertex i to vertex i+1, cyclically."""
+    return np.concatenate((verts[1:], verts[:1])) - verts
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,6 @@ class Ellipse:
             )
         return self
 
-    # Computed once per instance; cached_property stores into the instance
-    # dict, so the dataclass fields, equality and repr are untouched.
     @cached_property
     def _to_axes(self):
         return _rotation(-self.rot)
@@ -190,39 +192,41 @@ class Ellipse:
         return zeta, zeta
 
 
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Convex polygon given by counterclockwise vertices.
+    """Convex polygon given by counterclockwise vertices, kept as a read-only float copy.
 
-    `validate` strips collinear vertices and returns a polygon carrying the
-    half-plane form (unit outward normals `normals` and positive offsets
-    `offsets`, facet i joining vertex i to vertex i+1), the facet points
-    `facet_points` (row i is n_i/h_i, the point of the polar boundary that
-    facet i exposes) and its `circumradius`.  Operations other than
-    `validate` require the half-plane form to be present.
+    Derived from the vertices on first use, arrays read-only too: the half-plane
+    form (unit outward normals `normals` and offsets `offsets`, facet i joining
+    vertex i to vertex i+1), the facet points `facet_points` (row i is n_i/h_i,
+    the point of the polar boundary that facet i exposes) and `circumradius`.
     """
 
-    def __init__(self, vertices, normals=None, offsets=None):
-        self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        self.normals = None if normals is None else np.asarray(normals, dtype=float)
-        self.offsets = None if offsets is None else np.asarray(offsets, dtype=float)
-        self.circumradius = None
-        self.facet_points = None
-        if normals is not None:
-            self.circumradius = float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
-            # Normal faces hand out rows of this array, so nobody may write to it.
-            self.facet_points = self.normals / self.offsets[:, None]
-            self.facet_points.flags.writeable = False
+    vertices: np.ndarray
 
-    @property
-    def is_validated(self):
-        return self.normals is not None
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", _read_only(np.array(self.vertices, float, ndmin=2)))
 
     def __repr__(self):
         return f"Polygon({self.vertices.tolist()!r})"
 
-    def _require_halfplanes(self):
-        if not self.is_validated:
-            raise ValueError("polygon must be validated before use")
+    @cached_property
+    def normals(self):
+        edges = _edges(self.vertices)
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        return _read_only(np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None])
+
+    @cached_property
+    def offsets(self):
+        return _read_only(np.sum(self.normals * self.vertices, axis=1))
+
+    @cached_property
+    def facet_points(self):
+        return _read_only(self.normals / self.offsets[:, None])
+
+    @cached_property
+    def circumradius(self):
+        return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
 
     def validate(self):
         verts = self.vertices
@@ -235,14 +239,14 @@ class Polygon:
 
         # Drop duplicate and collinear vertices (cross product of incident edges ~ 0),
         # the first such vertex at a time, until none is left.
-        verts = verts.copy()  # the validated polygon owns its vertices
-        edges, crosses = _edges_and_crosses(verts)
         while len(verts) >= 3:
+            edges = _edges(verts)
+            before = np.concatenate((edges[-1:], edges[:-1]))  # edge i-1, ending at vertex i
+            crosses = before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
             small = np.flatnonzero(np.abs(crosses) <= col_tol)
             if small.size == 0:
                 break
             verts = np.delete(verts, small[0], axis=0)
-            edges, crosses = _edges_and_crosses(verts)
         if len(verts) < 3:
             raise DegenerateDimensionsError("fewer than 3 distinct vertices after collinear removal")
 
@@ -251,31 +255,25 @@ class Polygon:
         if not np.all(crosses > 0):
             raise NonConvexError("vertices are not in strictly convex order")
 
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
-        offsets = np.sum(normals * verts, axis=1)
-        if not np.all(offsets > 1e-12 * scale):
+        polygon = Polygon(verts)
+        if not np.all(polygon.offsets > 1e-12 * scale):
             raise OriginNotInteriorError("origin is not strictly inside the polygon")
-        return Polygon(verts, normals, offsets)
+        return polygon
 
     def gauge(self, v):
-        self._require_halfplanes()
         return np.maximum.reduce(_matvec(self.normals, v) / self.offsets, axis=-1, initial=0.0)
 
     def support(self, zeta):
-        self._require_halfplanes()
         return float(np.max(self.vertices @ zeta))
 
     def polar(self):
         """Polar polygon: vertex i is n_i / h_i, the point where the polar lines
         of vertices i and i+1 (the ends of facet i) meet."""
-        self._require_halfplanes()
         return Polygon(self.facet_points).validate()
 
     def boundary_face(self, p):
         """Normal face at the boundary point p: facet j's n_j/h_j, or the polar
         edge joining the two incident facets' points when p is on a vertex."""
-        self._require_halfplanes()
         verts = self.vertices
         dists = np.hypot(verts[:, 0] - p[..., :1], verts[:, 1] - p[..., 1:])
         i = dists.argmin(axis=-1)
@@ -291,9 +289,8 @@ def validate(vset):
     """Check the set invariants; return a validated (possibly rebuilt) set.
 
     Every parameter must be finite, radii and semi-axes positive.  Polygons
-    come back with collinear vertices removed and the half-plane form
-    attached.  Raises DegenerateDimensionsError, NonConvexError or
-    OriginNotInteriorError on bad input.
+    come back with collinear vertices removed.  Raises
+    DegenerateDimensionsError, NonConvexError or OriginNotInteriorError.
     """
     if not isinstance(vset, (Ball, Ellipse, Polygon)):
         raise TypeError(f"not a velocity set: {vset!r}")

@@ -228,9 +228,9 @@ def delta_rows(problem, ys):
     return lo, hi
 
 
-def _select_multipliers(interval, face0, neg_face1, target):
-    """Pick zeta0, zeta1 from the faces with (zeta0 + zeta1)_x as close to target as possible."""
-    target = min(max(target, interval.lo), interval.hi)
+def _select_multipliers(interval, face0, neg_face1):
+    """Pick zeta0, zeta1 from the faces with (zeta0 + zeta1)_x as close to 0 as possible."""
+    target = min(max(0.0, interval.lo), interval.hi)
     a0, b0 = face0.x_range
     a1m, b1m = neg_face1.x_range
     # zeta1 x-range is [-b1m, -a1m]; split the target between the two faces.
@@ -356,7 +356,7 @@ def solve(problem):
 
     interval = DeltaInterval(y_lo, y_hi)
     zeta0, zeta1 = _select_multipliers(interval, NormalFace(face0[0][i], face0[1][i]),
-                                       NormalFace(neg_face1[0][i], neg_face1[1][i]), 0.0)
+                                       NormalFace(neg_face1[0][i], neg_face1[1][i]))
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
@@ -456,7 +456,7 @@ def solve_batch(problem, x1s):
     solved = np.flatnonzero(~failed)
     y, lo, hi = y_end[solved], lo_end[solved], hi_end[solved]
     zlo0, zhi0, zlo1, zhi1 = (end[solved] for end in faces_end)
-    # _select_multipliers with target 0, row by row.
+    # _select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
     target = np.where(hi < target, hi, target)  # min(target, hi)
     a0, b0 = _x_range_rows(zlo0, zhi0)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,25 @@ class TestSweep:
                               capsys)
         assert code == expected
         assert not out_csv.exists()
+
+    def test_memory_bounded(self, tmp_path, capsys, monkeypatch):
+        """Nodes are built block by block: a 60x60 grid peaks little above a 4x4 one
+        (the rest is the output file's buffers), far below its 3600 nodes' 57.6 kB."""
+        monkeypatch.setattr(cli, "solve_batch", lambda spec, block: [None] * len(block))
+        monkeypatch.setattr(cli, "BATCH_ROWS", 64)
+
+        def peak(n):
+            grid = dict(BALL_SWEEP["x1_grid"], nx=n, ny=n)
+            path = write(tmp_path, "s.json", dict(BALL_SWEEP, x1_grid=grid))
+            tracemalloc.start()
+            try:
+                run_main(["sweep", path, "--out", str(tmp_path / "sweep.csv")], capsys)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call allocations (imports, caches) out of the way
+        assert peak(60) - peak(4) < 60 * 60 * 2 * 8
 
     def test_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", BALL_SWEEP)

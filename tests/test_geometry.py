@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -61,6 +63,30 @@ class TestValidate:
         with pytest.raises(ValueError):
             normal_face(sq, (2, 0.6)).zeta_lo[0] = 0.0
 
+    def test_polygon_is_frozen(self):
+        """Neither the vertices nor the arrays derived from them can be changed, so
+        gauge, support and normal faces keep agreeing with each other."""
+        src = np.array(SQUARE0_VERTICES)
+        sq = validate(Polygon(src))
+        src *= 2.0  # the polygon holds its own copy
+
+        def outputs():
+            faces = [normal_face(sq, v) for v in ((2, 0.6), (3, 3))]
+            return (gauge(sq, (2, 0)), support(sq, (1, 0)),
+                    [(f.zeta_lo.tobytes(), f.zeta_hi.tobytes()) for f in faces])
+
+        before = outputs()
+        with pytest.raises(ValueError):
+            sq.vertices *= 2
+        for name in ("vertices", "normals", "offsets", "facet_points"):
+            with pytest.raises(ValueError):
+                getattr(sq, name)[:] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sq.vertices = 2 * src
+        assert before[:2] == (2.0, 1.0)
+        assert outputs() == before
+        assert sq.vertices.tolist() == [list(v) for v in SQUARE0_VERTICES]
+
     def test_origin_outside(self):
         with pytest.raises(OriginNotInteriorError):
             validate(Polygon([(1, 0), (2, 0), (1, 1)]))
@@ -83,7 +109,8 @@ class TestValidate:
 
 
 def loop_validate(polygon):
-    """Polygon.validate written vertex by vertex: the reference the array form must equal.
+    """Polygon.validate written vertex by vertex, with the half-plane form derived here
+    too: the reference the array form and the polygon's cached constants must equal.
 
     Collinear vertices go one at a time, the first in vertex order each pass,
     and every cross product is taken on one vertex's two incident edges.
@@ -124,7 +151,10 @@ def loop_validate(polygon):
     offsets = np.sum(normals * verts, axis=1)
     if not np.all(offsets > 1e-12 * scale):
         raise OriginNotInteriorError("origin is not strictly inside the polygon")
-    return Polygon(verts, normals, offsets)
+    return types.SimpleNamespace(
+        vertices=verts, normals=normals, offsets=offsets, facet_points=normals / offsets[:, None],
+        circumradius=float(np.max(np.hypot(verts[:, 0], verts[:, 1]))),
+    )
 
 
 def validate_outcome(validate_fn, vertices):

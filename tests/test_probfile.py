@@ -35,13 +35,14 @@ def test_parse_all_kinds():
     text = json.dumps({
         "x0": [0, -1], "x1": [1, 2],
         "F0": {"kind": "ball", "r": 1.5},
-        "F1": {"kind": "polygon", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+        "F1": {"kind": "polygon", "vertices": [[1, 1], [0, 1], [-1, 1], [-1, -1], [1, -1]]},
         "epsilon": 1e-10, "max_iter": 50,
     })
     p = parse_problem(text)
     assert isinstance(p.F0, Ball)
     assert isinstance(p.F1, Polygon)
-    assert p.F1.is_validated
+    # Validated: the edge midpoint (0, 1) is gone.
+    assert p.F1.vertices.tolist() == [[1, 1], [-1, 1], [-1, -1], [1, -1]]
     assert p.epsilon == 1e-10
     assert p.max_iter == 50
 

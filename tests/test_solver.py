@@ -308,7 +308,7 @@ def one_level_solve(problem):
     if expanded:
         status = solver.BRACKET_EXPANDED_PREFIX + status
 
-    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1, 0.0)
+    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
