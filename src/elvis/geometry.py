@@ -210,6 +210,10 @@ class Polygon:
     def __repr__(self):
         return f"Polygon({self.vertices.tolist()!r})"
 
+    def __reduce__(self):
+        # Copies and unpickled polygons go through the constructor, read-only too.
+        return (Polygon, (self.vertices,))
+
     @cached_property
     def normals(self):
         edges = _edges(self.vertices)

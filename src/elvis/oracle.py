@@ -61,6 +61,8 @@ from .solver import crossing_time, expand_bracket
 _INV_GOLDEN = ((mp.mpf(5).sqrt() - 1) / 2)._mpf_
 # sample_interior gives up after this many rejected draws per requested sample.
 MAX_REJECTIONS_PER_SAMPLE = 1000
+# Points of minimize_objective's grid scan over the expanded bracket.
+GRID_POINTS = 4096
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
 # whose derivation needs less (see _grid_screen and _side_screen); math.inf
@@ -74,12 +76,10 @@ _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 
 @dataclass(frozen=True)
 class OracleConfig:
-    grid_points: int = 4096
     golden_tol: float = 1e-12
+    grid_points = GRID_POINTS  # a class constant, not a field: read by perfbench's replay
 
     def __post_init__(self):
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be at least 16")
         if not self.golden_tol > 0:
             raise ValueError("golden_tol must be positive")
 
@@ -407,10 +407,10 @@ def _step_screen(problem, sides):
     return point, difference
 
 
-def _grid(problem, cfg):
-    """cfg.grid_points evenly spaced points of the expanded bracket (one if it is a point)."""
+def _grid(problem):
+    """GRID_POINTS evenly spaced points of the expanded bracket (one if it is a point)."""
     l, r, _ = expand_bracket(problem)
-    return np.linspace(l, r, cfg.grid_points if r > l else 1)
+    return np.linspace(l, r, GRID_POINTS if r > l else 1)
 
 
 def minimize_objective(problem, cfg=None):
@@ -425,7 +425,7 @@ def minimize_objective(problem, cfg=None):
     values give throughout.
     """
     cfg = cfg or OracleConfig()
-    ys = _grid(problem, cfg)
+    ys = _grid(problem)
     screened = _well_scaled(problem, ys, cfg.golden_tol)
     i = _grid_argmin(problem, ys, screened)
     a = float(ys[max(i - 1, 0)])
@@ -481,10 +481,9 @@ def flat_minimum_interval(problem, cfg=None):
     """Grid-detected interval of near-minimal objective values.
 
     Returns (lo, hi); a positive width flags a non-strictly-convex (non-unique)
-    minimum at grid resolution.
+    minimum at grid resolution.  The grid does not depend on cfg.
     """
-    cfg = cfg or OracleConfig()
-    ys = _grid(problem, cfg)
+    ys = _grid(problem)
     vals = crossing_time(problem, ys)
     vmin = float(np.min(vals))
     flat = ys[vals <= vmin + 1e-12 * max(1.0, abs(vmin))]

@@ -20,6 +20,7 @@ from .solver import ElvisProblem, make_problem
 PROBLEM_KEYS = ("x0", "x1", "F0", "F1", "epsilon", "max_iter")
 SWEEP_KEYS = ("x0", "F0", "F1", "epsilon", "max_iter", "x1_grid")
 GRID_KEYS = ("xmin", "xmax", "ymin", "ymax", "nx", "ny")
+MAX_GRID_AXIS = 10**7  # one axis array is then 80 MB, one line of nodes an hour's work
 # Set kinds whose fields are numbers: kind -> (class, {field: its default, or
 # MISSING if the field is required}), read off the dataclass.  The other kind,
 # "polygon", has the one field "vertices".
@@ -166,8 +167,8 @@ def parse_sweep(text, epsilon_override=None):
         _number(grid[key], f"x1_grid: key {key!r}", integer=key in ("nx", "ny"))
         for key in GRID_KEYS
     )
-    if not (nx >= 1 and ny >= 1):
-        raise ProblemFormatError("x1_grid: 'nx' and 'ny' must be integers >= 1")
+    if not (1 <= nx <= MAX_GRID_AXIS and 1 <= ny <= MAX_GRID_AXIS):
+        raise ProblemFormatError(f"x1_grid: 'nx' and 'ny' must be integers from 1 to {MAX_GRID_AXIS}")
     epsilon, max_iter = _tolerances(doc, epsilon_override)
     x0 = np.array(_pair(doc["x0"], "key 'x0'"), dtype=float)
     f0 = parse_set(doc["F0"], "F0")

@@ -7,12 +7,11 @@ the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
 
 `solve` evaluates the residual for several bisection levels at a time: the
-midpoints of the next _LOOKAHEAD levels in one call of the row kernels, then
-a walk down the loop's own path through them, so every step, trace row and
-result bit is that of the loop that evaluates one midpoint per step.  The
-walk records each step as a plain tuple; the trace builds its `TraceRow`s
-from them the first time its rows are read, so a caller that ignores the
-trace does not pay for them.
+sorted points of the next _LOOKAHEAD levels in one call of the row kernels,
+then a walk that halves an index range along the loop's own path, so every
+step, trace row and result bit is that of the loop that evaluates one
+midpoint per step.  The walk records each step as a plain tuple in one list,
+and the trace builds its `TraceRow`s from them when its rows are first read.
 
 `solve_batch` runs the same bisection for many targets x1 that share x0, F0
 and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
@@ -22,6 +21,7 @@ applied to rows; every node's result is equal to `solve`'s field by field.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .geometry import (
 
 MAX_BRACKET_DOUBLINGS = 64
 # Bisection levels solve evaluates per call of the row kernels (2**5 - 1 = 31
-# midpoints); deeper trees cost more in unvisited rows than they save.
+# midpoints); more levels cost more in unvisited rows than they save.
 _LOOKAHEAD = 5
 
 STATUS_CONVERGED = "Converged"
@@ -118,28 +118,20 @@ class TraceRow:
 class BisectionTrace:
     """The bisection's steps, one TraceRow each, in order.
 
-    `solve` records a step as the plain tuple of its TraceRow fields; the
-    rows are built from those tuples the first time `rows` is read or the
-    trace is iterated, and kept, so a caller that never reads the trace
-    never pays for them.
+    Made from the steps' TraceRow field tuples; `rows` builds the TraceRows
+    from them the first time it is read (or the trace is iterated) and keeps
+    them, so a caller that never reads the trace never pays for them.
     """
 
-    def __init__(self, rows=()):
-        self._rows = list(rows)
-        self._steps = []  # field tuples of the steps after _rows
+    def __init__(self, steps=()):
+        self._steps = list(steps)
 
-    @property
+    @cached_property
     def rows(self):
-        if self._steps:
-            self._rows += [TraceRow(*step) for step in self._steps]
-            self._steps.clear()
-        return self._rows
-
-    def append(self, row):
-        self.rows.append(row)
+        return [TraceRow(*step) for step in self._steps]
 
     def __len__(self):
-        return len(self._rows) + len(self._steps)
+        return len(self._steps)
 
     def __iter__(self):
         return iter(self.rows)
@@ -281,30 +273,26 @@ def expand_bracket(problem):
     return l, r, expanded
 
 
-def _midpoint_tree(l, r, depth):
-    """Midpoints of the next depth bisection levels below the bracket [l, r], in heap order.
+def _bracket_points(l, r, depth):
+    """The bracket [l, r] and the midpoints of its next depth bisection levels, sorted.
 
-    Node 0 is the bracket's own midpoint; node i splits its bracket at its
-    midpoint into the brackets of node 2i + 1 (the left half) and node 2i + 2
-    (the right half).  Every midpoint is the loop's 0.5 * (l + r) on its
-    bracket's ends: the root on l and r themselves, the rest on Python
-    floats, which round alike.  A level's brackets are the neighbouring pairs
-    of the sorted ends so far, so its midpoints come out sorted too.  The tree
-    stops above the first level whose first or last midpoint is not finite
-    (an overflowed sum): such a node would feed inf to the residual kernels,
-    and the walk may never visit it.
+    Of the 2**depth + 1 points, point m is the loop's 0.5 * (l + r) on points
+    m - s and m + s, where s is the lowest set bit of m (Python floats round
+    as np.float64 does).  The points stop above the first level below the
+    root whose first or last midpoint overflows: it would feed inf to the
+    residual kernels, and the walk may never reach it.
     """
-    ys = [0.5 * (l + r)]
-    ends = [float(l), float(ys[0]), float(r)]
-    for _ in range(depth - 1):
-        mids = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-        if not (math.isfinite(mids[0]) and math.isfinite(mids[-1])):
+    n = 2**depth
+    pts = [float(l)] * n + [float(r)]
+    s = n // 2
+    while s:
+        for m in range(s, n, 2 * s):
+            pts[m] = 0.5 * (pts[m - s] + pts[m + s])
+        if s < n // 2 and not (math.isfinite(pts[s]) and math.isfinite(pts[n - s])):
+            pts = pts[::2 * s]
             break
-        ys += mids
-        merged = ends + mids
-        merged[::2], merged[1::2] = ends, mids
-        ends = merged
-    return np.array(ys)
+        s //= 2
+    return np.array(pts)
 
 
 def solve(problem):
@@ -316,24 +304,25 @@ def solve(problem):
 
     Each round evaluates the midpoints of the next _LOOKAHEAD bisection levels
     in one call of the row kernels, which give every row the bits of the
-    one-point kernels, and then walks the loop's own path down that tree, one
-    trace row per level.  Steps, trace and result are those of the plain
-    loop that evaluates one midpoint at a time; only the dispatch is shared.
+    one-point kernels, and walks the loop's own path through them: the index
+    range [a, b] is the bracket, point (a + b) // 2 its midpoint.  Steps,
+    trace and result are those of the plain loop that evaluates one midpoint
+    at a time; only the dispatch is shared.
     """
     eps, max_iter = problem.epsilon, problem.max_iter
     l, r, expanded = expand_bracket(problem)
     d = r - l
-    trace = BisectionTrace()
-    record = trace._steps.append
+    steps = []
     k = 0
     status = None
     while status is None:
-        ys = _midpoint_tree(l, r, min(_LOOKAHEAD, max_iter - k))
-        lo, hi, face0, neg_face1 = _residual_rows(problem, ys, problem.x1)
-        i = 0
-        while i < len(ys):
-            y, y_lo, y_hi = ys[i], lo[i], hi[i]
-            record((k, l, r, y, d, y_lo, y_hi))
+        pts = _bracket_points(l, r, min(_LOOKAHEAD, max_iter - k))
+        lo, hi, face0, neg_face1 = _residual_rows(problem, pts[1:-1], problem.x1)
+        a, b = 0, len(pts) - 1
+        while b - a > 1:
+            m = (a + b) // 2
+            y, y_lo, y_hi = pts[m], lo[m - 1], hi[m - 1]
+            steps.append((k, pts[a], pts[b], y, d, y_lo, y_hi))
             if y_lo <= eps and y_hi >= -eps:
                 if y_lo < 0.0 < y_hi:
                     status = STATUS_RESIDUAL_ZERO_IN_FACE
@@ -344,19 +333,18 @@ def solve(problem):
                 status = STATUS_MAX_ITERATIONS
                 break
             if y_lo > eps:
-                r = y
-                i = 2 * i + 1
+                b = m
             else:
-                l = y
-                i = 2 * i + 2
+                a = m
             d *= 0.5
             k += 1
+        l, r = pts[a], pts[b]
     if expanded:
         status = BRACKET_EXPANDED_PREFIX + status
 
     interval = DeltaInterval(y_lo, y_hi)
-    zeta0, zeta1 = _select_multipliers(interval, NormalFace(face0[0][i], face0[1][i]),
-                                       NormalFace(neg_face1[0][i], neg_face1[1][i]))
+    zeta0, zeta1 = _select_multipliers(interval, NormalFace(face0[0][m - 1], face0[1][m - 1]),
+                                       NormalFace(neg_face1[0][m - 1], neg_face1[1][m - 1]))
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
@@ -369,10 +357,10 @@ def solve(problem):
         v1=w1 / g1,
         zeta0=zeta0,
         zeta1=zeta1,
-        iterations=len(trace),
+        iterations=len(steps),
         status=status,
     )
-    return result, trace
+    return result, BisectionTrace(steps)
 
 
 def _expand_rows(problem, x1s, end, width, nodes, left, expanded):
@@ -397,7 +385,7 @@ def _expand_rows(problem, x1s, end, width, nodes, left, expanded):
 
 
 def solve_batch(problem, x1s):
-    """solve for every target x1s[n] of an (N, 2) array; one SolveResult per node.
+    """solve for every target x1s[n] of an (N, 2) array (or one point); one SolveResult per node.
 
     problem supplies x0, F0, F1, epsilon and max_iter (any object with those
     attributes, such as a SweepSpec; an ElvisProblem's own x1 is not used).
@@ -407,7 +395,11 @@ def solve_batch(problem, x1s):
     solve(problem with x1 = x1s[n])[0] field by field.  Result n is None
     where solve raises BracketExpansionFailedError.  No trace is kept.
     """
-    x1s = np.asarray(x1s, dtype=float).reshape(-1, 2)
+    x1s = np.asarray(x1s, dtype=float)
+    if x1s.shape == (2,):
+        x1s = x1s.reshape(1, 2)
+    if x1s.ndim != 2 or x1s.shape[1] != 2:
+        raise ValidationError(f"x1s must be an (N, 2) array or one point, got shape {x1s.shape}")
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
     n = len(x1s)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import types
 
 import numpy as np
@@ -86,6 +88,18 @@ class TestValidate:
         assert before[:2] == (2.0, 1.0)
         assert outputs() == before
         assert sq.vertices.tolist() == [list(v) for v in SQUARE0_VERTICES]
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_polygon_copy_is_frozen(self, clone):
+        sq = validate(Polygon(SQUARE0_VERTICES))
+        sq.offsets  # a cached array, which the copy must not carry over writeable
+        q = clone(sq)
+        assert type(q) is Polygon and repr(q) == repr(sq)
+        for name in ("vertices", "normals", "offsets", "facet_points"):
+            assert not getattr(q, name).flags.writeable, name
+        assert gauge(q, (2, 0)) == gauge(sq, (2, 0)) == 2.0
 
     def test_origin_outside(self):
         with pytest.raises(OriginNotInteriorError):

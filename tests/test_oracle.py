@@ -43,12 +43,9 @@ from conftest import (
 class TestConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert cfg.grid_points == 4096
         assert cfg.golden_tol == 1e-12
 
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            OracleConfig(grid_points=4)
         with pytest.raises(ValueError):
             OracleConfig(golden_tol=0.0)
 
@@ -103,7 +100,7 @@ class TestMinimize:
 
     def test_solver_agreement_random(self):
         rng = np.random.default_rng(22)
-        cfg = OracleConfig(grid_points=2048, golden_tol=1e-13)
+        cfg = OracleConfig(golden_tol=1e-13)
         for _ in range(25):
             p = random_problem(rng)
             result, _ = solve(p)
@@ -152,7 +149,7 @@ def reference_minimize(problem, cfg):
     recomputed at each y and every polygon facet evaluated.
     """
     l, r, _ = expand_bracket(problem)
-    ys = np.linspace(l, r, cfg.grid_points if r > l else 1)
+    ys = np.linspace(l, r, oracle.GRID_POINTS if r > l else 1)
     vals = crossing_time(problem, ys)
     i = int(np.argmin(vals))
     a = ys[max(i - 1, 0)]
@@ -296,7 +293,7 @@ class TestFloatScreen:
         rng = np.random.default_rng([25, k0, k1])
         for _ in range(3):
             p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
-            ys = oracle._grid(p, OracleConfig())
+            ys = oracle._grid(p)
             approx, bound = oracle._grid_screen(p, ys)
             assert np.all(np.abs(approx - crossing_time(p, ys)) <= bound)
 

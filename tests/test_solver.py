@@ -185,14 +185,12 @@ class TestSolve:
         first, second = list(trace), list(trace)
         assert all(a is b is c for a, b, c in zip(first, second, rows))
         assert trace.rows[3].d == rows[0].d / 8.0
-        # A row appended after solve's own steps goes last; building the rows
-        # leaves the trace equal to one built row by row.
-        extra = solver.TraceRow(len(rows), 0.0, 1.0, 0.5, 1.0, -1.0, 1.0)
-        _, fresh = solve(square_problem)
-        fresh.append(extra)
-        assert len(fresh) == result.iterations + 1 and fresh.rows[-1] is extra
-        assert fresh == solver.BisectionTrace(rows + [extra])
-        assert repr(fresh) == f"BisectionTrace(rows={rows + [extra]!r})"
+        # A trace made from the same step tuples counts them before building
+        # any row, and then equals solve's and reads the same.
+        fresh = solver.BisectionTrace(dataclasses.astuple(row) for row in rows)
+        assert len(fresh) == result.iterations and "rows" not in vars(fresh)
+        assert fresh == trace and fresh.rows is not rows
+        assert repr(fresh) == repr(trace) == f"BisectionTrace(rows={rows!r})"
 
     def test_degenerate_equal_projections(self):
         p = make_problem((0, -1), (0, 2), Ball(1), Ball(2))
@@ -284,12 +282,12 @@ def one_level_solve(problem):
     eps = problem.epsilon
     l, r, expanded = expand_bracket(problem)
     d = r - l
-    trace = solver.BisectionTrace()
+    steps = []
     k = 0
     while True:
         y = 0.5 * (l + r)
         interval, face0, neg_face1 = solver._residual_faces(problem, y)
-        trace.append(solver.TraceRow(k, l, r, y, d, interval.lo, interval.hi))
+        steps.append((k, l, r, y, d, interval.lo, interval.hi))
         if interval.lo <= eps and interval.hi >= -eps:
             if interval.lo < 0.0 < interval.hi:
                 status = STATUS_RESIDUAL_ZERO_IN_FACE
@@ -314,9 +312,9 @@ def one_level_solve(problem):
     w1 = problem.x1 - yv
     g0 = problem.F0.gauge(w0)
     g1 = problem.F1.gauge(w1)
-    result = solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(trace),
+    result = solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(steps),
                                 status)
-    return result, trace
+    return result, solver.BisectionTrace(steps)
 
 
 def field_bits(obj):
@@ -332,7 +330,7 @@ def assert_same_solve(got, want):
 
 
 class TestLookahead:
-    """solve walks lookahead trees and must equal the one-level loop byte for byte."""
+    """solve walks lookahead point lists and must equal the one-level loop byte for byte."""
 
     @pytest.mark.parametrize("f0", MAKERS)
     @pytest.mark.parametrize("f1", MAKERS)
@@ -367,7 +365,7 @@ class TestLookahead:
          (1.0000000000000001e307, 7.5e307, "MaxIterations", 56)),
     ], ids=["unit-balls", "far-bracket"])
     def test_unvisited_overflow_is_silent(self, x0, x1, f0, f1, want):
-        """Deep midpoints that overflow are left out of the tree, not evaluated."""
+        """Deep midpoints that overflow are left out of the point list, not evaluated."""
         p = make_problem(x0, x1, f0, f1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -485,6 +483,14 @@ class TestSolveBatch:
     def test_rejects_targets_on_or_below_interface(self, elliptic_problem):
         with pytest.raises(ValidationError):
             solve_batch(elliptic_problem, [[1.0, 1.0], [1.0, 0.0]])
+
+    def test_target_shapes(self, elliptic_problem):
+        """An (N, 2) array or one point; any other shape raises instead of being regrouped."""
+        one = solve_batch(elliptic_problem, [1.0, 1.0])
+        assert_same_results(one, solve_each(elliptic_problem, [[1.0, 1.0]]))
+        for bad in (np.ones((2, 3)), np.ones((1, 3)), np.ones((3,)), np.ones((2, 2, 2))):
+            with pytest.raises(ValidationError, match="x1s must be an"):
+                solve_batch(elliptic_problem, bad)
 
 
 class TestClassicalSnell:
