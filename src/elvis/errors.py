@@ -30,7 +30,8 @@ class NotIsotropicError(ElvisError):
 
 
 class BracketExpansionFailedError(ElvisError):
-    """Bracket doubling never achieved the required residual sign condition."""
+    """Bracket doubling never achieved the required residual sign condition, or the
+    bracket's width or a bisection midpoint it reaches overflows the float range."""
 
 
 class ProblemFormatError(ElvisError):

@@ -1,8 +1,9 @@
 """Independent verification path for the geometry and the solver.
 
-Nothing here touches normal faces or subgradients: gauges are recovered by
-bisecting a membership predicate, and the crossing-time objective is
-minimized by a grid scan plus golden-section refinement.
+Gauges are recovered by bisecting a membership predicate and the objective
+is minimized by a grid scan plus golden-section refinement, without normal
+faces or subgradients, except that the grid spans the solver's expanded
+bracket (`solver.expand_bracket` evaluates the residual `delta` at its ends).
 
 Both stages only ask yes/no questions of their values: which grid point has
 the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.

@@ -8,6 +8,7 @@ raise the usual ValidationError subclasses.
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -30,15 +31,10 @@ NUMERIC_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Fixed source side plus a rectangular grid of targets in the upper half-plane."""
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(ElvisProblem):
+    """A problem validated at x1 = (xmin, ymin) plus a grid of targets above the interface."""
 
-    x0: np.ndarray
-    F0: object
-    F1: object
-    epsilon: float
-    max_iter: int
     xmin: float
     xmax: float
     ymin: float
@@ -160,7 +156,10 @@ def dump_problem(problem):
 
 
 def parse_sweep(text, epsilon_override=None):
-    """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface)."""
+    """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface).
+
+    The grid's spans xmax - xmin and ymax - ymin must be finite.
+    """
     doc = _read_document(text, "sweep", ("x0", "F0", "F1", "x1_grid"), SWEEP_KEYS)
     grid = _object(doc["x1_grid"], "x1_grid", GRID_KEYS, GRID_KEYS)
     xmin, xmax, ymin, ymax, nx, ny = (
@@ -175,21 +174,12 @@ def parse_sweep(text, epsilon_override=None):
     f1 = parse_set(doc["F1"], "F1")
     if not (ymin > 0 and ymax > 0):
         raise ValidationError("x1_grid: ymin and ymax must be positive (above the interface)")
+    xmin, xmax, ymin, ymax = float(xmin), float(xmax), float(ymin), float(ymax)
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise ValidationError("x1_grid: xmax - xmin and ymax - ymin must be finite")
     # Validate everything once up front with a representative target.
     probe = make_problem(x0, np.array([xmin, ymin]), f0, f1, epsilon, max_iter)
-    return SweepSpec(
-        x0=probe.x0,
-        F0=probe.F0,
-        F1=probe.F1,
-        epsilon=probe.epsilon,
-        max_iter=probe.max_iter,
-        xmin=float(xmin),
-        xmax=float(xmax),
-        ymin=float(ymin),
-        ymax=float(ymax),
-        nx=nx,
-        ny=ny,
-    )
+    return SweepSpec(**vars(probe), xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
 
 
 def load_sweep(path, epsilon_override=None):
@@ -204,11 +194,4 @@ def sweep_grid(spec):
 
 
 def sweep_problem(spec, x1x, x1y):
-    return ElvisProblem(
-        spec.x0,
-        np.array([x1x, x1y]),
-        spec.F0,
-        spec.F1,
-        spec.epsilon,
-        spec.max_iter,
-    )
+    return ElvisProblem(spec.x0, np.array([x1x, x1y]), spec.F0, spec.F1, spec.epsilon, spec.max_iter)

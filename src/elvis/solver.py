@@ -45,8 +45,6 @@ STATUS_CONVERGED = "Converged"
 STATUS_RESIDUAL_ZERO_IN_FACE = "ResidualZeroInFace"
 STATUS_MAX_ITERATIONS = "MaxIterations"
 BRACKET_EXPANDED_PREFIX = "BracketExpanded+"
-# solve_batch's status codes: index into this tuple.
-_STATUSES = (STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, STATUS_MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -239,10 +237,12 @@ def expand_bracket(problem):
     Starts from the endpoint projections (order-normalized).  An end whose
     residual sign points outward is pushed out geometrically, doubling the
     bracket width each time, at most MAX_BRACKET_DOUBLINGS times per end.
-    Returns (l, r, expanded).
+    Returns (l, r, expanded).  Raises BracketExpansionFailedError if an end
+    never turns or r - l overflows (checked before any residual and at the end).
     """
     l = min(problem.x0[0], problem.x1[0])
     r = max(problem.x0[0], problem.x1[0])
+    _check_width(l, r)
     eps = problem.epsilon
     expanded = False
 
@@ -270,7 +270,20 @@ def expand_bracket(problem):
         tries += 1
         expanded = True
 
+    _check_width(l, r)
     return l, r, expanded
+
+
+def _check_width(l, r):
+    if not math.isfinite(float(r) - float(l)):
+        raise BracketExpansionFailedError(f"bracket [{float(l)}, {float(r)}] is too wide for floats")
+
+
+def _stop_status(lo, hi, eps):
+    """Status of a step with residual interval [lo, hi] if the bisection stops there, else None."""
+    if lo <= eps and hi >= -eps:
+        return STATUS_RESIDUAL_ZERO_IN_FACE if lo < 0.0 < hi else STATUS_CONVERGED
+    return None
 
 
 def _bracket_points(l, r, depth):
@@ -307,7 +320,8 @@ def solve(problem):
     one-point kernels, and walks the loop's own path through them: the index
     range [a, b] is the bracket, point (a + b) // 2 its midpoint.  Steps,
     trace and result are those of the plain loop that evaluates one midpoint
-    at a time; only the dispatch is shared.
+    at a time; only the dispatch is shared.  A midpoint that overflows raises
+    BracketExpansionFailedError before it is evaluated.
     """
     eps, max_iter = problem.epsilon, problem.max_iter
     l, r, expanded = expand_bracket(problem)
@@ -317,17 +331,16 @@ def solve(problem):
     status = None
     while status is None:
         pts = _bracket_points(l, r, min(_LOOKAHEAD, max_iter - k))
+        if not math.isfinite(pts[len(pts) // 2]):
+            raise BracketExpansionFailedError(f"midpoint of [{float(l)}, {float(r)}] overflows")
         lo, hi, face0, neg_face1 = _residual_rows(problem, pts[1:-1], problem.x1)
         a, b = 0, len(pts) - 1
         while b - a > 1:
             m = (a + b) // 2
             y, y_lo, y_hi = pts[m], lo[m - 1], hi[m - 1]
             steps.append((k, pts[a], pts[b], y, d, y_lo, y_hi))
-            if y_lo <= eps and y_hi >= -eps:
-                if y_lo < 0.0 < y_hi:
-                    status = STATUS_RESIDUAL_ZERO_IN_FACE
-                else:
-                    status = STATUS_CONVERGED
+            status = _stop_status(y_lo, y_hi, eps)
+            if status:
                 break
             if k + 1 >= max_iter or d <= 4.0 * math.ulp(abs(y)):
                 status = STATUS_MAX_ITERATIONS
@@ -363,37 +376,49 @@ def solve(problem):
     return result, BisectionTrace(steps)
 
 
-def _expand_rows(problem, x1s, end, width, nodes, left, expanded):
-    """One phase of expand_bracket (the left end, or the right one) for the given nodes.
+def _expand_rows(problem, x1s):
+    """expand_bracket for every target x1s[n] of an (N, 2) array, on rows.
 
-    Moves end[n] and sets expanded[n] in place, with expand_bracket's
-    arithmetic.  Every node still being pushed has been pushed the same
-    number of times, so one try count serves them all.  Returns the nodes
-    whose end still pointed outward after MAX_BRACKET_DOUBLINGS pushes.
+    Returns arrays (l, r, expanded, failed), node n's as expand_bracket's for
+    x1 = x1s[n], with failed[n] where it raises.  All left ends are pushed,
+    then all right ends; the nodes still being pushed share one try count.
     """
     eps = problem.epsilon
-    step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
-    for tries in itertools.count():
-        lo, hi, _, _ = _residual_rows(problem, end[nodes], x1s[nodes])
-        outward = lo > eps if left else hi < -eps
-        nodes, step = nodes[outward], step[outward]
-        if nodes.size == 0 or tries >= MAX_BRACKET_DOUBLINGS:
-            return nodes
-        end[nodes] = end[nodes] - step if left else end[nodes] + step
-        step = step * 2.0
-        expanded[nodes] = True
+    x0x, x1x = problem.x0[0], x1s[:, 0]
+    l = np.where(x1x < x0x, x1x, x0x)  # min(x0x, x1x)
+    r = np.where(x1x > x0x, x1x, x0x)  # max(x0x, x1x)
+    expanded = np.zeros(len(x1s), dtype=bool)
+    with np.errstate(over="ignore"):  # an overflowing width fails its node unevaluated
+        failed = ~np.isfinite(r - l)
+    for end, left in ((l, True), (r, False)):
+        nodes = np.flatnonzero(~failed)
+        width = r[nodes] - l[nodes]
+        step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
+        for tries in itertools.count():
+            lo, hi, _, _ = _residual_rows(problem, end[nodes], x1s[nodes])
+            outward = lo > eps if left else hi < -eps
+            nodes, step = nodes[outward], step[outward]
+            if nodes.size == 0 or tries >= MAX_BRACKET_DOUBLINGS:
+                break
+            end[nodes] = end[nodes] - step if left else end[nodes] + step
+            step = step * 2.0
+            expanded[nodes] = True
+        failed[nodes] = True
+    with np.errstate(over="ignore"):
+        failed |= ~np.isfinite(r - l)
+    return l, r, expanded, failed
 
 
 def solve_batch(problem, x1s):
     """solve for every target x1s[n] of an (N, 2) array (or one point); one SolveResult per node.
 
-    problem supplies x0, F0, F1, epsilon and max_iter (any object with those
-    attributes, such as a SweepSpec; an ElvisProblem's own x1 is not used).
-    The nodes run expand_bracket and the bisection in lockstep on arrays, each
-    with its own bracket, width and status, and stop by exactly solve's rules
-    with the same kernels on rows, bit-equal to solve's, so result n equals
-    solve(problem with x1 = x1s[n])[0] field by field.  Result n is None
-    where solve raises BracketExpansionFailedError.  No trace is kept.
+    problem is an ElvisProblem whose own x1 is not used (a SweepSpec is one).
+    The nodes run expand_bracket and the bisection in lockstep on arrays and
+    stop by solve's rules with the same kernels on rows, bit-equal to solve's.
+    Each node keeps only its stopping abscissa and step count; one more kernel
+    call there gives its last interval and faces, so its status and
+    multipliers, and result n equals solve(problem with x1 = x1s[n])[0] field
+    by field.  Result n is None where solve raises BracketExpansionFailedError.
     """
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape == (2,):
@@ -402,41 +427,28 @@ def solve_batch(problem, x1s):
         raise ValidationError(f"x1s must be an (N, 2) array or one point, got shape {x1s.shape}")
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
-    n = len(x1s)
     eps, max_iter = problem.epsilon, problem.max_iter
-    x0x, x1x = problem.x0[0], x1s[:, 0]
-    l = np.where(x1x < x0x, x1x, x0x)  # min(x0x, x1x)
-    r = np.where(x1x > x0x, x1x, x0x)  # max(x0x, x1x)
-    expanded = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    failed[_expand_rows(problem, x1s, l, r - l, np.arange(n), True, expanded)] = True
-    nodes = np.flatnonzero(~failed)
-    failed[_expand_rows(problem, x1s, r, r[nodes] - l[nodes], nodes, False, expanded)] = True
-    nodes = np.flatnonzero(~failed)
-
-    # The state at each node's last iteration, filled in as nodes stop.
-    y_end = np.zeros(n)
-    lo_end, hi_end = np.zeros(n), np.zeros(n)
-    faces_end = [np.zeros((n, 2)) for _ in range(4)]
-    iterations = np.zeros(n, dtype=int)
-    status = np.zeros(n, dtype=int)
+    l, r, expanded, failed = _expand_rows(problem, x1s)
+    y_end = np.zeros(len(x1s))
+    iterations = np.zeros(len(x1s), dtype=int)
     # The running nodes' state, compacted to them; every running node is at step k.
+    nodes = np.flatnonzero(~failed)
     l, r, x1_run = l[nodes], r[nodes], x1s[nodes]
     d = r - l
     k = 0
     while nodes.size:
-        y = 0.5 * (l + r)
-        lo, hi, face0, neg_face1 = _residual_rows(problem, y, x1_run)
+        with np.errstate(over="ignore"):
+            y = 0.5 * (l + r)
+        finite = np.isfinite(y)
+        if not finite.all():  # an overflowing midpoint fails its node unevaluated, as in solve
+            failed[nodes[~finite]] = True
+            nodes, y, l, r, d, x1_run = (a[finite] for a in (nodes, y, l, r, d, x1_run))
+        lo, hi, _, _ = _residual_rows(problem, y, x1_run)
         hit = (lo <= eps) & (hi >= -eps)
         stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
         if stop.any():
-            done = nodes[stop]
-            y_end[done], lo_end[done], hi_end[done] = y[stop], lo[stop], hi[stop]
-            for end, rows in zip(faces_end, face0 + neg_face1):
-                end[done] = rows[stop]
-            iterations[done] = k + 1
-            inside = (lo[stop] < 0.0) & (0.0 < hi[stop])
-            status[done] = np.where(hit[stop], np.where(inside, 1, 0), 2)
+            y_end[nodes[stop]] = y[stop]
+            iterations[nodes[stop]] = k + 1
             go = ~stop
             nodes, y, lo, l, r, d, x1_run = (a[go] for a in (nodes, y, lo, l, r, d, x1_run))
         right = lo > eps
@@ -446,8 +458,8 @@ def solve_batch(problem, x1s):
         k += 1
 
     solved = np.flatnonzero(~failed)
-    y, lo, hi = y_end[solved], lo_end[solved], hi_end[solved]
-    zlo0, zhi0, zlo1, zhi1 = (end[solved] for end in faces_end)
+    y = y_end[solved]
+    lo, hi, (zlo0, zhi0), (zlo1, zhi1) = _residual_rows(problem, y, x1s[solved])
     # _select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
     target = np.where(hi < target, hi, target)  # min(target, hi)
@@ -466,9 +478,9 @@ def solve_batch(problem, x1s):
     times = (g0 + g1).tolist()
     v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
 
-    results = [None] * n
-    for m, i in enumerate(solved.tolist()):
-        name = _STATUSES[status[i]]
+    results = [None] * len(x1s)
+    for m, (i, lo_m, hi_m) in enumerate(zip(solved.tolist(), lo.tolist(), hi.tolist())):
+        status = _stop_status(lo_m, hi_m, eps) or STATUS_MAX_ITERATIONS
         results[i] = SolveResult(
             y=y[m],
             time=times[m],
@@ -477,7 +489,7 @@ def solve_batch(problem, x1s):
             zeta0=zeta0[m],
             zeta1=zeta1[m],
             iterations=int(iterations[i]),
-            status=BRACKET_EXPANDED_PREFIX + name if expanded[i] else name,
+            status=BRACKET_EXPANDED_PREFIX + status if expanded[i] else status,
         )
     return results
 

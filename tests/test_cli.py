@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ class TestSweep:
         code, _, _ = run_main(["sweep", write(tmp_path, "s.json", doc), "--out", str(out_csv)],
                               capsys)
         assert code == expected
+        assert not out_csv.exists()
+
+    def test_span_overflow_exit_2(self, tmp_path, capsys):
+        """A grid whose xmax - xmin overflows fails validation before the CSV is opened,
+        without a floating-point warning."""
+        grid = dict(BALL_SWEEP["x1_grid"], xmin=-1.7e308, xmax=1.7e308, nx=3)
+        doc = dict(BALL_SWEEP, x1_grid=grid)
+        out_csv = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(["sweep", write(tmp_path, "s.json", doc), "--out",
+                                       str(out_csv)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: Validation: x1_grid: ")
         assert not out_csv.exists()
 
     def test_memory_bounded(self, tmp_path, capsys, monkeypatch):

@@ -373,6 +373,31 @@ class TestLookahead:
             assert_same_solve(got, one_level_solve(p))
         assert (got[0].y, got[0].time, got[0].status, got[0].iterations) == want
 
+    @pytest.mark.parametrize("x0, x1, f0, f1", [
+        ((1.7e308, -1.0), (1.79e308, 2.0), Ball(1.0), Ball(2.0)),
+        ((-1.7e308, -1.0), (1.7e308, 1.0), Ball(1.0), Ball(2.0)),
+        ((0.0, -1.0), (1.7e308, 1.0), Ball(100.0), Ball(1.0)),
+    ], ids=["first-midpoint", "bracket-width", "walked-midpoint"])
+    def test_overflow_fails(self, x0, x1, f0, f1, tmp_path, capsys):
+        """A bracket too wide for floats, or a midpoint the walk reaches that overflows,
+        fails as BracketExpansionFailedError everywhere, without a floating-point warning."""
+        p = make_problem(x0, x1, f0, f1)
+        x1s = [x1, (1.0, 1.0)]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"x0": x0, "x1": x1, "F0": {"kind": "ball", "r": f0.r},
+                                    "F1": {"kind": "ball", "r": f1.r}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketExpansionFailedError):
+                solve(p)
+            results = solve_batch(p, x1s)
+            assert results[0] is None
+            assert_same_results(results, solve_each(p, x1s))
+            assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: BracketExpansionFailed: ")
+
 
 def solve_each(problem, x1s):
     """Per-node solve results for the targets x1s; None where the bracket fails."""
@@ -441,12 +466,20 @@ class TestSolveBatch:
         ))
         assert np.array_equal(np.spacing(ys), [math.ulp(y) for y in ys])
 
-    def test_max_iterations(self, elliptic_problem):
+    def test_max_iterations(self, elliptic_problem, symmetric_ball_problem):
         p = dataclasses.replace(elliptic_problem, max_iter=3)
         x1s = grid(np.linspace(-2, 2, 7), [0.5, 1.0, 2.0])
         results = solve_batch(p, x1s)
         assert_same_results(results, solve_each(p, x1s))
         assert any(res.status == "MaxIterations" for res in results)
+        # The first midpoint of x1 = (1, 1) is the minimizer: a hit on the last allowed step
+        # is Converged, not MaxIterations.
+        p = dataclasses.replace(symmetric_ball_problem, max_iter=1)
+        x1s = [[1.0, 1.0], [2.0, 2.0]]
+        results = solve_batch(p, x1s)
+        assert_same_results(results, solve_each(p, x1s))
+        assert [(res.status, res.iterations) for res in results] == [
+            (STATUS_CONVERGED, 1), (solver.STATUS_MAX_ITERATIONS, 1)]
 
     def test_squares_stop_on_vertex_faces(self, square_problem):
         x1s = grid(np.arange(-4.0, 4.0 + 1e-9, 2.0 / 3.0), [1.0])
