@@ -7,8 +7,8 @@ external tooling.
 import argparse
 import functools
 import json
+import math
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -53,19 +53,18 @@ def _result_record(result):
 
 def cmd_solve(problem_path, trace_path=None, epsilon=None):
     problem = load_problem(problem_path, epsilon_override=epsilon)
-    # The trace file is opened before solving, so an unwritable path fails
-    # with nothing on stdout.
-    trace_file = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
-    with trace_file as fh:
-        result, trace = solve(problem)
-        sys.stdout.write(json.dumps(_result_record(result), indent=2) + "\n")
-        if fh:
+    # Solve, then write the trace file, then stdout: a solve that fails
+    # leaves no trace file, and an unwritable trace path leaves stdout empty.
+    result, trace = solve(problem)
+    if trace_path:
+        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,l,r,y,d,delta_lo,delta_hi\n")
             for row in trace:
                 fh.write(
                     f"{row.k},{_fmt(row.l)},{_fmt(row.r)},{_fmt(row.y)},"
                     f"{_fmt(row.d)},{_fmt(row.delta_lo)},{_fmt(row.delta_hi)}\n"
                 )
+    sys.stdout.write(json.dumps(_result_record(result), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -74,6 +73,11 @@ def cmd_delta_curve(problem_path, n_samples, out_csv, epsilon=None):
         raise ValidationError("delta-curve needs at least 2 samples")
     problem = load_problem(problem_path, epsilon_override=epsilon)
     l, r, _ = expand_bracket(problem)
+    # The samples are l + (r - l) * i / (n_samples - 1); (r - l) * i must stay finite.
+    if not math.isfinite(float(r - l) * (n_samples - 1)):
+        raise BracketExpansionFailedError(
+            f"bracket [{float(l)}, {float(r)}] is too wide for {n_samples} samples"
+        )
     # Residual sign change: last all-negative sample to first all-positive one.
     root_lo, root_hi = l, None
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:

@@ -4,7 +4,8 @@ A velocity set is a closed bounded convex subset of the plane containing the
 origin in its interior.  Three shapes are supported: balls, (rotated) ellipses
 and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
-functions of the same names dispatch to them.
+functions of the same names dispatch to them.  Each also has `line_face`,
+the float form of its normal face that the solver decides by (see below).
 
 There is one kernel per operation.  `gauge(v)` and `boundary_face(p)` take a
 vector of shape (2,) or rows of shape (N, 2), and row n of the result is bit
@@ -28,6 +29,32 @@ vector; since a row is zero only if its y-component is, one reduction over
 the y-components clears the usual case.  `Polygon.validate` takes the cross
 products of every vertex's incident edges in one array expression, the same
 IEEE operations per vertex as a loop over the vertices.
+
+Line forms.  `line_face(vy)` restricts `normal_face` to the directions
+(vx, vy) with one float vy > 0 and returns a function of a float vx giving
+(lo, hi, err) on Python floats, or None where it cannot be sure.  (lo_K, hi_K)
+is the kernel's `normal_face(vset, (vx, vy)).x_range`; the guarantee is
+
+    1.01 * (|lo - lo_K| + 2u m) <= err  and  1.01 * (|hi - hi_K| + 2u m) <= err,
+
+m = max(|lo|, |hi|), so a value formed from two sides by one more rounded
+subtraction is within the rounded sum of their errs of the kernels' value.
+The solver decides its bisection steps by these values and calls the
+kernels only on close calls.  Every err and margin is a multiple of
+LINE_FACE_REL, which exceeds what the derivations need (in the line_face
+docstrings) several times over; 0 leaves the answers unproven and inf
+makes every function give up.  The derivations use the standard model
+fl(x op y) = (x op y)(1 + e), |e| <= u = 2**-53, for float +, -, *, /, an
+error under one ulp (so under 2u relative) for `math.hypot` and
+`np.hypot`, and for a 2-term dot product of `_matvec` only what every
+evaluation order, fused or not, satisfies: an error under
+2.01u (|m_0 v_0| + |m_1 v_1|).  The forms run only where vy and the
+shape's scales (radius, semi-axes, inner and outer radius) lie in
+[2**-64, 2**64], with aspect ratio at most 2**16, and |vx| <= 2**64.
+There nothing overflows, and an operation that underflows errs by at most
+2**-1074 absolute instead of relatively; carried through the later
+operations, whose factors stay below 2**300 here, that is under 2**-700,
+against err and margins above 2**-200, so the derivations' slack covers it.
 """
 
 import math
@@ -47,6 +74,18 @@ from .errors import (
 # circumradius) to a polygon vertex is treated as the vertex itself and gets
 # the segment face.
 VERTEX_FACE_TOL = 1e-9
+
+# Scale of every bound the line forms use (see the module notes): 64 u, with
+# u = 2**-53; the derivations need at most 18.4 u.
+LINE_FACE_REL = 2.0**-47
+# The line forms' error model holds for scales and |vx| in this range, and
+# aspect ratios up to _ASPECT_MAX.
+_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
+_ASPECT_MAX = 2.0**16
+
+
+def _in_scale(*scales):
+    return all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
 
 
 @dataclass(frozen=True)
@@ -147,6 +186,31 @@ class Ball:
         zeta = p / (self.r * self.r)
         return zeta, zeta
 
+    def line_face(self, vy):
+        """Line form of the normal face's x-range (see the module notes).
+
+        The kernel computes g = hypot(vx, vy)/r, p_x = vx/g, zeta_x = p_x/rr
+        with rr = r*r; this does the same operations on Python floats, so
+        only the two hypots differ, each within 2u of H = |(vx, vy)|.  Both
+        results are Z*phi with Z = vx*r/(H*rr) and |phi - 1| <= 5.01u (the
+        hypot and three roundings), so |lo - lo_K| <= 10.03u |Z|, and
+        |Z| <= r/rr <= (1 + 1.01u)/r.  Then 1.01(|lo - lo_K| + 2u m) is
+        under 12.2u/r, and err = LINE_FACE_REL/r.
+        """
+        r = self.r
+        if not _in_scale(r, vy):
+            return None
+        rr = r * r
+        err = LINE_FACE_REL / r
+
+        def face(vx):
+            if not -_SCALE_MAX <= vx <= _SCALE_MAX:
+                return None
+            zx = vx / (math.hypot(vx, vy) / r) / rr
+            return zx, zx, err
+
+        return face
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -190,6 +254,50 @@ class Ellipse:
         """Normal face at the boundary point p: the gauge gradient, taken in the axis frame."""
         zeta = _matvec(self._from_axes, _matvec(self._to_axes, p) / self._axes_squared)
         return zeta, zeta
+
+    def line_face(self, vy):
+        """Line form of the normal face's x-range (see the module notes).
+
+        The kernel computes w = T v (T = _to_axes), g = hypot(w_0/a, w_1/b),
+        p = v/g, s_i = (T p)_i/a2_i with (a2_0, a2_1) = (a*a, b*b), and
+        zeta_x = F_00 s_0 + F_01 s_1 (F = _from_axes), the products by
+        BLAS; this evaluates the same formulas on Python floats.  Let
+        A_i = |T_i0 vx| + |T_i1 vy|, S = A_0/a + A_1/b,
+        C = |F_00| A_0/a2_0 + |F_01| A_1/a2_1 and G the exact gauge of v.
+        In either evaluation w_i errs by under 2.01u A_i and w_0/a by
+        3.01u A_0/a (w_1/b alike), so g by under 2u G + 3.02u S, relatively
+        eta <= 2u + 3.02u S/G.  Then p errs relatively by eta + 1.01u,
+        (T p)_i by (eta + 3.02u) A_i/G, s_i by (eta + 4.03u) A_i/(G a2_i)
+        and zeta_x by (eta + 6.05u) C/G.  So |lo - lo_K| <=
+        (16.1u + 6.04u S/G) C/G, and m <= (1 + 2**-30) C/G.  The aspect
+        bound gives S/G <= 2**17.5, so eta < 2**-33, and the S/g and C/g
+        formed here are within 2**-30 of S/G and C/G; hence 1.01(|lo - lo_K|
+        + 2u m) <= (18.4u + 6.2u S/G) C/G, under
+        err = LINE_FACE_REL (1 + S/g)(C/g + 1/min(a, b)).
+        """
+        a, b = self.a, self.b
+        if not (_in_scale(a, b, vy) and max(a, b) <= _ASPECT_MAX * min(a, b)):
+            return None
+        (t00, t01), (t10, t11) = self._to_axes.tolist()
+        (f00, f01), _ = self._from_axes.tolist()
+        a2, b2 = self._axes_squared.tolist()
+        t01_vy, t11_vy = t01 * vy, t11 * vy
+        abs_t01_vy, abs_t11_vy = abs(t01_vy), abs(t11_vy)
+        c0, c1 = abs(f00) / a2, abs(f01) / b2
+        floor = 1.0 / min(a, b)
+
+        def face(vx):
+            if not -_SCALE_MAX <= vx <= _SCALE_MAX:
+                return None
+            m0, m1 = t00 * vx, t10 * vx
+            g = math.hypot((m0 + t01_vy) / a, (m1 + t11_vy) / b)
+            px, py = vx / g, vy / g
+            zx = f00 * ((t00 * px + t01 * py) / a2) + f01 * ((t10 * px + t11 * py) / b2)
+            s0, s1 = abs(m0) + abs_t01_vy, abs(m1) + abs_t11_vy
+            err = LINE_FACE_REL * (1.0 + (s0 / a + s1 / b) / g) * ((s0 * c0 + s1 * c1) / g + floor)
+            return zx, zx, err
+
+        return face
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +395,90 @@ class Polygon:
         # point to facet i's; index -1 is the last facet, the one before vertex 0.
         k = j + (i - j) * snap
         return self.facet_points[k - snap], self.facet_points[k]
+
+    def line_face(self, vy):
+        """Line form of the normal face's x-range (see the module notes).
+
+        The kernel takes g = max_i T_i, T_i = (n_i . v)/h_i, and p = v/g; p
+        snaps to its nearest vertex w when that np.hypot distance is at most
+        band = VERTEX_FACE_TOL * circumradius, giving the face
+        (fp[w-1], fp[w]) of facet_points fp, and otherwise the face is fp[j]
+        for the facet j with the largest (n_j . p)/h_j.  These are entries of
+        fp, exact once the snap and j are certain, so err = LINE_FACE_REL
+        max|fp_x| only covers the caller's rounding (2u m).
+
+        Here t_i = (n_i . v)/h_i in float, j is the first facet with the top
+        value t_j, t2 the runner-up value, nu = (|vx| + vy)/h_min and R the
+        circumradius.  Each t_i and T_i is within e = 3.02u nu of the exact
+        tau_i(v), so g and t_j are within e of the exact maximum; the
+        aspect bound R/h_min <= 2**16 keeps them positive.
+        (a) The two facets of a vertex W pass within 7.2u R of it (h_a
+        rounds n_a . V_a, and n_a is normal to the rounded edge).  If the
+        kernel's distance from p to W is at most band, |p - W| <=
+        (1 + 3.1u) band, so both facets have tau(p) >= 1 - (band + 7.3u R)/
+        h_min; p is v/g up to one rounding per component and g >= t_j - 2e,
+        so both have t >= t_j - W*, W* = t_j (band + 7.3u R)/h_min + 10.4u nu.
+        The threshold thr = t_j - (t_j band/h_min + LINE_FACE_REL (t_j R/h_min
+        + nu)) formed here lies below t_j - W*, roundings included: a vertex
+        the kernel snaps to has both its facets at or above thr.
+        (b) t2 < thr: no vertex has two facets there, so the kernel does not
+        snap.  (n_i . p)/h_i as the kernel rounds it is within 7.4u nu/g of
+        t_i/g, so t_j - t2 > 64u nu > 14.9u nu makes j its argmax: fp[j].
+        (c) Otherwise one facet r besides j must reach thr; with more, two
+        vertices could lie in the band (a degenerate polygon): None.  If r
+        and j share a vertex W, the point v/t_j formed here is within
+        12.2u R**2/h_min + 2.9u R of the kernel's p, and each distance rounds
+        by under 3.6u of itself, so the kernel's distance to W is within
+        M = LINE_FACE_REL (R (1 + R/h_min) + dist) of the one here, dist.
+        dist + M < band proves the snap to W, whose face is (fp[w-1], fp[w])
+        (any other vertex has a facet below thr, so the kernel finds it
+        farther than band); dist - M > band proves there is none, and then
+        fp[j] needs t_j - t2 > LINE_FACE_REL nu as in (b).  Between: None.
+        """
+        offsets = self.offsets.tolist()
+        h_min, radius = min(offsets), self.circumradius
+        if not (_in_scale(h_min, radius, vy) and radius <= _ASPECT_MAX * h_min):
+            return None
+        facets = [(nx, ny * vy, h) for (nx, ny), h in zip(self.normals.tolist(), offsets)]
+        fx = self.facet_points[:, 0].tolist()
+        verts = self.vertices.tolist()
+        n = len(facets)
+        band = VERTEX_FACE_TOL * radius
+        band_h, r_h = band / h_min, radius / h_min
+        err = LINE_FACE_REL * max(map(abs, fx))
+
+        def face(vx):
+            if not -_SCALE_MAX <= vx <= _SCALE_MAX:
+                return None
+            ts = [(nx * vx + ny_vy) / h for nx, ny_vy, h in facets]
+            top = max(ts)
+            j = ts.index(top)
+            nu = (abs(vx) + vy) / h_min
+            thr = top - (top * band_h + LINE_FACE_REL * (top * r_h + nu))
+            ts[j] = -math.inf
+            second = max(ts)
+            if second < thr:
+                return fx[j], fx[j], err
+            near = [i for i, t in enumerate(ts) if t >= thr]
+            if len(near) != 1:
+                return None
+            r = near[0]
+            # The vertex facets j and r share, if any (facet i joins vertex i to i + 1).
+            w = r if r == (j + 1) % n else j if r == (j - 1) % n else None
+            if w is not None:
+                wx, wy = verts[w]
+                dist = math.hypot(wx - vx / top, wy - vy / top)
+                margin = LINE_FACE_REL * (radius * (1.0 + r_h) + dist)
+                if dist + margin < band:
+                    lo, hi = fx[w - 1], fx[w]
+                    return (lo, hi, err) if lo <= hi else (hi, lo, err)
+                if not dist - margin > band:
+                    return None
+            if top - second > LINE_FACE_REL * nu:
+                return fx[j], fx[j], err
+            return None
+
+        return face
 
 
 def validate(vset):

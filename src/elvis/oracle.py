@@ -3,7 +3,8 @@
 Gauges are recovered by bisecting a membership predicate and the objective
 is minimized by a grid scan plus golden-section refinement, without normal
 faces or subgradients, except that the grid spans the solver's expanded
-bracket (`solver.expand_bracket` evaluates the residual `delta` at its ends).
+bracket (`solver.expand_bracket` decides the residual's sign at its ends, by
+the shapes' line forms and, on close calls, by `delta`).
 
 Both stages only ask yes/no questions of their values: which grid point has
 the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.

@@ -6,12 +6,16 @@ of zeta0 + zeta1 over all admissible normal-face selections; every value in
 the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
 
-`solve` evaluates the residual for several bisection levels at a time: the
-sorted points of the next _LOOKAHEAD levels in one call of the row kernels,
-then a walk that halves an index range along the loop's own path, so every
-step, trace row and result bit is that of the loop that evaluates one
-midpoint per step.  The walk records each step as a plain tuple in one list,
-and the trace builds its `TraceRow`s from them when its rows are first read.
+The bisection only needs that position, one of three answers per step.
+`solve` and `expand_bracket` settle it by a screen: each set's `line_face`
+gives the face's x-range along the problem's line on Python floats with a
+proven error bound (see `geometry`), and a step whose screened interval
+lies within that bound of a threshold asks the 2-D kernels through `delta`,
+which arbitrate.  So every decision is the kernels' own.  The answer at the
+final y comes from one `_residual_faces` call, and the trace keeps each
+step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
+`delta_rows` call, bit-equal to `delta` row by row, when its rows are first
+read.
 
 `solve_batch` runs the same bisection for many targets x1 that share x0, F0
 and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
@@ -28,7 +32,6 @@ import numpy as np
 from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
 from .geometry import (
     Ball,
-    NormalFace,
     _point_with_x_rows,
     _x_range_rows,
     normal_face,
@@ -37,9 +40,6 @@ from .geometry import (
 )
 
 MAX_BRACKET_DOUBLINGS = 64
-# Bisection levels solve evaluates per call of the row kernels (2**5 - 1 = 31
-# midpoints); more levels cost more in unvisited rows than they save.
-_LOOKAHEAD = 5
 
 STATUS_CONVERGED = "Converged"
 STATUS_RESIDUAL_ZERO_IN_FACE = "ResidualZeroInFace"
@@ -116,17 +116,25 @@ class TraceRow:
 class BisectionTrace:
     """The bisection's steps, one TraceRow each, in order.
 
-    Made from the steps' TraceRow field tuples; `rows` builds the TraceRows
-    from them the first time it is read (or the trace is iterated) and keeps
-    them, so a caller that never reads the trace never pays for them.
+    Made from the problem and the steps' (k, l, r, y, d) tuples; `rows`
+    builds the TraceRows the first time it is read (or the trace is
+    iterated), with delta_lo and delta_hi from one `delta_rows` call at the
+    steps' y, and keeps them, so a caller that never reads the trace never
+    pays for them.
     """
 
-    def __init__(self, steps=()):
+    def __init__(self, problem, steps=()):
+        self._problem = problem
         self._steps = list(steps)
 
     @cached_property
     def rows(self):
-        return [TraceRow(*step) for step in self._steps]
+        if not self._steps:
+            return []
+        ks = [step[0] for step in self._steps]
+        lryd = np.array([step[1:] for step in self._steps])
+        lo, hi = delta_rows(self._problem, lryd[:, 2])
+        return [TraceRow(k, *values, lo_k, hi_k) for k, values, lo_k, hi_k in zip(ks, lryd, lo, hi)]
 
     def __len__(self):
         return len(self._steps)
@@ -231,24 +239,74 @@ def _select_multipliers(interval, face0, neg_face1):
     return zeta0, zeta1
 
 
+def _no_line_face(vx):
+    return None
+
+
+def _residual_side(problem):
+    """The bisection's decision at y, as a function side(y) of a Python float.
+
+    side(y) is 1 when delta(y).lo > eps, -1 when delta(y).hi < -eps and 0
+    when the interval meets [-eps, eps] (lo <= hi, so these are all cases).
+    It decides on the sets' line forms when their bound settles it: with
+    [lo, hi] from the line forms and err the sum of their errs, the kernels'
+    interval lies within err of [lo, hi] (see `geometry`), and a float
+    comparison of the rounded lo - err, hi + err, lo + err or hi - err with
+    +-eps holds only if the same strict comparison holds unrounded, so
+    lo - err > eps proves 1, hi + err < -eps proves -1, and lo + err < eps
+    with hi - err > -eps proves 0.  Otherwise, or where a line form gives
+    up, `delta` decides.
+    """
+    eps = problem.epsilon
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    # The kernels' directions are (y - x0_x, 0 - x0_y) and (x1_x - y, x1_y - 0).
+    face0 = problem.F0.line_face(0.0 - x0y)
+    face1 = problem.F1.line_face(x1y)
+    if face0 is None or face1 is None:
+        face0 = face1 = _no_line_face
+
+    def side(y):
+        fast0, fast1 = face0(y - x0x), face1(x1x - y)
+        if fast0 is not None and fast1 is not None:
+            (a0, b0, err0), (a1m, b1m, err1) = fast0, fast1
+            lo, hi, err = a0 - b1m, b0 - a1m, err0 + err1
+            if lo - err > eps:
+                return 1
+            if hi + err < -eps:
+                return -1
+            if lo + err < eps and hi - err > -eps:
+                return 0
+        interval = delta(problem, y)
+        return 1 if interval.lo > eps else -1 if interval.hi < -eps else 0
+
+    return side
+
+
 def expand_bracket(problem):
     """Initial bracket on the interface, widened until it encloses a minimizer.
 
     Starts from the endpoint projections (order-normalized).  An end whose
     residual sign points outward is pushed out geometrically, doubling the
     bracket width each time, at most MAX_BRACKET_DOUBLINGS times per end.
-    Returns (l, r, expanded).  Raises BracketExpansionFailedError if an end
-    never turns or r - l overflows (checked before any residual and at the end).
+    Returns (l, r, expanded), the ends as np.float64.  Raises
+    BracketExpansionFailedError if an end never turns or r - l overflows
+    (checked before any residual and at the end).
     """
-    l = min(problem.x0[0], problem.x1[0])
-    r = max(problem.x0[0], problem.x1[0])
+    l, r, expanded = _expand(problem, _residual_side(problem))
+    return np.float64(l), np.float64(r), expanded
+
+
+def _expand(problem, side):
+    """expand_bracket on Python floats, deciding each end's residual sign by side."""
+    l = float(min(problem.x0[0], problem.x1[0]))
+    r = float(max(problem.x0[0], problem.x1[0]))
     _check_width(l, r)
-    eps = problem.epsilon
     expanded = False
 
     step = max(r - l, 1.0)
     tries = 0
-    while delta(problem, l).lo > eps:
+    while side(l) > 0:
         if tries >= MAX_BRACKET_DOUBLINGS:
             raise BracketExpansionFailedError(
                 "left bracket end never reached a nonpositive residual"
@@ -260,7 +318,7 @@ def expand_bracket(problem):
 
     step = max(r - l, 1.0)
     tries = 0
-    while delta(problem, r).hi < -eps:
+    while side(r) < 0:
         if tries >= MAX_BRACKET_DOUBLINGS:
             raise BracketExpansionFailedError(
                 "right bracket end never reached a nonnegative residual"
@@ -286,28 +344,6 @@ def _stop_status(lo, hi, eps):
     return None
 
 
-def _bracket_points(l, r, depth):
-    """The bracket [l, r] and the midpoints of its next depth bisection levels, sorted.
-
-    Of the 2**depth + 1 points, point m is the loop's 0.5 * (l + r) on points
-    m - s and m + s, where s is the lowest set bit of m (Python floats round
-    as np.float64 does).  The points stop above the first level below the
-    root whose first or last midpoint overflows: it would feed inf to the
-    residual kernels, and the walk may never reach it.
-    """
-    n = 2**depth
-    pts = [float(l)] * n + [float(r)]
-    s = n // 2
-    while s:
-        for m in range(s, n, 2 * s):
-            pts[m] = 0.5 * (pts[m - s] + pts[m + s])
-        if s < n // 2 and not (math.isfinite(pts[s]) and math.isfinite(pts[n - s])):
-            pts = pts[::2 * s]
-            break
-        s //= 2
-    return np.array(pts)
-
-
 def solve(problem):
     """Run the bisection and return (SolveResult, BisectionTrace).
 
@@ -315,49 +351,40 @@ def solve(problem):
     is ResidualZeroInFace when zero sits strictly inside a genuine interval
     (a non-smooth face is active and the solution need not be unique).
 
-    Each round evaluates the midpoints of the next _LOOKAHEAD bisection levels
-    in one call of the row kernels, which give every row the bits of the
-    one-point kernels, and walks the loop's own path through them: the index
-    range [a, b] is the bracket, point (a + b) // 2 its midpoint.  Steps,
-    trace and result are those of the plain loop that evaluates one midpoint
-    at a time; only the dispatch is shared.  A midpoint that overflows raises
-    BracketExpansionFailedError before it is evaluated.
+    Each step's decision comes from `_residual_side`, which is the kernels'
+    decision, so the steps are those of the loop that evaluates `delta` at
+    every midpoint.  The midpoints are formed on Python floats, and one that
+    overflows raises BracketExpansionFailedError before it is evaluated.
+    The interval, faces, status and multipliers at the final y come from one
+    `_residual_faces` call; y, l, r and d are reported as np.float64.
     """
     eps, max_iter = problem.epsilon, problem.max_iter
-    l, r, expanded = expand_bracket(problem)
+    side = _residual_side(problem)
+    l, r, expanded = _expand(problem, side)
     d = r - l
     steps = []
     k = 0
-    status = None
-    while status is None:
-        pts = _bracket_points(l, r, min(_LOOKAHEAD, max_iter - k))
-        if not math.isfinite(pts[len(pts) // 2]):
-            raise BracketExpansionFailedError(f"midpoint of [{float(l)}, {float(r)}] overflows")
-        lo, hi, face0, neg_face1 = _residual_rows(problem, pts[1:-1], problem.x1)
-        a, b = 0, len(pts) - 1
-        while b - a > 1:
-            m = (a + b) // 2
-            y, y_lo, y_hi = pts[m], lo[m - 1], hi[m - 1]
-            steps.append((k, pts[a], pts[b], y, d, y_lo, y_hi))
-            status = _stop_status(y_lo, y_hi, eps)
-            if status:
-                break
-            if k + 1 >= max_iter or d <= 4.0 * math.ulp(abs(y)):
-                status = STATUS_MAX_ITERATIONS
-                break
-            if y_lo > eps:
-                b = m
-            else:
-                a = m
-            d *= 0.5
-            k += 1
-        l, r = pts[a], pts[b]
+    while True:
+        y = 0.5 * (l + r)
+        if not math.isfinite(y):
+            raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
+        steps.append((k, l, r, y, d))
+        sign = side(y)
+        if sign == 0 or k + 1 >= max_iter or d <= 4.0 * math.ulp(abs(y)):
+            break
+        if sign > 0:
+            r = y
+        else:
+            l = y
+        d *= 0.5
+        k += 1
+
+    y = np.float64(y)
+    interval, face0, neg_face1 = _residual_faces(problem, y)
+    status = _stop_status(interval.lo, interval.hi, eps) or STATUS_MAX_ITERATIONS
     if expanded:
         status = BRACKET_EXPANDED_PREFIX + status
-
-    interval = DeltaInterval(y_lo, y_hi)
-    zeta0, zeta1 = _select_multipliers(interval, NormalFace(face0[0][m - 1], face0[1][m - 1]),
-                                       NormalFace(neg_face1[0][m - 1], neg_face1[1][m - 1]))
+    zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
@@ -373,7 +400,7 @@ def solve(problem):
         iterations=len(steps),
         status=status,
     )
-    return result, BisectionTrace(steps)
+    return result, BisectionTrace(problem, steps)
 
 
 def _expand_rows(problem, x1s):

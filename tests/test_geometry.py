@@ -411,6 +411,135 @@ class TestNormalFaceRows:
         assert hi.tobytes() == np.array([f.zeta_hi for f in faces]).tobytes()
 
 
+U = 2.0**-53
+
+
+def scaled(vset, s):
+    """vset with every length multiplied by s."""
+    if isinstance(vset, Ball):
+        return validate(Ball(vset.r * s))
+    if isinstance(vset, Ellipse):
+        return validate(Ellipse(vset.a * s, vset.b * s, vset.rot))
+    return validate(Polygon(vset.vertices * s))
+
+
+def check_line_face(vset, vy, vxs):
+    """Every answer of vset.line_face(vy) on vxs against normal_face's x-range.
+
+    The answer keeps the guarantee of the module notes, and a polygon's face
+    is the kernel's, bit for bit.  Returns the answered (lo, hi) pairs and
+    the number of calls that gave up.
+    """
+    face = vset.line_face(vy)
+    answers, gave_up = [], 0
+    for vx in vxs:
+        got = face(vx)
+        if got is None:
+            gave_up += 1
+            continue
+        lo, hi, err = got
+        lo_k, hi_k = (float(x) for x in normal_face(vset, (vx, vy)).x_range)
+        m = max(abs(lo), abs(hi))
+        assert 1.01 * (abs(lo - lo_k) + 2.0 * U * m) <= err, (vset, vy, vx)
+        assert 1.01 * (abs(hi - hi_k) + 2.0 * U * m) <= err, (vset, vy, vx)
+        if isinstance(vset, Polygon):
+            assert (lo.hex(), hi.hex()) == (lo_k.hex(), hi_k.hex()), (vset, vy, vx)
+        answers.append((lo, hi))
+    return answers, gave_up
+
+
+class TestLineFace:
+    """Each shape's line form stays within its err of the kernels' x-range, or gives up."""
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
+    def test_within_err(self, kind):
+        rng = np.random.default_rng(42)
+        answered = gave_up = segments = 0
+        for _ in range(30):
+            vset = random_row_set(rng, kind)
+            vy = float(10.0 ** rng.uniform(-3, 3))
+            vxs = (rng.normal(size=200) * 10.0 ** rng.uniform(-3, 3, 200) * vy).tolist()
+            if kind == "polygon":
+                # Directions to vertices, to points 0.5 tol from them (snapped) and 2 tol (not).
+                snapped, apart = TestNormalFaceRows.near_vertex_rows(vset, rng)
+                pts = np.vstack((snapped, apart))
+                pts = pts[pts[:, 1] > 0]
+                vxs += (vy * pts[:, 0] / pts[:, 1]).tolist()
+            answers, missed = check_line_face(vset, vy, vxs)
+            answered += len(answers)
+            gave_up += missed
+            segments += sum(lo != hi for lo, hi in answers)
+        assert gave_up <= 0.01 * answered
+        if kind == "polygon":
+            assert segments > 100  # vertex faces, certified from both sides of the snap
+
+    def test_polygon_vertex_band(self):
+        """Directions to points at the snap band's edge and near degenerate vertices: every
+        answer is the kernel's face, and the close calls give up."""
+        rng = np.random.default_rng(44)
+        polygons = [random_row_set(rng, "polygon") for _ in range(10)] + [
+            # A vertex split in two 0.7e-9 * sqrt(2) apart, and one between near-collinear neighbours.
+            validate(Polygon([(1.0, 1.0 - 0.7e-9), (1.0 - 0.7e-9, 1.0), (-1.0, 1.0), (-1.0, -1.0),
+                              (1.0, -1.0)])),
+            validate(Polygon([(1.0, 1.0), (0.0, 1.0 + 2e-12), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])),
+        ]
+        answered = gave_up = 0
+        for vset in polygons:
+            verts = vset.vertices
+            tol = VERTEX_FACE_TOL * vset.circumradius
+            steps = tol * np.concatenate((1.0 + np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6]),
+                                          10.0 ** np.linspace(0.5, 8.0, 16)))
+            pts = []
+            for i, q in enumerate(verts):
+                for nb in (verts[i - 1], verts[(i + 1) % len(verts)]):
+                    e = (nb - q) / np.hypot(*(nb - q))
+                    pts += [q + t * e for t in steps]
+            pts = np.array(pts)
+            pts = pts[pts[:, 1] > 0]
+            for vy in 10.0 ** rng.uniform(-2, 2, 3):
+                answers, missed = check_line_face(vset, vy, (vy * pts[:, 0] / pts[:, 1]).tolist())
+                answered += len(answers)
+                gave_up += missed
+        assert answered > gave_up > 0  # the points at the band edge itself give up
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**-20])
+    def test_translated_and_scaled_problems(self, shift, scale):
+        """Along a problem's bracket, translated along the interface and scaled."""
+        from elvis import expand_bracket, make_problem
+
+        from conftest import random_problem
+
+        rng = np.random.default_rng(43)
+        answered = gave_up = 0
+        for _ in range(12):
+            p = random_problem(rng)
+            move = np.array([shift, 0.0])
+            q = make_problem(p.x0 * scale + move, p.x1 * scale + move,
+                             scaled(p.F0, scale), scaled(p.F1, scale))
+            l, r, _ = expand_bracket(q)
+            ys = np.linspace(l, r, 60).tolist()
+            (x0x, x0y), (x1x, x1y) = q.x0.tolist(), q.x1.tolist()
+            for vset, vy, vxs in ((q.F0, -x0y, [y - x0x for y in ys]),
+                                  (q.F1, x1y, [x1x - y for y in ys])):
+                answers, missed = check_line_face(vset, vy, vxs)
+                answered += len(answers)
+                gave_up += missed
+        assert gave_up <= 0.01 * answered
+
+    def test_outside_the_error_model(self):
+        """Scales outside [2**-64, 2**64], aspect ratios past 2**16 and |vx| > 2**64 give up."""
+        assert Ball(1e-30).line_face(1.0) is None
+        assert Ball(1.0).line_face(1e30) is None
+        assert Ellipse(1.0, 1e-6).line_face(1.0) is None
+        assert validate(Polygon([(1e6, 1e-5), (-1e6, 1e-5), (-1e6, -1e-5), (1e6, -1e-5)])
+                        ).line_face(1.0) is None
+        for vset in (Ball(1.0), Ellipse(2.0, 0.5, 0.3), validate(Polygon(SQUARE0_VERTICES))):
+            face = vset.line_face(1.0)
+            assert face(1e20) is None and face(-1e20) is None
+            assert face(1e18) is not None
+
+
 class TestInvariants:
     N = 300
 

@@ -24,12 +24,13 @@ from elvis import (
     solve,
     solve_batch,
     support,
+    validate,
 )
-from elvis import solver
+from elvis import geometry, solver
 from elvis.cli import main
 from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, delta_rows
 
-from conftest import random_ball, random_ellipse, random_polygon, random_problem
+from conftest import SQUARE0_VERTICES, random_ball, random_ellipse, random_polygon, random_problem
 
 MAKERS = [random_ball, random_ellipse, random_polygon]
 
@@ -185,9 +186,9 @@ class TestSolve:
         first, second = list(trace), list(trace)
         assert all(a is b is c for a, b, c in zip(first, second, rows))
         assert trace.rows[3].d == rows[0].d / 8.0
-        # A trace made from the same step tuples counts them before building
-        # any row, and then equals solve's and reads the same.
-        fresh = solver.BisectionTrace(dataclasses.astuple(row) for row in rows)
+        # A trace made from the problem and the same (k, l, r, y, d) tuples counts
+        # them before building any row, and then equals solve's and reads the same.
+        fresh = solver.BisectionTrace(square_problem, (dataclasses.astuple(row)[:5] for row in rows))
         assert len(fresh) == result.iterations and "rows" not in vars(fresh)
         assert fresh == trace and fresh.rows is not rows
         assert repr(fresh) == repr(trace) == f"BisectionTrace(rows={rows!r})"
@@ -277,17 +278,54 @@ class TestSolve:
             assert abs(row.y - y_star) <= d0 / 2.0 ** row.k + 1e-12
 
 
-def one_level_solve(problem):
-    """solve as the plain loop: one _residual_faces call per bisection step."""
+def reference_expand(problem):
+    """expand_bracket as the loop that evaluates delta at the bracket ends, on np.float64."""
+    def check_width(l, r):
+        if not math.isfinite(float(r) - float(l)):
+            raise BracketExpansionFailedError(
+                f"bracket [{float(l)}, {float(r)}] is too wide for floats")
+
+    l = min(problem.x0[0], problem.x1[0])
+    r = max(problem.x0[0], problem.x1[0])
+    check_width(l, r)
     eps = problem.epsilon
-    l, r, expanded = expand_bracket(problem)
+    expanded = False
+    step = max(r - l, 1.0)
+    tries = 0
+    while delta(problem, l).lo > eps:
+        if tries >= solver.MAX_BRACKET_DOUBLINGS:
+            raise BracketExpansionFailedError("left bracket end never reached a nonpositive residual")
+        l -= step
+        step *= 2.0
+        tries += 1
+        expanded = True
+    step = max(r - l, 1.0)
+    tries = 0
+    while delta(problem, r).hi < -eps:
+        if tries >= solver.MAX_BRACKET_DOUBLINGS:
+            raise BracketExpansionFailedError("right bracket end never reached a nonnegative residual")
+        r += step
+        step *= 2.0
+        tries += 1
+        expanded = True
+    check_width(l, r)
+    return l, r, expanded
+
+
+def one_level_solve(problem):
+    """solve as the plain loop: one _residual_faces call per bisection step.
+
+    Returns the SolveResult and the list of TraceRows.
+    """
+    eps = problem.epsilon
+    l, r, expanded = reference_expand(problem)
     d = r - l
-    steps = []
+    rows = []
     k = 0
     while True:
         y = 0.5 * (l + r)
         interval, face0, neg_face1 = solver._residual_faces(problem, y)
-        steps.append((k, l, r, y, d, interval.lo, interval.hi))
+        rows.append(solver.TraceRow(k, l, r, y, d, interval.lo, interval.hi))
         if interval.lo <= eps and interval.hi >= -eps:
             if interval.lo < 0.0 < interval.hi:
                 status = STATUS_RESIDUAL_ZERO_IN_FACE
@@ -312,9 +350,17 @@ def one_level_solve(problem):
     w1 = problem.x1 - yv
     g0 = problem.F0.gauge(w0)
     g1 = problem.F1.gauge(w1)
-    result = solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(steps),
+    result = solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(rows),
                                 status)
-    return result, solver.BisectionTrace(steps)
+    return result, rows
+
+
+def expand_outcome(expand, problem):
+    """expand(problem)'s (l, r, expanded) as (type, bytes) pairs, or its error."""
+    try:
+        return [(type(v), np.asarray(v).tobytes()) for v in expand(problem)]
+    except BracketExpansionFailedError as exc:
+        return repr(exc)
 
 
 def field_bits(obj):
@@ -330,7 +376,8 @@ def assert_same_solve(got, want):
 
 
 class TestLookahead:
-    """solve walks lookahead point lists and must equal the one-level loop byte for byte."""
+    """solve's screened steps and expand_bracket must equal the plain loops on delta byte
+    for byte (the class keeps the name it had when solve looked ahead by bisection levels)."""
 
     @pytest.mark.parametrize("f0", MAKERS)
     @pytest.mark.parametrize("f1", MAKERS)
@@ -345,6 +392,7 @@ class TestLookahead:
                 q = dataclasses.replace(p, **change)
                 got = solve(q)
                 assert_same_solve(got, one_level_solve(q))
+                assert expand_outcome(expand_bracket, q) == expand_outcome(reference_expand, q)
                 statuses.add(got[0].status)
         assert any(st.endswith("MaxIterations") for st in statuses)
         if (f0, f1) != (random_ball, random_ball):  # two balls never expand
@@ -356,8 +404,20 @@ class TestLookahead:
             p = dataclasses.replace(square_problem, x1=np.array([x1x, 1.0]))
             got = solve(p)
             assert_same_solve(got, one_level_solve(p))
+            assert expand_outcome(expand_bracket, p) == expand_outcome(reference_expand, p)
             if abs(abs(x1x) - 10 / 3) < 1e-9:
                 assert got[0].iterations > 10
+
+    @pytest.mark.parametrize("x1x, rot", [(0.1, np.pi / 4), (-0.1, -np.pi / 4)], ids=["right", "left"])
+    def test_expansion_failure_equals_reference(self, monkeypatch, x1x, rot):
+        """test_bracket_expansion_failed's problems: the same bracket, then with no
+        doublings allowed the same error from the same end."""
+        p = make_problem((0, -1), (x1x, 1), Ellipse(3.0, 0.1, rot=rot), Ball(1))
+        assert expand_outcome(expand_bracket, p) == expand_outcome(reference_expand, p)
+        monkeypatch.setattr(solver, "MAX_BRACKET_DOUBLINGS", 0)
+        failed = expand_outcome(expand_bracket, p)
+        assert failed == expand_outcome(reference_expand, p)
+        assert failed.startswith("BracketExpansionFailedError(")
 
     @pytest.mark.parametrize("x0, x1, f0, f1, want", [
         ((0.0, -1.0), (1.7e308, 1.0), Ball(1.0), Ball(1.0), (8.5e307, 1.7e308, "Converged", 1)),
@@ -365,7 +425,7 @@ class TestLookahead:
          (1.0000000000000001e307, 7.5e307, "MaxIterations", 56)),
     ], ids=["unit-balls", "far-bracket"])
     def test_unvisited_overflow_is_silent(self, x0, x1, f0, f1, want):
-        """Deep midpoints that overflow are left out of the point list, not evaluated."""
+        """Only the midpoints the bisection reaches are formed, so none overflows here."""
         p = make_problem(x0, x1, f0, f1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -379,13 +439,15 @@ class TestLookahead:
         ((0.0, -1.0), (1.7e308, 1.0), Ball(100.0), Ball(1.0)),
     ], ids=["first-midpoint", "bracket-width", "walked-midpoint"])
     def test_overflow_fails(self, x0, x1, f0, f1, tmp_path, capsys):
-        """A bracket too wide for floats, or a midpoint the walk reaches that overflows,
-        fails as BracketExpansionFailedError everywhere, without a floating-point warning."""
+        """A bracket too wide for floats, or a midpoint the bisection reaches that overflows,
+        fails as BracketExpansionFailedError everywhere, without a floating-point warning;
+        the CLI leaves no trace or curve file behind."""
         p = make_problem(x0, x1, f0, f1)
         x1s = [x1, (1.0, 1.0)]
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"x0": x0, "x1": x1, "F0": {"kind": "ball", "r": f0.r},
                                     "F1": {"kind": "ball", "r": f1.r}}))
+        trace, curve = tmp_path / "t.csv", tmp_path / "c.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BracketExpansionFailedError):
@@ -393,10 +455,90 @@ class TestLookahead:
             results = solve_batch(p, x1s)
             assert results[0] is None
             assert_same_results(results, solve_each(p, x1s))
-            assert main(["solve", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("solver error: BracketExpansionFailed: ")
+            for argv in (["solve", str(path)], ["solve", str(path), "--trace", str(trace)],
+                         ["delta-curve", str(path), "--samples", "50", "--out", str(curve)]):
+                assert main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("solver error: BracketExpansionFailed: ")
+        assert not trace.exists() and not curve.exists()
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        """Count solve's decisions and the ones `delta` settled, by wrapping both."""
+        counts = {"decisions": 0, "fallbacks": 0}
+        screen, kernels = solver._residual_side, solver.delta
+
+        def counted_delta(problem, y):
+            counts["fallbacks"] += 1
+            return kernels(problem, y)
+
+        def counted_side(problem):
+            side = screen(problem)
+
+            def counted(y):
+                counts["decisions"] += 1
+                return side(y)
+
+            return counted
+
+        monkeypatch.setattr(solver, "delta", counted_delta)
+        monkeypatch.setattr(solver, "_residual_side", counted_side)
+        return counts
+
+    def test_bound_inf_decides_by_kernels(self, monkeypatch, square_problem):
+        """With every bound inf each decision falls back to delta, and every bit is the same."""
+        rng = np.random.default_rng(38)
+        problems = [square_problem] + [random_pair_problem(rng, f0, f1)
+                                       for f0 in MAKERS for f1 in MAKERS]
+        want = [one_level_solve(p) for p in problems]
+        monkeypatch.setattr(geometry, "LINE_FACE_REL", math.inf)
+        counts = self.count_fallbacks(monkeypatch)
+        for p, w in zip(problems, want):
+            assert_same_solve(solve(p), w)
+        assert counts["fallbacks"] == counts["decisions"] > 20 * len(problems)
+
+    def test_bound_zero_decides_wrongly(self, monkeypatch):
+        """An eps between the line forms' residual and the kernels': with the bound at 0
+        the screen decides against the kernels; with the real bound it falls back."""
+        p = make_problem((-1.0, -1.0), (1.0, 1.0), Ellipse(1.0, 0.5, 0.3), Ellipse(2.0, 1.0, -1.1))
+        face0 = p.F0.line_face(-p.x0[1])
+        face1 = p.F1.line_face(p.x1[1])
+        for y in np.linspace(-3.0, 3.0, 4001).tolist():
+            a0, _, _ = face0(y - p.x0[0])
+            _, b1m, _ = face1(p.x1[0] - y)
+            lo, lo_kernel = a0 - b1m, delta(p, y).lo
+            if lo > lo_kernel > 0.0:
+                break
+        else:
+            pytest.skip("the line forms round like the kernels on every sampled point here")
+        # At eps = lo_kernel the kernels stop at y; the screen with no bound does not.
+        q = dataclasses.replace(p, epsilon=lo_kernel)
+        counts = self.count_fallbacks(monkeypatch)
+        assert solver._residual_side(q)(y) == 0
+        assert counts == {"decisions": 1, "fallbacks": 1}
+        monkeypatch.setattr(geometry, "LINE_FACE_REL", 0.0)
+        assert solver._residual_side(q)(y) == 1
+        assert counts == {"decisions": 2, "fallbacks": 1}
+
+    @pytest.mark.parametrize("verts, degenerate", [
+        # Square with its top-right vertex replaced by two vertices 1e-9 apart.
+        ([(1.0, 1.0 - 0.7e-9), (1.0 - 0.7e-9, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], True),
+        # Square with a vertex 2e-12 outside the middle of its top edge.
+        ([(1.0, 1.0), (0.0, 1.0 + 2e-12), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], True),
+        (SQUARE0_VERTICES, False),
+    ], ids=["split-vertex", "near-collinear", "square"])
+    def test_degenerate_polygons_fall_back(self, monkeypatch, verts, degenerate):
+        """Solves that end at a vertex split in two about 1e-9 R apart, or at a vertex
+        between near-collinear neighbours: the polygon's line form gives up there, delta
+        decides, and solve equals the plain loop.  The plain square never falls back."""
+        f1 = validate(Polygon(verts))
+        assert len(f1.vertices) == len(verts)
+        counts = self.count_fallbacks(monkeypatch)
+        for x1x in np.linspace(-0.5, 2.5, 13):
+            p = make_problem((0.0, -1.0), (x1x, 2.0), Ball(1.0), f1)
+            assert_same_solve(solve(p), one_level_solve(p))
+        assert (counts["fallbacks"] > 0) == degenerate
 
 
 def solve_each(problem, x1s):
