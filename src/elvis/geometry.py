@@ -22,7 +22,9 @@ scalars for a vector and columns for rows.  Every shape is a frozen value,
 and the kernels read constants derived from its fields once (as
 `cached_property`s, which leave fields, equality and repr alone): an
 ellipse's rotation matrices and squared semi-axes, and a polygon's half-plane
-form and facet points n_i/h_i, which are read-only like its vertices.
+form and facet points n_i/h_i, which are read-only like its vertices, and its
+sorted kinks.  `inner_radius` is the radius of the largest centred disk in
+the set.
 
 `normal_face_rows` refuses a zero row, as `normal_face` refuses a zero
 vector; since a row is zero only if its y-component is, one reduction over
@@ -58,6 +60,7 @@ against err and margins above 2**-200, so the derivations' slack covers it.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +85,8 @@ LINE_FACE_REL = 2.0**-47
 # aspect ratios up to _ASPECT_MAX.
 _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 _ASPECT_MAX = 2.0**16
+# A window slot of Polygon.line_face that holds no facet: its value is -inf.
+_NO_FACET = (0.0, -math.inf, 1.0)
 
 
 def _in_scale(*scales):
@@ -166,6 +171,10 @@ class Ball:
 
     r: float
 
+    @property
+    def inner_radius(self):
+        return self.r
+
     def validate(self):
         if not 0 < self.r < math.inf:
             raise DegenerateDimensionsError(f"ball radius must be finite and positive, got {self.r}")
@@ -227,6 +236,10 @@ class Ellipse:
             )
         return self
 
+    @property
+    def inner_radius(self):
+        return min(self.a, self.b)
+
     @cached_property
     def _to_axes(self):
         return _rotation(-self.rot)
@@ -285,12 +298,13 @@ class Ellipse:
         abs_t01_vy, abs_t11_vy = abs(t01_vy), abs(t11_vy)
         c0, c1 = abs(f00) / a2, abs(f01) / b2
         floor = 1.0 / min(a, b)
+        scale_max, hypot = _SCALE_MAX, math.hypot
 
         def face(vx):
-            if not -_SCALE_MAX <= vx <= _SCALE_MAX:
+            if not -scale_max <= vx <= scale_max:
                 return None
             m0, m1 = t00 * vx, t10 * vx
-            g = math.hypot((m0 + t01_vy) / a, (m1 + t11_vy) / b)
+            g = hypot((m0 + t01_vy) / a, (m1 + t11_vy) / b)
             px, py = vx / g, vy / g
             zx = f00 * ((t00 * px + t01 * py) / a2) + f01 * ((t10 * px + t11 * py) / b2)
             s0, s1 = abs(m0) + abs_t01_vy, abs(m1) + abs_t11_vy
@@ -307,7 +321,8 @@ class Polygon:
     Derived from the vertices on first use, arrays read-only too: the half-plane
     form (unit outward normals `normals` and offsets `offsets`, facet i joining
     vertex i to vertex i+1), the facet points `facet_points` (row i is n_i/h_i,
-    the point of the polar boundary that facet i exposes) and `circumradius`.
+    the point of the polar boundary that facet i exposes), `circumradius`,
+    `inner_radius` (the least offset) and `kinks`.
     """
 
     vertices: np.ndarray
@@ -339,6 +354,37 @@ class Polygon:
     @cached_property
     def circumradius(self):
         return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
+
+    @cached_property
+    def inner_radius(self):
+        return float(np.min(self.offsets))
+
+    @cached_property
+    def kinks(self):
+        """(K, facet_at): K is the sorted V_x/V_y over the vertices with V_y > 0, and
+        facet_at[m] is the facet a direction (vx, vy), vy > 0, with K[m-1] < vx/vy <= K[m]
+        meets: U[m] for m < len(K), where U lists those vertices in K's order, and
+        U[-1] - 1 (mod n) past the last kink.  The vertices with V_y > 0 run
+        contiguously, clockwise in K's order, so facet_at[m + 1] = facet_at[m] - 1."""
+        verts = self.vertices.tolist()
+        upper = sorted((x / y, i) for i, (x, y) in enumerate(verts) if y > 0)
+        kinks = tuple(q for q, _ in upper)
+        facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % len(verts),)
+        return kinks, facet_at
+
+    @cached_property
+    def _line_data(self):
+        """line_face's constants: rows[c] holds facets c-2..c+2 as (n_x, n_y, h), where
+        a fence that repeats a facet of the row (fewer than five facets) is _NO_FACET,
+        whose value is -inf; fx lists the facet points' x and fx_max is max |fx|."""
+        facets = [(nx, ny, h) for (nx, ny), h in zip(self.normals.tolist(), self.offsets.tolist())]
+        n = len(facets)
+        ring = facets[-2:] + facets + facets[:2]
+        rows = [tuple(ring[c:c + 5]) for c in range(n)]
+        if n < 5:  # c + 2 repeats a facet of the row, and with three facets so does c - 2
+            rows = [(f0 if n > 3 else _NO_FACET, f1, f2, f3, _NO_FACET) for f0, f1, f2, f3, _ in rows]
+        fx = self.facet_points[:, 0].tolist()
+        return tuple(rows), fx, max(map(abs, fx))
 
     def validate(self):
         verts = self.vertices
@@ -407,11 +453,33 @@ class Polygon:
         fp, exact once the snap and j are certain, so err = LINE_FACE_REL
         max|fp_x| only covers the caller's rounding (2u m).
 
-        Here t_i = (n_i . v)/h_i in float, j is the first facet with the top
-        value t_j, t2 the runner-up value, nu = (|vx| + vy)/h_min and R the
+        The form looks at a window of five facets, c-2..c+2 (all of them when
+        there are at most five), around c = facet_at[bisect_left(K, vx/vy)]
+        (see `kinks`); c-2 and c+2 are its fences.  Here t_i = (n_i . v)/h_i
+        in float over the window, j is a facet with the window's top value
+        t_j, t2 the window's runner-up value, nu = (|vx| + vy)/h_min and R the
         circumradius.  Each t_i and T_i is within e = 3.02u nu of the exact
-        tau_i(v), so g and t_j are within e of the exact maximum; the
-        aspect bound R/h_min <= 2**16 keeps them positive.
+        tau_i(v), so g, and t_j when the window holds the exact argmax (i),
+        are within e of the exact maximum; the aspect bound R/h_min <= 2**16
+        keeps them positive.
+        The form gives up when j or the near facet r of (c) is a fence.
+        (i) vx/vy and each kink err by at most u relatively (or 2**-1074
+        absolutely), so the float quotient falls on the wrong side of a kink
+        only within 2u of it.  If at most one kink is that close, c is the
+        facet c* the exact ray meets (the argmax of tau) or its neighbour
+        across that kink's vertex: c* lies in c-1..c+1.
+        (ii) tau_i(v) = <fp_i, v> over the polar polygon's vertices fp_i in
+        cyclic order is cyclically bitonic in i: it falls along both arcs
+        from its maximum to its minimum.  With c* in c-1..c+1, a facet o
+        outside the window lies beyond a fence on its arc, so t_o is under
+        that fence's t + 2e.  Neither fence is j or r, so both are below
+        thr: every t_o < thr + 2e and t_j - t_o > t_j - t2 - 2e, and the
+        margins of (a)-(c) cover those 2e = 6.04u nu.
+        (iii) If two kinks lie within 2u of the quotient, their vertices lie
+        on rays within 4.1u of each other, so with h_min >= R 2**-16 they lie
+        within 2**-34 R of p, inside the band.  By (a) the three or more
+        facets around them reach thr, and three of them are in the window:
+        (c) gives up.
         (a) The two facets of a vertex W pass within 7.2u R of it (h_a
         rounds n_a . V_a, and n_a is normal to the rounded edge).  If the
         kernel's distance from p to W is at most band, |p - W| <=
@@ -419,54 +487,66 @@ class Polygon:
         h_min; p is v/g up to one rounding per component and g >= t_j - 2e,
         so both have t >= t_j - W*, W* = t_j (band + 7.3u R)/h_min + 10.4u nu.
         The threshold thr = t_j - (t_j band/h_min + LINE_FACE_REL (t_j R/h_min
-        + nu)) formed here lies below t_j - W*, roundings included: a vertex
-        the kernel snaps to has both its facets at or above thr.
+        + nu)) formed here lies more than 2e below t_j - W*, roundings
+        included: a vertex the kernel snaps to has both its facets at or
+        above thr + 2e.
         (b) t2 < thr: no vertex has two facets there, so the kernel does not
         snap.  (n_i . p)/h_i as the kernel rounds it is within 7.4u nu/g of
-        t_i/g, so t_j - t2 > 64u nu > 14.9u nu makes j its argmax: fp[j].
-        (c) Otherwise one facet r besides j must reach thr; with more, two
-        vertices could lie in the band (a degenerate polygon): None.  If r
-        and j share a vertex W, the point v/t_j formed here is within
-        12.2u R**2/h_min + 2.9u R of the kernel's p, and each distance rounds
-        by under 3.6u of itself, so the kernel's distance to W is within
-        M = LINE_FACE_REL (R (1 + R/h_min) + dist) of the one here, dist.
-        dist + M < band proves the snap to W, whose face is (fp[w-1], fp[w])
-        (any other vertex has a facet below thr, so the kernel finds it
-        farther than band); dist - M > band proves there is none, and then
-        fp[j] needs t_j - t2 > LINE_FACE_REL nu as in (b).  Between: None.
+        t_i/g, so t_j - t2 - 2e > 57.9u nu > 14.9u nu makes j its argmax:
+        fp[j].
+        (c) Otherwise one window facet r in c-1..c+1 besides j must reach
+        thr; with more, or with a fence, two vertices could lie in the band
+        (a degenerate polygon): None.  If r and j share a vertex W, the point
+        v/t_j formed here is within 12.2u R**2/h_min + 2.9u R of the kernel's
+        p, and each distance rounds by under 3.6u of itself, so the kernel's
+        distance to W is within M = LINE_FACE_REL (R (1 + R/h_min) + dist)
+        of the one here, dist.  dist + M < band proves the snap to W, whose
+        face is (fp[w-1], fp[w]) (any other vertex has a facet below
+        thr + 2e, so the kernel finds it farther than band); dist - M > band
+        proves there is none, and then fp[j] needs t_j - t2 > LINE_FACE_REL
+        nu as in (b).  Between: None.
         """
-        offsets = self.offsets.tolist()
-        h_min, radius = min(offsets), self.circumradius
+        h_min, radius = self.inner_radius, self.circumradius
         if not (_in_scale(h_min, radius, vy) and radius <= _ASPECT_MAX * h_min):
             return None
-        facets = [(nx, ny * vy, h) for (nx, ny), h in zip(self.normals.tolist(), offsets)]
-        fx = self.facet_points[:, 0].tolist()
-        verts = self.vertices.tolist()
-        n = len(facets)
+        kinks, facet_at = self.kinks
+        windows, fx, fx_max = self._line_data
+        n = len(windows)
         band = VERTEX_FACE_TOL * radius
         band_h, r_h = band / h_min, radius / h_min
-        err = LINE_FACE_REL * max(map(abs, fx))
+        err = LINE_FACE_REL * fx_max
+        scale_max, neg_inf, place = _SCALE_MAX, -math.inf, bisect_left
 
         def face(vx):
-            if not -_SCALE_MAX <= vx <= _SCALE_MAX:
+            if not -scale_max <= vx <= scale_max:
                 return None
-            ts = [(nx * vx + ny_vy) / h for nx, ny_vy, h in facets]
-            top = max(ts)
-            j = ts.index(top)
+            c = facet_at[place(kinks, vx / vy)]
+            (a0, b0, h0), (a1, b1, h1), (a2, b2, h2), (a3, b3, h3), (a4, b4, h4) = windows[c]
+            t0, t1, t2 = (a0 * vx + b0 * vy) / h0, (a1 * vx + b1 * vy) / h1, (a2 * vx + b2 * vy) / h2
+            t3, t4 = (a3 * vx + b3 * vy) / h3, (a4 * vx + b4 * vy) / h4
             nu = (abs(vx) + vy) / h_min
+            thr = t2 - (t2 * band_h + LINE_FACE_REL * (t2 * r_h + nu))
+            if t0 < thr and t1 < thr and t3 < thr and t4 < thr < t2:  # case (b) with j = c
+                return fx[c], fx[c], err
+            ts = [t0, t1, t2, t3, t4]
+            top = max(ts)
+            at = ts.index(top)
+            if not 0 < at < 4:  # a fence is the top
+                return None
+            j = (c + at - 2) % n
             thr = top - (top * band_h + LINE_FACE_REL * (top * r_h + nu))
-            ts[j] = -math.inf
+            ts[at] = neg_inf
             second = max(ts)
             if second < thr:
                 return fx[j], fx[j], err
-            near = [i for i, t in enumerate(ts) if t >= thr]
-            if len(near) != 1:
+            near = [k for k, t in enumerate(ts) if t >= thr]
+            if len(near) != 1 or not 0 < near[0] < 4:
                 return None
-            r = near[0]
+            r = (c + near[0] - 2) % n
             # The vertex facets j and r share, if any (facet i joins vertex i to i + 1).
             w = r if r == (j + 1) % n else j if r == (j - 1) % n else None
             if w is not None:
-                wx, wy = verts[w]
+                wx, wy = self.vertices[w].tolist()
                 dist = math.hypot(wx - vx / top, wy - vy / top)
                 margin = LINE_FACE_REL * (radius * (1.0 + r_h) + dist)
                 if dist + margin < band:

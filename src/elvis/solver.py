@@ -17,13 +17,14 @@ step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
 `delta_rows` call, bit-equal to `delta` row by row, when its rows are first
 read.
 
-`solve_batch` runs the same bisection for many targets x1 that share x0, F0
-and F1, all nodes in lockstep on arrays, through the same `geometry` kernels
-applied to rows; every node's result is equal to `solve`'s field by field.
+`solve_batch` runs the same loop, `_bisect`, for each of many targets x1
+that share x0, F0 and F1, then makes one row-kernel call at the abscissae
+where the nodes stopped; every node's result is equal to `solve`'s field by
+field.
 """
 
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -243,7 +244,12 @@ def _no_line_face(vx):
     return None
 
 
-def _residual_side(problem):
+def _line_face0(problem):
+    """F0's line form along the problem's line: it depends on x0 and F0 alone."""
+    return problem.F0.line_face(0.0 - float(problem.x0[1]))
+
+
+def _residual_side(problem, face0=None):
     """The bisection's decision at y, as a function side(y) of a Python float.
 
     side(y) is 1 when delta(y).lo > eps, -1 when delta(y).hi < -eps and 0
@@ -255,13 +261,15 @@ def _residual_side(problem):
     +-eps holds only if the same strict comparison holds unrounded, so
     lo - err > eps proves 1, hi + err < -eps proves -1, and lo + err < eps
     with hi - err > -eps proves 0.  Otherwise, or where a line form gives
-    up, `delta` decides.
+    up, `delta` decides.  face0, F0's line form `_line_face0(problem)`, may be
+    passed in by a caller that shares it between targets.
     """
     eps = problem.epsilon
-    x0x, x0y = problem.x0.tolist()
+    x0x, _ = problem.x0.tolist()
     x1x, x1y = problem.x1.tolist()
     # The kernels' directions are (y - x0_x, 0 - x0_y) and (x1_x - y, x1_y - 0).
-    face0 = problem.F0.line_face(0.0 - x0y)
+    if face0 is None:
+        face0 = _line_face0(problem)
     face1 = problem.F1.line_face(x1y)
     if face0 is None or face1 is None:
         face0 = face1 = _no_line_face
@@ -290,8 +298,10 @@ def expand_bracket(problem):
     residual sign points outward is pushed out geometrically, doubling the
     bracket width each time, at most MAX_BRACKET_DOUBLINGS times per end.
     Returns (l, r, expanded), the ends as np.float64.  Raises
-    BracketExpansionFailedError if an end never turns or r - l overflows
-    (checked before any residual and at the end).
+    BracketExpansionFailedError if an end never turns, if r - l overflows
+    (checked before any residual and at the end), or if an end's offsets
+    could overflow a kernel (checked before each residual; see
+    `_offset_guard`).
     """
     l, r, expanded = _expand(problem, _residual_side(problem))
     return np.float64(l), np.float64(r), expanded
@@ -302,11 +312,12 @@ def _expand(problem, side):
     l = float(min(problem.x0[0], problem.x1[0]))
     r = float(max(problem.x0[0], problem.x1[0]))
     _check_width(l, r)
+    guard = _offset_guard(problem)
     expanded = False
 
     step = max(r - l, 1.0)
     tries = 0
-    while side(l) > 0:
+    while side(guard(l)) > 0:
         if tries >= MAX_BRACKET_DOUBLINGS:
             raise BracketExpansionFailedError(
                 "left bracket end never reached a nonpositive residual"
@@ -318,7 +329,7 @@ def _expand(problem, side):
 
     step = max(r - l, 1.0)
     tries = 0
-    while side(r) < 0:
+    while side(guard(r)) < 0:
         if tries >= MAX_BRACKET_DOUBLINGS:
             raise BracketExpansionFailedError(
                 "right bracket end never reached a nonnegative residual"
@@ -332,6 +343,36 @@ def _expand(problem, side):
     return l, r, expanded
 
 
+# Covers the roundings between |v|/rho and what the kernels form (see `_offset_guard`).
+_GAUGE_ROUNDING = 1.0 + 2.0**-40
+
+
+def _offset_guard(problem):
+    """guard(y) returns y, or raises BracketExpansionFailedError where the residual's
+    offsets at y, (y - x0_x, -x0_y) and (x1_x - y, x1_y), could overflow a kernel.
+
+    Up to the gauge the kernels form hypot(v)/r (ball), a rotation of v, its
+    parts over a and b and their hypot (ellipse), and n_i . v / h_i with
+    |n_i| = 1 (polygon): each is at most (1 + 8.1u) |v|/rho, rho the set's
+    `inner_radius`.  guard's hypot(v) * (_GAUGE_ROUNDING/rho) is above that,
+    so when it is finite nothing overflows; beyond the gauge, p = v/g is on
+    the set's boundary.  No y inside a bracket has longer offsets than both
+    ends, so guarding the ends covers every midpoint.
+    """
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    scale0 = _GAUGE_ROUNDING / problem.F0.inner_radius
+    scale1 = _GAUGE_ROUNDING / problem.F1.inner_radius
+
+    def guard(y):
+        if not (math.hypot(y - x0x, x0y) * scale0 <= sys.float_info.max
+                and math.hypot(x1x - y, x1y) * scale1 <= sys.float_info.max):
+            raise BracketExpansionFailedError(f"the offsets at y = {y} could overflow the kernels")
+        return y
+
+    return guard
+
+
 def _check_width(l, r):
     if not math.isfinite(float(r) - float(l)):
         raise BracketExpansionFailedError(f"bracket [{float(l)}, {float(r)}] is too wide for floats")
@@ -342,6 +383,35 @@ def _stop_status(lo, hi, eps):
     if lo <= eps and hi >= -eps:
         return STATUS_RESIDUAL_ZERO_IN_FACE if lo < 0.0 < hi else STATUS_CONVERGED
     return None
+
+
+def _bisect(problem, side):
+    """The bracket and bisection of `solve`, deciding by side: (steps, y, expanded).
+
+    steps holds each step's (k, l, r, y, d) on Python floats, y is where the
+    bisection stopped and expanded whether the bracket was widened.  A
+    midpoint that overflows raises BracketExpansionFailedError before side
+    sees it.
+    """
+    l, r, expanded = _expand(problem, side)
+    max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
+    d = r - l
+    steps = []
+    k = 0
+    while True:
+        y = 0.5 * (l + r)
+        if not isfinite(y):
+            raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
+        steps.append((k, l, r, y, d))
+        sign = side(y)
+        if sign == 0 or k + 1 >= max_iter or d <= 4.0 * ulp(abs(y)):
+            return steps, y, expanded
+        if sign > 0:
+            r = y
+        else:
+            l = y
+        d *= 0.5
+        k += 1
 
 
 def solve(problem):
@@ -358,30 +428,10 @@ def solve(problem):
     The interval, faces, status and multipliers at the final y come from one
     `_residual_faces` call; y, l, r and d are reported as np.float64.
     """
-    eps, max_iter = problem.epsilon, problem.max_iter
-    side = _residual_side(problem)
-    l, r, expanded = _expand(problem, side)
-    d = r - l
-    steps = []
-    k = 0
-    while True:
-        y = 0.5 * (l + r)
-        if not math.isfinite(y):
-            raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
-        steps.append((k, l, r, y, d))
-        sign = side(y)
-        if sign == 0 or k + 1 >= max_iter or d <= 4.0 * math.ulp(abs(y)):
-            break
-        if sign > 0:
-            r = y
-        else:
-            l = y
-        d *= 0.5
-        k += 1
-
+    steps, y, expanded = _bisect(problem, _residual_side(problem))
     y = np.float64(y)
     interval, face0, neg_face1 = _residual_faces(problem, y)
-    status = _stop_status(interval.lo, interval.hi, eps) or STATUS_MAX_ITERATIONS
+    status = _stop_status(interval.lo, interval.hi, problem.epsilon) or STATUS_MAX_ITERATIONS
     if expanded:
         status = BRACKET_EXPANDED_PREFIX + status
     zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1)
@@ -403,47 +453,14 @@ def solve(problem):
     return result, BisectionTrace(problem, steps)
 
 
-def _expand_rows(problem, x1s):
-    """expand_bracket for every target x1s[n] of an (N, 2) array, on rows.
-
-    Returns arrays (l, r, expanded, failed), node n's as expand_bracket's for
-    x1 = x1s[n], with failed[n] where it raises.  All left ends are pushed,
-    then all right ends; the nodes still being pushed share one try count.
-    """
-    eps = problem.epsilon
-    x0x, x1x = problem.x0[0], x1s[:, 0]
-    l = np.where(x1x < x0x, x1x, x0x)  # min(x0x, x1x)
-    r = np.where(x1x > x0x, x1x, x0x)  # max(x0x, x1x)
-    expanded = np.zeros(len(x1s), dtype=bool)
-    with np.errstate(over="ignore"):  # an overflowing width fails its node unevaluated
-        failed = ~np.isfinite(r - l)
-    for end, left in ((l, True), (r, False)):
-        nodes = np.flatnonzero(~failed)
-        width = r[nodes] - l[nodes]
-        step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
-        for tries in itertools.count():
-            lo, hi, _, _ = _residual_rows(problem, end[nodes], x1s[nodes])
-            outward = lo > eps if left else hi < -eps
-            nodes, step = nodes[outward], step[outward]
-            if nodes.size == 0 or tries >= MAX_BRACKET_DOUBLINGS:
-                break
-            end[nodes] = end[nodes] - step if left else end[nodes] + step
-            step = step * 2.0
-            expanded[nodes] = True
-        failed[nodes] = True
-    with np.errstate(over="ignore"):
-        failed |= ~np.isfinite(r - l)
-    return l, r, expanded, failed
-
-
 def solve_batch(problem, x1s):
     """solve for every target x1s[n] of an (N, 2) array (or one point); one SolveResult per node.
 
     problem is an ElvisProblem whose own x1 is not used (a SweepSpec is one).
-    The nodes run expand_bracket and the bisection in lockstep on arrays and
-    stop by solve's rules with the same kernels on rows, bit-equal to solve's.
-    Each node keeps only its stopping abscissa and step count; one more kernel
-    call there gives its last interval and faces, so its status and
+    Each node runs solve's `_bisect` on its own problem, with F0's line form
+    built once for all of them, and keeps only its stopping abscissa and
+    step count; one row-kernel call at those abscissae gives every node its
+    last interval and faces, bit-equal to solve's, so its status and
     multipliers, and result n equals solve(problem with x1 = x1s[n])[0] field
     by field.  Result n is None where solve raises BracketExpansionFailedError.
     """
@@ -454,38 +471,21 @@ def solve_batch(problem, x1s):
         raise ValidationError(f"x1s must be an (N, 2) array or one point, got shape {x1s.shape}")
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
-    eps, max_iter = problem.epsilon, problem.max_iter
-    l, r, expanded, failed = _expand_rows(problem, x1s)
-    y_end = np.zeros(len(x1s))
-    iterations = np.zeros(len(x1s), dtype=int)
-    # The running nodes' state, compacted to them; every running node is at step k.
-    nodes = np.flatnonzero(~failed)
-    l, r, x1_run = l[nodes], r[nodes], x1s[nodes]
-    d = r - l
-    k = 0
-    while nodes.size:
-        with np.errstate(over="ignore"):
-            y = 0.5 * (l + r)
-        finite = np.isfinite(y)
-        if not finite.all():  # an overflowing midpoint fails its node unevaluated, as in solve
-            failed[nodes[~finite]] = True
-            nodes, y, l, r, d, x1_run = (a[finite] for a in (nodes, y, l, r, d, x1_run))
-        lo, hi, _, _ = _residual_rows(problem, y, x1_run)
-        hit = (lo <= eps) & (hi >= -eps)
-        stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
-        if stop.any():
-            y_end[nodes[stop]] = y[stop]
-            iterations[nodes[stop]] = k + 1
-            go = ~stop
-            nodes, y, lo, l, r, d, x1_run = (a[go] for a in (nodes, y, lo, l, r, d, x1_run))
-        right = lo > eps
-        r = np.where(right, y, r)
-        l = np.where(right, l, y)
-        d = d * 0.5
-        k += 1
+    eps = problem.epsilon
+    face0 = _line_face0(problem)
+    solved, y_end, iterations, expanded = [], [], [], []
+    for n, x1 in enumerate(x1s):
+        node = ElvisProblem(problem.x0, x1, problem.F0, problem.F1, eps, problem.max_iter)
+        try:
+            steps, y, grown = _bisect(node, _residual_side(node, face0))
+        except BracketExpansionFailedError:
+            continue
+        solved.append(n)
+        y_end.append(y)
+        iterations.append(len(steps))
+        expanded.append(grown)
 
-    solved = np.flatnonzero(~failed)
-    y = y_end[solved]
+    y = np.array(y_end)
     lo, hi, (zlo0, zhi0), (zlo1, zhi1) = _residual_rows(problem, y, x1s[solved])
     # _select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
@@ -506,7 +506,7 @@ def solve_batch(problem, x1s):
     v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
 
     results = [None] * len(x1s)
-    for m, (i, lo_m, hi_m) in enumerate(zip(solved.tolist(), lo.tolist(), hi.tolist())):
+    for m, (i, lo_m, hi_m) in enumerate(zip(solved, lo.tolist(), hi.tolist())):
         status = _stop_status(lo_m, hi_m, eps) or STATUS_MAX_ITERATIONS
         results[i] = SolveResult(
             y=y[m],
@@ -515,8 +515,8 @@ def solve_batch(problem, x1s):
             v1=v1[m],
             zeta0=zeta0[m],
             zeta1=zeta1[m],
-            iterations=int(iterations[i]),
-            status=BRACKET_EXPANDED_PREFIX + status if expanded[i] else status,
+            iterations=iterations[m],
+            status=BRACKET_EXPANDED_PREFIX + status if expanded[m] else status,
         )
     return results
 

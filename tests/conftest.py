@@ -62,6 +62,13 @@ def random_polygon(rng):
     return Polygon(pts)
 
 
+def egg_polygon(n=48):
+    """An egg-shaped n-gon around (0.15, 0.1), the shape of the benchmark's sweeps."""
+    t = np.arange(n) * (2.0 * np.pi / n)
+    r = 1.0 + 0.3 * np.cos(t)
+    return validate(Polygon(np.column_stack((r * np.cos(t) + 0.15, r * np.sin(t) + 0.1))))
+
+
 def random_validated_set(rng):
     """Keep drawing until validation succeeds (degenerate polygons are rare)."""
     makers = [random_ball, random_ellipse, random_polygon]

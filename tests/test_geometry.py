@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from elvis import (
 
 from elvis.geometry import VERTEX_FACE_TOL, normal_face_rows
 
-from conftest import SQUARE0_VERTICES, boundary_points, random_validated_set
+from conftest import SQUARE0_VERTICES, boundary_points, egg_polygon, random_validated_set
 
 
 class TestValidate:
@@ -501,6 +502,59 @@ class TestLineFace:
                 answered += len(answers)
                 gave_up += missed
         assert answered > gave_up > 0  # the points at the band edge itself give up
+
+    def test_polygon_kinks(self):
+        """Directions at relative offsets 0, 1e-15, 1e-12, 1e-9 and 1e-3 either side of every
+        kink of 3-48-gons and the egg-shaped 48-gon: every answer is the kernel's face."""
+        rng = np.random.default_rng(45)
+        offsets = [0.0] + [s * o for o in (1e-15, 1e-12, 1e-9, 1e-3) for s in (1.0, -1.0)]
+        answered = gave_up = 0
+        for vset in [random_row_set(rng, "polygon") for _ in range(20)] + [egg_polygon()]:
+            kinks, _ = vset.kinks
+            for vy in (0.37, 1.0, 12.5):
+                answers, missed = check_line_face(vset, vy, [vy * k * (1.0 + o) for k in kinks
+                                                             for o in offsets])
+                answered += len(answers)
+                gave_up += missed
+        assert gave_up <= 0.05 * answered
+
+    def test_polygon_short_edge_after_sharp_vertex(self):
+        """A 37-degree apex W followed by an edge 1e-10 to 5e-10 long: toward points on W's
+        other edge within the band, the short edge's far end V is nearer than W, and the
+        kernel snaps to V.  V's second facet lies two facets from the window's centre, so
+        the form must see it there and give up, never answer W's face."""
+        apex, left, right = np.array([0.0, 3.0]), np.array([-1.0, -3.0]), np.array([1.0, -3.0])
+        left, right = left / np.hypot(*left), right / np.hypot(*right)
+        out = np.array([left[1], -left[0]])  # outward normal of the edge from W along left
+        far_snaps = 0
+        for short in (1e-10, 2e-10, 5e-10):
+            for bend in (1e-11, 3e-11, 1e-10):
+                v = apex + short * left + bend * out
+                vset = validate(Polygon([(1.0, 0.0), apex, v, (-1.0, 0.0), (-0.5, -1.0), (0.5, -1.0)]))
+                assert len(vset.vertices) == 6
+                pts = apex + np.outer(short * np.array([0.5, 0.7, 1.0, 1.5, 2.0, 3.0]), right)
+                for vy in (0.5, 1.0, 3.0):
+                    vxs = (vy * pts[:, 0] / pts[:, 1]).tolist()
+                    check_line_face(vset, vy, vxs)
+                    fp = vset.facet_points[:, 0]
+                    far_snaps += sum(normal_face(vset, (vx, vy)).x_range == (min(fp[1:3]), max(fp[1:3]))
+                                     for vx in vxs)
+        assert far_snaps > 50
+
+    def test_facet_values_bitonic(self):
+        """tau_i(v) = <n_i/h_i, v> is cyclically bitonic in i, in exact arithmetic, on 3-48-gons:
+        with N_i = (e_y, -e_x) for edge e_i from vertex V_i, n_i/h_i = N_i/(N_i . V_i), a
+        rational function of the float vertices, so its differences change sign at most twice."""
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            verts = [(Fraction(x), Fraction(y)) for x, y in random_row_set(rng, "polygon").vertices.tolist()]
+            n = len(verts)
+            normals = [(by - ay, ax - bx) for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]
+            for vx, vy in rng.normal(size=(10, 2)).tolist():
+                vx, vy = Fraction(vx), Fraction(vy)
+                taus = [(nx * vx + ny * vy) / (nx * ax + ny * ay) for (nx, ny), (ax, ay) in zip(normals, verts)]
+                signs = [s for s in ((b > a) - (b < a) for a, b in zip(taus, taus[1:] + taus[:1])) if s]
+                assert sum(s != t for s, t in zip(signs, signs[1:] + signs[:1])) <= 2
 
     @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**-20])

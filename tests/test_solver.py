@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -30,7 +31,14 @@ from elvis import geometry, solver
 from elvis.cli import main
 from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, delta_rows
 
-from conftest import SQUARE0_VERTICES, random_ball, random_ellipse, random_polygon, random_problem
+from conftest import (
+    SQUARE0_VERTICES,
+    egg_polygon,
+    random_ball,
+    random_ellipse,
+    random_polygon,
+    random_problem,
+)
 
 MAKERS = [random_ball, random_ellipse, random_polygon]
 
@@ -452,9 +460,8 @@ class TestLookahead:
             warnings.simplefilter("error")
             with pytest.raises(BracketExpansionFailedError):
                 solve(p)
-            results = solve_batch(p, x1s)
+            results = assert_batch_equals_references(p, x1s)
             assert results[0] is None
-            assert_same_results(results, solve_each(p, x1s))
             for argv in (["solve", str(path)], ["solve", str(path), "--trace", str(trace)],
                          ["delta-curve", str(path), "--samples", "50", "--out", str(curve)]):
                 assert main(argv) == 3
@@ -462,6 +469,34 @@ class TestLookahead:
                 assert captured.out == ""
                 assert captured.err.startswith("solver error: BracketExpansionFailed: ")
         assert not trace.exists() and not curve.exists()
+
+    def test_kernel_overflow_fails(self, tmp_path, capsys):
+        """Offsets that would overflow a kernel (5e307 over F0's 0.1 semi-axis) fail as
+        BracketExpansionFailedError before any residual, without a floating-point warning;
+        1e306 stays in range and keeps its wide-bracket MaxIterations answer."""
+        f0, f1 = Ellipse(3.0, 0.1, rot=np.pi / 4), Ball(1.0)
+        p = make_problem((0.0, -1.0), (5e307, 1.0), f0, f1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"x0": [0.0, -1.0], "x1": [5e307, 1.0], "F1": {"kind": "ball", "r": 1.0},
+                                    "F0": {"kind": "ellipse", "a": 3.0, "b": 0.1, "rot": np.pi / 4}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketExpansionFailedError, match="overflow the kernels"):
+                solve(p)
+            with pytest.raises(BracketExpansionFailedError):
+                expand_bracket(p)
+            assert solve_batch(p, [[5e307, 1.0], [1.0, 1.0]])[0] is None
+            assert main(["solve", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("solver error: BracketExpansionFailed: ")
+
+            q = dataclasses.replace(p, x1=np.array([1e306, 1.0]))
+            got = solve(q)
+            assert_same_solve(got, one_level_solve(q))
+            assert_same_results(solve_batch(q, [q.x1]), [got[0]])
+        assert (got[0].y, got[0].time, got[0].status, got[0].iterations) == (
+            6.223015277861142e245, 1e306, "MaxIterations", 200)
 
     @staticmethod
     def count_fallbacks(monkeypatch):
@@ -526,12 +561,15 @@ class TestLookahead:
         ([(1.0, 1.0 - 0.7e-9), (1.0 - 0.7e-9, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], True),
         # Square with a vertex 2e-12 outside the middle of its top edge.
         ([(1.0, 1.0), (0.0, 1.0 + 2e-12), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], True),
+        # Square with its top-right vertex replaced by two vertices 1.4e-11 apart: both kinks
+        # lie in one snap band, and the crosses (2e-11) keep both vertices.
+        ([(1.0, 1.0 - 1e-11), (1.0 - 1e-11, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], True),
         (SQUARE0_VERTICES, False),
-    ], ids=["split-vertex", "near-collinear", "square"])
+    ], ids=["split-vertex", "near-collinear", "split-within-band", "square"])
     def test_degenerate_polygons_fall_back(self, monkeypatch, verts, degenerate):
-        """Solves that end at a vertex split in two about 1e-9 R apart, or at a vertex
-        between near-collinear neighbours: the polygon's line form gives up there, delta
-        decides, and solve equals the plain loop.  The plain square never falls back."""
+        """Solves that end at a vertex split in two about 1e-9 R or 1e-11 R apart, or at a
+        vertex between near-collinear neighbours: the polygon's line form gives up there,
+        delta decides, and solve equals the plain loop.  The plain square never falls back."""
         f1 = validate(Polygon(verts))
         assert len(f1.vertices) == len(verts)
         counts = self.count_fallbacks(monkeypatch)
@@ -539,6 +577,110 @@ class TestLookahead:
             p = make_problem((0.0, -1.0), (x1x, 2.0), Ball(1.0), f1)
             assert_same_solve(solve(p), one_level_solve(p))
         assert (counts["fallbacks"] > 0) == degenerate
+
+
+def lockstep_expand_rows(problem, x1s):
+    """expand_bracket for every target x1s[n] of an (N, 2) array, on rows.
+
+    Returns arrays (l, r, expanded, failed), node n's as expand_bracket's for
+    x1 = x1s[n], with failed[n] where it raises.  All left ends are pushed,
+    then all right ends; the nodes still being pushed share one try count.
+    """
+    eps = problem.epsilon
+    x0x, x1x = problem.x0[0], x1s[:, 0]
+    l = np.where(x1x < x0x, x1x, x0x)  # min(x0x, x1x)
+    r = np.where(x1x > x0x, x1x, x0x)  # max(x0x, x1x)
+    expanded = np.zeros(len(x1s), dtype=bool)
+    with np.errstate(over="ignore"):  # an overflowing width fails its node unevaluated
+        failed = ~np.isfinite(r - l)
+    for end, left in ((l, True), (r, False)):
+        nodes = np.flatnonzero(~failed)
+        width = r[nodes] - l[nodes]
+        step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
+        for tries in itertools.count():
+            lo, hi, _, _ = solver._residual_rows(problem, end[nodes], x1s[nodes])
+            outward = lo > eps if left else hi < -eps
+            nodes, step = nodes[outward], step[outward]
+            if nodes.size == 0 or tries >= solver.MAX_BRACKET_DOUBLINGS:
+                break
+            end[nodes] = end[nodes] - step if left else end[nodes] + step
+            step = step * 2.0
+            expanded[nodes] = True
+        failed[nodes] = True
+    with np.errstate(over="ignore"):
+        failed |= ~np.isfinite(r - l)
+    return l, r, expanded, failed
+
+
+def lockstep_solve_batch(problem, x1s):
+    """solve_batch as the loop that runs every node's bisection in lockstep on arrays,
+    through the row kernels, and assembles the results from one more row call."""
+    x1s = np.asarray(x1s, dtype=float).reshape(-1, 2)
+    eps, max_iter = problem.epsilon, problem.max_iter
+    l, r, expanded, failed = lockstep_expand_rows(problem, x1s)
+    y_end = np.zeros(len(x1s))
+    iterations = np.zeros(len(x1s), dtype=int)
+    # The running nodes' state, compacted to them; every running node is at step k.
+    nodes = np.flatnonzero(~failed)
+    l, r, x1_run = l[nodes], r[nodes], x1s[nodes]
+    d = r - l
+    k = 0
+    while nodes.size:
+        with np.errstate(over="ignore"):
+            y = 0.5 * (l + r)
+        finite = np.isfinite(y)
+        if not finite.all():  # an overflowing midpoint fails its node unevaluated, as in solve
+            failed[nodes[~finite]] = True
+            nodes, y, l, r, d, x1_run = (a[finite] for a in (nodes, y, l, r, d, x1_run))
+        lo, hi, _, _ = solver._residual_rows(problem, y, x1_run)
+        hit = (lo <= eps) & (hi >= -eps)
+        stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
+        if stop.any():
+            y_end[nodes[stop]] = y[stop]
+            iterations[nodes[stop]] = k + 1
+            go = ~stop
+            nodes, y, lo, l, r, d, x1_run = (a[go] for a in (nodes, y, lo, l, r, d, x1_run))
+        right = lo > eps
+        r = np.where(right, y, r)
+        l = np.where(right, l, y)
+        d = d * 0.5
+        k += 1
+
+    solved = np.flatnonzero(~failed)
+    y = y_end[solved]
+    lo, hi, (zlo0, zhi0), (zlo1, zhi1) = solver._residual_rows(problem, y, x1s[solved])
+    # _select_multipliers, row by row.
+    target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
+    target = np.where(hi < target, hi, target)  # min(target, hi)
+    a0, b0 = geometry._x_range_rows(zlo0, zhi0)
+    a1m, _ = geometry._x_range_rows(zlo1, zhi1)
+    z0x = target + a1m
+    z0x = np.where(a0 > z0x, a0, z0x)
+    z0x = np.where(b0 < z0x, b0, z0x)
+    zeta0 = geometry._point_with_x_rows(zlo0, zhi0, z0x)
+    zeta1 = -geometry._point_with_x_rows(zlo1, zhi1, -(target - z0x))
+    pts = np.column_stack((y, np.zeros(len(y))))
+    w0 = pts - problem.x0
+    w1 = x1s[solved] - pts
+    g0 = problem.F0.gauge(w0)
+    g1 = problem.F1.gauge(w1)
+    times = (g0 + g1).tolist()
+    v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
+
+    results = [None] * len(x1s)
+    for m, (i, lo_m, hi_m) in enumerate(zip(solved.tolist(), lo.tolist(), hi.tolist())):
+        status = solver._stop_status(lo_m, hi_m, eps) or solver.STATUS_MAX_ITERATIONS
+        results[i] = solver.SolveResult(
+            y=y[m],
+            time=times[m],
+            v0=v0[m],
+            v1=v1[m],
+            zeta0=zeta0[m],
+            zeta1=zeta1[m],
+            iterations=int(iterations[i]),
+            status=solver.BRACKET_EXPANDED_PREFIX + status if expanded[i] else status,
+        )
+    return results
 
 
 def solve_each(problem, x1s):
@@ -567,13 +709,22 @@ def assert_same_results(got, want):
                 assert a == b, f.name
 
 
+def assert_batch_equals_references(problem, x1s):
+    """solve_batch against per-node solve and against the lockstep loop; returns its results."""
+    results = solve_batch(problem, x1s)
+    assert_same_results(results, solve_each(problem, np.asarray(x1s, dtype=float).reshape(-1, 2)))
+    assert_same_results(results, lockstep_solve_batch(problem, x1s))
+    return results
+
+
 def grid(x, y):
     """Row-major targets over the x and y values."""
     return np.column_stack((np.tile(x, len(y)), np.repeat(y, len(x))))
 
 
 class TestSolveBatch:
-    """solve_batch must give per-node solve's SolveResult, field by field."""
+    """solve_batch must give per-node solve's SolveResult, field by field, and the lockstep
+    loop's, the batch's former implementation, which shares no loop with solve."""
 
     @pytest.mark.parametrize("f0", MAKERS)
     @pytest.mark.parametrize("f1", MAKERS)
@@ -585,8 +736,7 @@ class TestSolveBatch:
             # Targets almost above x0 push anisotropic minimizers out of the bracket.
             x1s = grid(p.x0[0] + np.array([-3, -1, -0.2, -0.01, 0, 0.01, 0.2, 1, 3]),
                        [0.1, 1.0, 3.0])
-            results = solve_batch(p, x1s)
-            assert_same_results(results, solve_each(p, x1s))
+            results = assert_batch_equals_references(p, x1s)
             statuses.update(res.status for res in results)
         if (f0, f1) != (random_ball, random_ball):  # two balls never expand
             assert any(st.startswith("BracketExpanded+") for st in statuses)
@@ -611,22 +761,19 @@ class TestSolveBatch:
     def test_max_iterations(self, elliptic_problem, symmetric_ball_problem):
         p = dataclasses.replace(elliptic_problem, max_iter=3)
         x1s = grid(np.linspace(-2, 2, 7), [0.5, 1.0, 2.0])
-        results = solve_batch(p, x1s)
-        assert_same_results(results, solve_each(p, x1s))
+        results = assert_batch_equals_references(p, x1s)
         assert any(res.status == "MaxIterations" for res in results)
         # The first midpoint of x1 = (1, 1) is the minimizer: a hit on the last allowed step
         # is Converged, not MaxIterations.
         p = dataclasses.replace(symmetric_ball_problem, max_iter=1)
         x1s = [[1.0, 1.0], [2.0, 2.0]]
-        results = solve_batch(p, x1s)
-        assert_same_results(results, solve_each(p, x1s))
+        results = assert_batch_equals_references(p, x1s)
         assert [(res.status, res.iterations) for res in results] == [
             (STATUS_CONVERGED, 1), (solver.STATUS_MAX_ITERATIONS, 1)]
 
     def test_squares_stop_on_vertex_faces(self, square_problem):
         x1s = grid(np.arange(-4.0, 4.0 + 1e-9, 2.0 / 3.0), [1.0])
-        results = solve_batch(square_problem, x1s)
-        assert_same_results(results, solve_each(square_problem, x1s))
+        results = assert_batch_equals_references(square_problem, x1s)
         assert sum(res.status == STATUS_RESIDUAL_ZERO_IN_FACE for res in results) >= 4
 
     def test_bracket_expansion_failed(self, tmp_path, capsys, monkeypatch):
@@ -634,8 +781,7 @@ class TestSolveBatch:
         p = make_problem((0, -1), (0.1, 1), Ellipse(3.0, 0.1, rot=np.pi / 4), Ball(1))
         # Targets near x0 need an expanded bracket; the far right one does not.
         x1s = np.array([[0.1, 1.0], [0.0, 2.0], [3.0, 0.2]])
-        results = solve_batch(p, x1s)
-        assert_same_results(results, solve_each(p, x1s))
+        results = assert_batch_equals_references(p, x1s)
         assert [res is None for res in results] == [True, True, False]
 
         doc = {"x0": [0, -1], "F0": {"kind": "ellipse", "a": 3.0, "b": 0.1, "rot": np.pi / 4},
@@ -654,6 +800,33 @@ class TestSolveBatch:
         assert main(["sweep", str(spec), "--out", str(out_csv)]) == 3
         assert json.loads(capsys.readouterr().out) == {"nodes": 2, "solved": 0}
         assert out_csv.read_text().count(",nan,nan,BracketExpansionFailed,0\n") == 2
+
+    @pytest.mark.parametrize("doublings", [0, 1, 2])
+    def test_few_doublings(self, monkeypatch, doublings):
+        """With 0, 1 or 2 bracket doublings allowed, some nodes fail, and with 1 or 2 some expand."""
+        monkeypatch.setattr(solver, "MAX_BRACKET_DOUBLINGS", doublings)
+        rng = np.random.default_rng(39)
+        outcomes = set()
+        for f0, f1 in [(random_ellipse, random_ball), (random_polygon, random_ellipse),
+                       (random_ellipse, random_polygon)]:
+            p = random_pair_problem(rng, f0, f1)
+            x1s = grid(p.x0[0] + np.array([-2, -0.2, -0.01, 0, 0.01, 0.2, 2]), [0.1, 1.0])
+            results = assert_batch_equals_references(p, x1s)
+            outcomes.update("None" if res is None else res.status.split("+")[0] for res in results)
+        # From x0 = (0, -10) F0's tilted long axis puts the crossing up to 15 to the right.
+        for x0y in (-1.0, -10.0):
+            p = make_problem((0, x0y), (0.1, 1), Ellipse(3.0, 0.1, rot=np.pi / 4), Ball(1))
+            results = assert_batch_equals_references(
+                p, [[0.1, 1.0], [0.0, 2.0], [3.0, 0.2], [6.0, 1.0], [12.0, 1.0]])
+            outcomes.update("None" if res is None else res.status.split("+")[0] for res in results)
+        assert "None" in outcomes
+        assert ("BracketExpanded" in outcomes) == (doublings > 0)
+
+    def test_ellipse_over_48_gon(self):
+        """The sweeps' shape: a 6 x 6 grid, a rotated ellipse below an egg-shaped 48-gon."""
+        p = make_problem((0.3, -1.0), (0.0, 1.0), Ellipse(2.0, 0.7, rot=1.1), egg_polygon())
+        results = assert_batch_equals_references(p, grid(np.linspace(-3, 3, 6), np.linspace(0.2, 2.5, 6)))
+        assert all(res is not None for res in results)
 
     def test_rejects_targets_on_or_below_interface(self, elliptic_problem):
         with pytest.raises(ValidationError):
