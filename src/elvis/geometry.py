@@ -57,6 +57,21 @@ There nothing overflows, and an operation that underflows errs by at most
 2**-1074 absolute instead of relatively; carried through the later
 operations, whose factors stay below 2**300 here, that is under 2**-700,
 against err and margins above 2**-200, so the derivations' slack covers it.
+
+Thresholds.  `threshold_face(vy)` gives the solver's threshold locator
+(face, E, K, reach): a line form whose answers bound the kernel along the
+line wherever |vx| <= reach, a bound E and the sorted kinks K (`kinks`,
+none for a smooth set, whose reach is inf).
+For a smooth set let X(vx) be the x-component of the exact gradient of the
+gauge the kernel rounds (the constants as stored); the gauge is convex, so X
+is nondecreasing in vx.  E bounds both |zeta_x - X| for the kernel's zeta_x
+and |lo - X| for the form's lo = hi, uniformly over every vx at which the
+kernel runs without overflow (the solver's `_offset_guard`), with 1 % to
+spare.  So if the form gives (lo, hi, err) at vx_a, the kernel's x-range is
+at most hi + 2E at every vx <= vx_a and at least lo - 2E at every
+vx >= vx_a, and err still covers the caller's rounding.  A polygon's form
+gives E = 0: its answers are the kernel's own values, and they bound the
+kernel's exactly within its reach (see `Polygon.threshold_face`).
 """
 
 import math
@@ -220,6 +235,17 @@ class Ball:
 
         return face
 
+    def threshold_face(self, vy):
+        """(line_face(vy), E, no kinks, inf) for the threshold locator (see the module
+        notes), or None where line_face gives up.
+
+        X = vx r/(|v| rr) is nondecreasing in vx, and the kernel's and the form's
+        zeta_x are X phi with |phi - 1| <= 5.01u at every vx (line_face), so
+        both lie within 5.02u/r of X; E = LINE_FACE_REL/(8 r) = 8u/r.
+        """
+        face = self.line_face(vy)
+        return None if face is None else (face, LINE_FACE_REL / (8.0 * self.r), (), math.inf)
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -313,6 +339,28 @@ class Ellipse:
 
         return face
 
+    def threshold_face(self, vy):
+        """(line_face(vy), E, no kinks, inf) for the threshold locator (see the module
+        notes), or None where line_face gives up.
+
+        X is the x-component of the gradient of |L T v|, L = diag(1/a, 1/b).
+        The kernel's and the form's zeta_x lie within (8.05u + 3.02u S/G) C/G
+        of the kernel's formula evaluated exactly (line_face), which differs
+        from X only by the roundings of a*a and b*b and of F against T^T (an
+        ulp each), under 5.5u k/m with k = max(a, b)/min(a, b) and
+        m = min(a, b).  T's rows are unit vectors up to u, so
+        A_i <= (1 + 2u)|v| and G >= (1 - u)|v|/max(a, b); hence
+        S/G <= (1 + 3u)(1 + k), C/G <= 1.415 k/m, and each value lies within
+        (21.2k + 4.3k**2) u/m of X, under E/1.01 for
+        E = LINE_FACE_REL k (1 + k)/(2 m) = 32u k (1 + k)/m.
+        """
+        face = self.line_face(vy)
+        if face is None:
+            return None
+        m = min(self.a, self.b)
+        k = max(self.a, self.b) / m
+        return face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), math.inf
+
 
 @dataclass(frozen=True, eq=False)
 class Polygon:
@@ -322,7 +370,7 @@ class Polygon:
     form (unit outward normals `normals` and offsets `offsets`, facet i joining
     vertex i to vertex i+1), the facet points `facet_points` (row i is n_i/h_i,
     the point of the polar boundary that facet i exposes), `circumradius`,
-    `inner_radius` (the least offset) and `kinks`.
+    `inner_radius` (the least offset), `kinks` and `kink_flanks`.
     """
 
     vertices: np.ndarray
@@ -506,6 +554,83 @@ class Polygon:
         proves there is none, and then fp[j] needs t_j - t2 > LINE_FACE_REL
         nu as in (b).  Between: None.
         """
+        return self._line_form(vy, True)
+
+    def threshold_face(self, vy):
+        """(form, 0.0, K, reach) for the threshold locator (see the module notes), or None
+        where line_face gives up; form is line_face(vy) without the last answer of (c),
+        the facet near a vertex but outside its band, K is `kinks`' K and
+        reach = 2**17 vy h_min/R.
+
+        The form's answer (lo, hi) at vx_a bounds the kernel's x-range at every
+        |vx| <= reach: at most hi for vx < vx_a, at least lo for vx > vx_a.
+        Take vx < vx_a (the other side is the mirror image), q_i = n_i/h_i
+        exactly, so fx_i rounds q_ix and keeps the order of the q_ix, and the
+        exact gauge G(v) = max_i q_i . v of the stored half-planes, convex
+        with the q_ix of the facets met by the line's rays as its slopes
+        along the line, nondecreasing as vx grows.
+        (1) At v the kernel returns fp[i] only if q_i . v >= (1 - x) G(v), with
+        x = 31u R/h_min by (b)'s rounding (each kernel value within 7.4u nu/g
+        of t_i/g, t_i within e of q_i . v, nu/g <= 1.42 R/h_min), and snaps
+        only to a vertex whose two facets both have q . v >= (1 - x') G(v),
+        x' = (band + 7.4u R)/h_min by (a).
+        (2) At v_a, case (b) leaves every facet k but j, and the snap of (c)
+        every facet but j and r, below thr + 2e (by (ii) outside the
+        window): q_k . v_a < (1 - M) G(v_a) with M = (band + 57u R)/h_min,
+        and q_j . v_a = G(v_a) up to e.
+        (3) A facet with fx_i > hi has q_ix > q_jx, so (q_i - q_j) . v grows
+        with vx; below -M G(v_a) at v_a, it stays below it at v, while a pick
+        at v needs it at least -x G(v).  That needs G(v)/G(v_a) > M/x > 2.9e5,
+        but G(v) <= |v|/h_min <= (reach + vy)/h_min and G(v_a) >= vy/R bound
+        the ratio by 2**17 + R/h_min < 2**18: no pick exceeds hi.
+        (4) At v the boundary point P = v/G(v) has P_y >= h_min vy/|v| >
+        2 band, so a vertex the kernel snaps to lies above the x-axis and the
+        line's rays meet both its facets.  If one of them, i, were met past
+        P_a (beyond j, and beyond r in (c)): the boundary arc from P to facet
+        i spans less than pi of angle and so lies within x' h_i of facet i's
+        line (1 - q_i . z is affine in z, at most x' at both ends of the
+        chord, 1 at the origin, and the arc lies beyond the chord from the
+        origin); it passes P_a, against (2) as M > x'.  So the facets of a
+        snap are met at or before P_a, and their fx are at most hi.
+        The last answer of (c) has no margin like (2), so its value need not
+        carry; this form gives up there instead.
+        """
+        face = self._line_form(vy, False)
+        if face is None:
+            return None
+        return face, 0.0, self.kinks[0], 2.0**17 * vy * self.inner_radius / self.circumradius
+
+    @cached_property
+    def kink_flanks(self):
+        """For each kink K[m] (see `kinks`), the V_x/V_y of one point on each facet of its
+        vertex W, just beyond the distance from W at which case (b) of line_face can hold.
+
+        On facet j at distance s from W, 1 - tau_o = s |(fp_j - fp_o) . e| for the
+        other facet o at W and the unit edge vector e from W along j, and (b)
+        needs more than band/h_min of it; the point sits at 1.25 times that s.
+        None for a point past the middle of its facet or not above the x-axis.
+        """
+        _, facet_at = self.kinks
+        verts, fp = self.vertices.tolist(), self.facet_points.tolist()
+        n = len(verts)
+        need = 1.25 * VERTEX_FACE_TOL * self.circumradius / self.inner_radius
+        flanks = []
+        for w in facet_at[:-1]:
+            (wx, wy), ratios = verts[w], []
+            # Facet w - 1 ends at W, facet w starts there.
+            for j, o, (ox, oy) in ((w - 1, w, verts[w - 1]), (w, w - 1, verts[(w + 1) % n])):
+                ex, ey = ox - wx, oy - wy
+                length = math.hypot(ex, ey)
+                ex, ey = ex / length, ey / length
+                slope = abs((fp[j][0] - fp[o][0]) * ex + (fp[j][1] - fp[o][1]) * ey)
+                step = need / slope if slope > 0.0 else math.inf
+                px, py = wx + step * ex, wy + step * ey
+                ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
+            flanks.append(tuple(ratios))
+        return tuple(flanks)
+
+    def _line_form(self, vy, tail):
+        """line_face(vy), with the last answer of its case (c) only when tail is true."""
         h_min, radius = self.inner_radius, self.circumradius
         if not (_in_scale(h_min, radius, vy) and radius <= _ASPECT_MAX * h_min):
             return None
@@ -554,7 +679,7 @@ class Polygon:
                     return (lo, hi, err) if lo <= hi else (hi, lo, err)
                 if not dist - margin > band:
                     return None
-            if top - second > LINE_FACE_REL * nu:
+            if tail and top - second > LINE_FACE_REL * nu:
                 return fx[j], fx[j], err
             return None
 

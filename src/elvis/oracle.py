@@ -55,7 +55,7 @@ from mpmath.libmp import (
 )
 
 from .errors import ZeroVectorError
-from .geometry import Ball, Ellipse, Polygon, support
+from .geometry import _SCALE_MAX, _SCALE_MIN, Ball, Ellipse, Polygon, support
 from .solver import crossing_time, expand_bracket
 
 # 1/golden ratio as a raw value, computed at mpmath's default 53 bits.  This
@@ -72,8 +72,6 @@ GRID_POINTS = 4096
 _GRID_REL = 1e-12  # about 9000 u; the derivation needs 42 u
 _STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
 _MP_REL = 2.0**-120  # the derivation needs 2**-132
-# Scales outside this range leave the screens off (see the module notes).
-_SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ The bisection only needs that position, one of three answers per step.
 gives the face's x-range along the problem's line on Python floats with a
 proven error bound (see `geometry`), and a step whose screened interval
 lies within that bound of a threshold asks the 2-D kernels through `delta`,
-which arbitrate.  So every decision is the kernels' own.  The answer at the
-final y comes from one `_residual_faces` call, and the trace keeps each
-step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
-`delta_rows` call, bit-equal to `delta` row by row, when its rows are first
-read.
+which arbitrate.  So every decision is the kernels' own.  Most steps need
+no screen either: between the bracket expansion and the loop, `_thresholds`
+probes the line forms a few times (a bisection over the polygons' kinks,
+then a safeguarded secant or the probes around a kink's snap band) and
+certifies points a <= c <= d <= b of the bracket where the kernels decide
+-1 at every y <= a, 1 at every y >= b and 0 on [c, d], so the loop decides
+those midpoints by one comparison.  The answer at the final y comes from
+one `_residual_faces` call, and the trace keeps each step's (k, l, r, y, d)
+and fills in delta_lo and delta_hi by one `delta_rows` call, bit-equal to
+`delta` row by row, when its rows are first read.
 
 `solve_batch` runs the same loop, `_bisect`, for each of many targets x1
 that share x0, F0 and F1, then makes one row-kernel call at the abscissae
@@ -25,6 +30,7 @@ field.
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +47,12 @@ from .geometry import (
 )
 
 MAX_BRACKET_DOUBLINGS = 64
+
+# The threshold locator's safeguarded secant stops after this many probes.
+_SECANT_PROBES = 8
+# The secant stops, and aims at both crossings, once the residual is within this
+# many times eps plus its margin of zero.
+_AIM_FROM = 2048.0
 
 STATUS_CONVERGED = "Converged"
 STATUS_RESIDUAL_ZERO_IN_FACE = "ResidualZeroInFace"
@@ -385,32 +397,196 @@ def _stop_status(lo, hi, eps):
     return None
 
 
-def _bisect(problem, side):
+def _level0(problem):
+    """F0's threshold form along the problem's line: it depends on x0 and F0 alone."""
+    return problem.F0.threshold_face(0.0 - float(problem.x0[1]))
+
+
+def _thresholds(problem, l, r, level0):
+    """Certified thresholds (a, c, d, b) of the kernels' decision on [l, r]; see `_bisect`.
+
+    The decision at y is -1 iff the kernels' hi_K(y) < -eps and 1 iff their
+    lo_K(y) > eps.  A probe at t forms lo and hi from both sets'
+    `threshold_face` forms as `_residual_side` does, and m = err0 + err1 +
+    2 (E0 + E1).  The offsets y - x0_x and x1_x - y round monotonically, and
+    F1's face enters with a minus; every offset over [l, r] lies within the
+    forms' reach, or no threshold is located.  So by the threshold notes in
+    `geometry` hi_K(y) and lo_K(y) are at most hi and lo plus 2 (E0 + E1) at
+    every y <= t in [l, r], and at least hi and lo minus it at every y >= t;
+    err covers the rounding of lo and hi.  A rounded comparison with +-eps holds only if
+    the unrounded one does, so hi + m < -eps proves -1 on y <= t (a = t),
+    lo - m > eps proves 1 on y >= t (b = t), and hi - m > -eps and lo + m < eps
+    prove hi_K > -eps on y >= t (c = t) and lo_K < eps on y <= t (d = t),
+    hence 0 on [c, d].  Any probe point gives sound thresholds, so the search
+    only has to place them well: a bisection over the gaps between the
+    polygons' kinks, then the flanks of the kink left between (`kink_flanks`),
+    which hold the crossings when the zero lies in its snap band, or else a
+    safeguarded (Illinois) secant inside a gap and one probe aimed just
+    outside each crossing.  The search stops where a form gives up.  Absent
+    thresholds are -inf (a, d) and inf (c, b).
+    """
+    eps = problem.epsilon
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    a, c, d, b = -math.inf, math.inf, -math.inf, math.inf
+    level1 = problem.F1.threshold_face(x1y)
+    if level0 is None or level1 is None:
+        return a, c, d, b
+    (form0, e0, kinks0, reach0), (form1, e1, kinks1, reach1) = level0, level1
+    if not (max(abs(l - x0x), abs(r - x0x)) <= reach0 and max(abs(x1x - l), abs(x1x - r)) <= reach1):
+        return a, c, d, b
+    bound = 2.0 * (e0 + e1)
+    # The window (p, q) holds both crossings; pv and qv are the residual just inside it
+    # (hi at p, lo at q: at a kink the interval spans the jump), None until probed.
+    p, q, pv, qv = l, r, None, None
+    moves = []  # (t, residual) of every probe that moved the window
+    latest = None  # (t, residual, m) of the latest probe
+
+    def probe(t):
+        """Probe at t, a point of [p, q]: tighten the thresholds and the window.  Returns
+        -1 or 1 where t decides so with its margin, 0 where it does not, None where a
+        form gives up."""
+        nonlocal a, c, d, b, p, q, pv, qv, latest
+        fast0, fast1 = form0(t - x0x), form1(x1x - t)
+        if fast0 is None or fast1 is None:
+            return None
+        (a0, b0, err0), (a1m, b1m, err1) = fast0, fast1
+        lo, hi, m = a0 - b1m, b0 - a1m, err0 + err1 + bound
+        latest = t, 0.5 * (lo + hi), m
+        if hi - m > -eps and t < c:
+            c = t
+        if lo + m < eps and t > d:
+            d = t
+        if hi + m < -eps:
+            a = p = t
+            pv = hi
+            moves.append((t, hi))
+            return -1
+        if lo - m > eps:
+            b = q = t
+            qv = lo
+            moves.append((t, lo))
+            return 1
+        return 0
+
+    # The kink K of F0 lies at y = x0_x - x0_y K, and that of F1 at y = x1_x - x1_y K.
+    for shape, kinks, base, slope in ((problem.F0, kinks0, x0x, -x0y), (problem.F1, kinks1, x1x, -x1y)):
+        k_p, k_q = sorted(((p - base) / slope, (q - base) / slope))
+        i, j = bisect_right(kinks, k_p), bisect_left(kinks, k_q)
+        if i == j:
+            continue
+        # Bisect over the gaps between the kinks inside the window, probing each gap's
+        # middle; gap g runs from ends[g] to ends[g + 1].  That leaves at most the kink
+        # ends[g_lo] inside the window.
+        ends = (k_p, *kinks[i:j], k_q)
+        g_lo, g_hi, rising = 0, j - i, slope > 0.0
+        while g_lo <= g_hi:
+            g = (g_lo + g_hi) // 2
+            t = base + slope * (0.5 * (ends[g] + ends[g + 1]))
+            sign = probe(t) if p < t < q else None
+            if sign is None:
+                return a, c, d, b
+            if sign == 0:
+                break
+            if (sign < 0) == rising:
+                g_lo = g + 1
+            else:
+                g_hi = g - 1
+        else:
+            if not 0 < g_lo <= j - i:
+                continue
+            # Probe the kink's flanks, the points on both sides of it nearest its vertex
+            # where the polygon's form certifies (or the kink, where a flank is missing),
+            # in the order of y: a 1 leaves the crossings left of that point and a -1
+            # right of it, and -1 then 1 holds them around the kink.
+            flanks = [base + slope * ratio for ratio in shape.kink_flanks[i + g_lo - 1]
+                      if ratio is not None]
+            points = sorted(flanks) if len(flanks) == 2 else [base + slope * ends[g_lo]]
+            for t in points:
+                sign = probe(t) if p < t < q else None
+                if not sign:
+                    return a, c, d, b
+                if sign > 0:
+                    break
+            if q > points[-1] or q == points[0]:
+                continue
+            return a, c, d, b
+        break
+    else:
+        if (pv is None and probe(p) != -1) or (qv is None and probe(q) != 1):
+            return a, c, d, b
+        # Illinois: secant steps on the residual in (p, q), halving the value kept at an
+        # end that two steps in a row left in place; a midpoint where the step falls outside.
+        fp, fq, moved = pv, qv, 0
+        for _ in range(_SECANT_PROBES):
+            t = q - fq * ((q - p) / (fq - fp))
+            if not p < t < q:
+                t = 0.5 * (p + q)
+                if not p < t < q:
+                    return a, c, d, b
+            sign = probe(t)
+            if sign is None:
+                return a, c, d, b
+            if sign == 0 or abs(latest[1]) < _AIM_FROM * (eps + latest[2]):
+                break
+            if sign < 0:
+                fp = pv
+                if moved < 0:
+                    fq *= 0.5
+            else:
+                fq = qv
+                if moved > 0:
+                    fp *= 0.5
+            moved = sign
+        else:
+            return a, c, d, b
+    # The latest probe lies near a crossing: aim one probe just outside each crossing,
+    # along the line through it and the last probe before it that moved the window.
+    t, f, m = latest
+    before = [move for move in moves if move[0] != t]
+    if before:
+        slope = (f - before[-1][1]) / (t - before[-1][0])
+        if slope > 0.0:
+            for level in (-eps - 3.0 * m, eps + 3.0 * m):
+                aim = t + (level - f) / slope
+                if p < aim < q:
+                    probe(aim)
+    return a, c, d, b
+
+
+def _bisect(problem, side, level0):
     """The bracket and bisection of `solve`, deciding by side: (steps, y, expanded).
 
     steps holds each step's (k, l, r, y, d) on Python floats, y is where the
     bisection stopped and expanded whether the bracket was widened.  A
     midpoint that overflows raises BracketExpansionFailedError before side
-    sees it.
+    sees it.  Between the expansion and the loop, `_thresholds` locates
+    a <= c <= d <= b in [l, r] with the kernels' decision -1 at every
+    y <= a, 1 at every y >= b and 0 on [c, d], each possibly absent; the
+    loop takes such a midpoint's decision by comparison and asks side only
+    for the others, so its steps are those of side at every midpoint.
+    level0 is F0's threshold form, `_level0(problem)`, which a caller may
+    share between targets.
     """
     l, r, expanded = _expand(problem, side)
+    a, c, d, b = _thresholds(problem, l, r, level0)
     max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
-    d = r - l
+    d_k = r - l
     steps = []
     k = 0
     while True:
         y = 0.5 * (l + r)
         if not isfinite(y):
             raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
-        steps.append((k, l, r, y, d))
-        sign = side(y)
-        if sign == 0 or k + 1 >= max_iter or d <= 4.0 * ulp(abs(y)):
+        steps.append((k, l, r, y, d_k))
+        sign = -1 if y <= a else 1 if y >= b else 0 if c <= y <= d else side(y)
+        if sign == 0 or k + 1 >= max_iter or d_k <= 4.0 * ulp(abs(y)):
             return steps, y, expanded
         if sign > 0:
             r = y
         else:
             l = y
-        d *= 0.5
+        d_k *= 0.5
         k += 1
 
 
@@ -428,7 +604,7 @@ def solve(problem):
     The interval, faces, status and multipliers at the final y come from one
     `_residual_faces` call; y, l, r and d are reported as np.float64.
     """
-    steps, y, expanded = _bisect(problem, _residual_side(problem))
+    steps, y, expanded = _bisect(problem, _residual_side(problem), _level0(problem))
     y = np.float64(y)
     interval, face0, neg_face1 = _residual_faces(problem, y)
     status = _stop_status(interval.lo, interval.hi, problem.epsilon) or STATUS_MAX_ITERATIONS
@@ -472,12 +648,12 @@ def solve_batch(problem, x1s):
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
     eps = problem.epsilon
-    face0 = _line_face0(problem)
+    face0, level0 = _line_face0(problem), _level0(problem)
     solved, y_end, iterations, expanded = [], [], [], []
     for n, x1 in enumerate(x1s):
         node = ElvisProblem(problem.x0, x1, problem.F0, problem.F1, eps, problem.max_iter)
         try:
-            steps, y, grown = _bisect(node, _residual_side(node, face0))
+            steps, y, grown = _bisect(node, _residual_side(node, face0), level0)
         except BracketExpansionFailedError:
             continue
         solved.append(n)

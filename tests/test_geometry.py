@@ -5,6 +5,7 @@ import pickle
 import types
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -592,6 +593,70 @@ class TestLineFace:
             face = vset.line_face(1.0)
             assert face(1e20) is None and face(-1e20) is None
             assert face(1e18) is not None
+
+
+class TestThresholdFace:
+    """The threshold locator's forms: a smooth set's E bounds the kernel and the form
+    against the exact gradient, and a polygon's form is line_face without its tail answer."""
+
+    @staticmethod
+    def exact_x(vset, vx, vy):
+        """x-component of the exact gradient of the gauge the kernel rounds, from the stored
+        constants, at 60 digits."""
+        with mp.workdps(60):
+            if isinstance(vset, Ball):
+                rr = mp.mpf(vset.r * vset.r)  # the kernel's rounded r * r
+                return float(mp.mpf(vx) * vset.r / (mp.sqrt(mp.mpf(vx) ** 2 + mp.mpf(vy) ** 2) * rr))
+            (t00, t01), (t10, t11) = vset._to_axes.tolist()
+            w0 = mp.mpf(t00) * vx + mp.mpf(t01) * vy
+            w1 = mp.mpf(t10) * vx + mp.mpf(t11) * vy
+            a, b = mp.mpf(vset.a), mp.mpf(vset.b)
+            g = mp.sqrt((w0 / a) ** 2 + (w1 / b) ** 2)
+            return float((t00 * w0 / a**2 + t10 * w1 / b**2) / g)
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse"])
+    def test_smooth_bound(self, kind):
+        rng = np.random.default_rng(46)
+        worst = 0.0
+        for _ in range(40):
+            vset = random_row_set(rng, kind)
+            vy = float(10.0 ** rng.uniform(-2, 2))
+            face, bound, kinks, reach = vset.threshold_face(vy)
+            assert kinks == () and reach == math.inf
+            for vx in (rng.normal(size=25) * 10.0 ** rng.uniform(-3, 3, 25) * vy).tolist():
+                exact = self.exact_x(vset, vx, vy)
+                kernel = float(normal_face(vset, [vx, vy]).zeta_lo[0])
+                lo, hi, _ = face(vx)
+                assert lo == hi
+                gap = max(abs(kernel - exact), abs(lo - exact))
+                assert gap <= bound
+                worst = max(worst, gap / bound)
+        assert worst > 0.0
+
+    def test_polygon_form_drops_the_tail_answer(self):
+        """Directions near every kink of the egg 48-gon: the threshold form answers as
+        line_face does or gives up, and it gives up on some tail answers; at every kink
+        flank it answers a single facet."""
+        poly = egg_polygon()
+        dropped = 0
+        for vy in (0.3, 1.0, 2.5):
+            face = poly.line_face(vy)
+            strict, bound, kinks, reach = poly.threshold_face(vy)
+            assert bound == 0.0 and kinks == poly.kinks[0] and reach > 1000.0 * vy
+            for k in kinks:
+                for offset in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 3e-10, -3e-10, 1e-9, -1e-9, 1e-6, -1e-6):
+                    vx = vy * k * (1.0 + offset) + vy * offset
+                    want, got = face(vx), strict(vx)
+                    if got is None:
+                        dropped += want is not None
+                    else:
+                        assert got == want
+            for flank in poly.kink_flanks:
+                for ratio in flank:
+                    if ratio is not None:
+                        lo, hi, _ = strict(vy * ratio)
+                        assert lo == hi
+        assert dropped > 0
 
 
 class TestInvariants:
