@@ -19,18 +19,20 @@ row is rounded exactly as `m @ v` (BLAS may fuse multiply-adds, which
 `vs @ m.T`, `einsum` or an element-wise formula would round differently).
 Components are read from the transpose, `v.T[0]` and `v.T[1]`, which are
 scalars for a vector and columns for rows.  Every shape is a frozen value,
-and the kernels read constants derived from its fields once (as
-`cached_property`s, which leave fields, equality and repr alone): an
-ellipse's rotation matrices and squared semi-axes, and a polygon's half-plane
-form and facet points n_i/h_i, which are read-only like its vertices, and its
-sorted kinks.  `inner_radius` is the radius of the largest centred disk in
-the set.
+and the kernels read constants derived from its fields once, stored on the
+instance so that fields, equality and repr are left alone: an ellipse's
+rotation matrices and squared semi-axes (`cached_property`s), and a
+polygon's half-plane form, facet points n_i/h_i, radii, kinks and line-form
+data, all from one pass over its vertices on Python floats (`Polygon`), the
+arrays read-only like its vertices.  `inner_radius` is the radius of the
+largest centred disk in the set.
 
 `normal_face_rows` refuses a zero row, as `normal_face` refuses a zero
 vector; since a row is zero only if its y-component is, one reduction over
-the y-components clears the usual case.  `Polygon.validate` takes the cross
-products of every vertex's incident edges in one array expression, the same
-IEEE operations per vertex as a loop over the vertices.
+the y-components clears the usual case.  `Polygon.validate` tests
+collinearity and orientation on the cross products of every vertex's
+incident edges, taken on the coordinates scaled by a power of two that
+brings the largest to [0.5, 1), so they neither overflow nor underflow.
 
 Line forms.  `line_face(vy)` restricts `normal_face` to the directions
 (vx, vy) with one float vy > 0 and returns a function of a float vx giving
@@ -75,6 +77,7 @@ kernel's exactly within its reach (see `Polygon.threshold_face`).
 """
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,6 +105,9 @@ _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 _ASPECT_MAX = 2.0**16
 # A window slot of Polygon.line_face that holds no facet: its value is -inf.
 _NO_FACET = (0.0, -math.inf, 1.0)
+# Polygon coordinates up to this magnitude keep every edge length, radius and
+# offset finite (each is at most 2**1.5 times it).
+_COORD_MAX = sys.float_info.max / 4.0
 
 
 def _in_scale(*scales):
@@ -170,14 +176,23 @@ def _point_with_x_rows(zeta_lo, zeta_hi, x):
     return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
 
 
-def _edges(verts):
-    """Row i is the edge from vertex i to vertex i+1, cyclically."""
-    return np.concatenate((verts[1:], verts[:1])) - verts
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _columns(xs, ys):
+    """Read-only (n, 2) array with columns xs and ys."""
+    a = np.empty((len(xs), 2))
+    a[:, 0], a[:, 1] = xs, ys
+    return _read_only(a)
+
+
+def _crosses(xs, ys):
+    """Cross product at each vertex of the edge ending there and the edge starting there."""
+    ex = [b - a for a, b in zip(xs, xs[1:] + xs[:1])]
+    ey = [b - a for a, b in zip(ys, ys[1:] + ys[:1])]
+    return [bx * ay - by * ax for bx, by, ax, ay in zip(ex[-1:] + ex[:-1], ey[-1:] + ey[:-1], ex, ey)]
 
 
 @dataclass(frozen=True)
@@ -362,18 +377,70 @@ class Ellipse:
         return face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), math.inf
 
 
+class _Derived:
+    """A constant of a Polygon.  The first read derives all of them (`Polygon._derive`)
+    and stores them on the polygon, where later reads find them first."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, polygon, owner=None):
+        if polygon is None:
+            return self
+        flat = polygon.vertices.ravel().tolist()
+        polygon._derive(flat[0::2], flat[1::2], 0.0)
+        return polygon.__dict__[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class Polygon:
     """Convex polygon given by counterclockwise vertices, kept as a read-only float copy.
 
-    Derived from the vertices on first use, arrays read-only too: the half-plane
-    form (unit outward normals `normals` and offsets `offsets`, facet i joining
-    vertex i to vertex i+1), the facet points `facet_points` (row i is n_i/h_i,
-    the point of the polar boundary that facet i exposes), `circumradius`,
-    `inner_radius` (the least offset), `kinks` and `kink_flanks`.
+    Its constants come from one pass over the vertex coordinates on Python
+    floats (`_derive`), which `validate` makes and any other polygon makes on
+    the first read of one of them, raising a ValidationError where they are
+    undefined (an edge of length 0, the origin not strictly inside, a facet
+    point that overflows); the arrays are read-only too:
+
+    - the half-plane form: unit outward normals `normals` and offsets
+      `offsets`, facet i joining vertex i to vertex i+1;
+    - the facet points `facet_points`, row i n_i/h_i, the point of the polar
+      boundary that facet i exposes;
+    - `circumradius` and `inner_radius` (the least offset);
+    - `kinks` = (K, facet_at): K is the sorted V_x/V_y over the vertices
+      with V_y > 0, and facet_at[m] is the facet a direction (vx, vy),
+      vy > 0, with K[m-1] < vx/vy <= K[m] meets: U[m] for m < len(K), where
+      U lists those vertices in K's order, and U[-1] - 1 (mod n) past the
+      last kink.  The vertices with V_y > 0 run contiguously, clockwise in
+      K's order, so facet_at[m + 1] = facet_at[m] - 1;
+    - `kink_flanks`: for each kink K[m], the V_x/V_y of one point on each
+      facet of its vertex W, just beyond the distance from W at which case
+      (b) of `line_face` can hold.  On facet j at distance s from W,
+      1 - tau_o = s |(fp_j - fp_o) . e| for the other facet o at W and the
+      unit edge vector e from W along j, and (b) needs more than band/h_min
+      of it; the point sits at 1.25 times that s.  None for a point past the
+      middle of its facet or not above the x-axis;
+    - `_line_data`, line_face's constants: rows[c] holds facets c-2..c+2 as
+      (n_x, n_y, h), where a fence that repeats a facet of the row (fewer
+      than five facets) is _NO_FACET, whose value is -inf; fx lists the
+      facet points' x and fx_max is max |fx|.
+
+    Each value has the bits of the array expression it replaces: edge
+    lengths and radii come from one `np.hypot` call (libm, which may round
+    differently from `math.hypot`), normals are (e_y, -e_x)/length, offsets
+    n_x*V_x + n_y*V_y and facet points n/h, all element-wise.
     """
 
     vertices: np.ndarray
+
+    normals = _Derived()
+    offsets = _Derived()
+    facet_points = _Derived()
+    circumradius = _Derived()
+    inner_radius = _Derived()
+    kinks = _Derived()
+    kink_flanks = _Derived()
+    _line_data = _Derived()
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _read_only(np.array(self.vertices, float, ndmin=2)))
@@ -385,85 +452,103 @@ class Polygon:
         # Copies and unpickled polygons go through the constructor, read-only too.
         return (Polygon, (self.vertices,))
 
-    @cached_property
-    def normals(self):
-        edges = _edges(self.vertices)
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        return _read_only(np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None])
+    def _derive(self, xs, ys, floor):
+        """Derive every constant from the vertex coordinates xs, ys and store it on the
+        polygon.  Raises OriginNotInteriorError unless every offset exceeds floor, and
+        DegenerateDimensionsError on an edge of length 0 or a facet point that overflows."""
+        n = len(xs)
+        ex = [b - a for a, b in zip(xs, xs[1:] + xs[:1])]
+        ey = [b - a for a, b in zip(ys, ys[1:] + ys[:1])]
+        hyp = np.hypot(ex + xs, ey + ys).tolist()
+        lengths = hyp[:n]
+        if not min(lengths) > 0.0:
+            raise DegenerateDimensionsError("polygon has an edge of length 0")
+        nx = [b / d for b, d in zip(ey, lengths)]
+        ny = [-a / d for a, d in zip(ex, lengths)]
+        h = [p * x + q * y for p, q, x, y in zip(nx, ny, xs, ys)]
+        h_min = min(h)
+        if not h_min > floor:
+            raise OriginNotInteriorError("origin is not strictly inside the polygon")
+        fx = [p / t for p, t in zip(nx, h)]
+        fy = [q / t for q, t in zip(ny, h)]
+        fx_max = max(map(abs, fx))
+        if not max(fx_max, max(map(abs, fy))) < math.inf:
+            raise DegenerateDimensionsError("polygon facet points n/h overflow: its offsets are too small")
+        radius = max(hyp[n:])
 
-    @cached_property
-    def offsets(self):
-        return _read_only(np.sum(self.normals * self.vertices, axis=1))
-
-    @cached_property
-    def facet_points(self):
-        return _read_only(self.normals / self.offsets[:, None])
-
-    @cached_property
-    def circumradius(self):
-        return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
-
-    @cached_property
-    def inner_radius(self):
-        return float(np.min(self.offsets))
-
-    @cached_property
-    def kinks(self):
-        """(K, facet_at): K is the sorted V_x/V_y over the vertices with V_y > 0, and
-        facet_at[m] is the facet a direction (vx, vy), vy > 0, with K[m-1] < vx/vy <= K[m]
-        meets: U[m] for m < len(K), where U lists those vertices in K's order, and
-        U[-1] - 1 (mod n) past the last kink.  The vertices with V_y > 0 run
-        contiguously, clockwise in K's order, so facet_at[m + 1] = facet_at[m] - 1."""
-        verts = self.vertices.tolist()
-        upper = sorted((x / y, i) for i, (x, y) in enumerate(verts) if y > 0)
+        upper = sorted((x / y, i) for i, (x, y) in enumerate(zip(xs, ys)) if y > 0)
         kinks = tuple(q for q, _ in upper)
-        facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % len(verts),)
-        return kinks, facet_at
+        facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % n,)
 
-    @cached_property
-    def _line_data(self):
-        """line_face's constants: rows[c] holds facets c-2..c+2 as (n_x, n_y, h), where
-        a fence that repeats a facet of the row (fewer than five facets) is _NO_FACET,
-        whose value is -inf; fx lists the facet points' x and fx_max is max |fx|."""
-        facets = [(nx, ny, h) for (nx, ny), h in zip(self.normals.tolist(), self.offsets.tolist())]
-        n = len(facets)
+        facets = list(zip(nx, ny, h))
         ring = facets[-2:] + facets + facets[:2]
-        rows = [tuple(ring[c:c + 5]) for c in range(n)]
+        rows = list(zip(ring, ring[1:], ring[2:], ring[3:], ring[4:]))
         if n < 5:  # c + 2 repeats a facet of the row, and with three facets so does c - 2
             rows = [(f0 if n > 3 else _NO_FACET, f1, f2, f3, _NO_FACET) for f0, f1, f2, f3, _ in rows]
-        fx = self.facet_points[:, 0].tolist()
-        return tuple(rows), fx, max(map(abs, fx))
+
+        need = 1.25 * VERTEX_FACE_TOL * radius / h_min
+        flanks = []
+        for w in facet_at[:-1]:
+            wx, wy, ratios = xs[w], ys[w], []
+            # Facet w - 1 ends at W and facet w starts there.  For each, facet j, (dx, dy)
+            # runs from W along it and (sx, sy) = fp_j - fp_o, o the other facet.
+            gx, gy = fx[w - 1] - fx[w], fy[w - 1] - fy[w]
+            for dx, dy, sx, sy in ((-ex[w - 1], -ey[w - 1], gx, gy), (ex[w], ey[w], -gx, -gy)):
+                length = math.hypot(dx, dy)
+                dx, dy = dx / length, dy / length
+                slope = abs(sx * dx + sy * dy)
+                step = need / slope if slope > 0.0 else math.inf
+                px, py = wx + step * dx, wy + step * dy
+                ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
+            flanks.append(tuple(ratios))
+
+        self.__dict__.update(
+            normals=_columns(nx, ny), offsets=_read_only(np.array(h)),
+            facet_points=_columns(fx, fy), circumradius=radius, inner_radius=h_min,
+            kinks=(kinks, facet_at), kink_flanks=tuple(flanks),
+            _line_data=(tuple(rows), fx, fx_max),
+        )
 
     def validate(self):
         verts = self.vertices
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise DegenerateDimensionsError("polygon needs at least 3 planar vertices")
-        scale = float(np.max(np.abs(verts)))  # NaN or inf if any coordinate is
+        flat = verts.ravel().tolist()
+        scale = max(map(abs, flat)) if all(map(math.isfinite, flat)) else math.inf
         if not 0.0 < scale < math.inf:
             raise DegenerateDimensionsError("polygon vertices must be finite and not all zero")
-        col_tol = 1e-12 * scale * scale
+        if scale > _COORD_MAX:
+            raise DegenerateDimensionsError(
+                f"polygon coordinates must be at most {_COORD_MAX:.6g} in magnitude, "
+                "so that its edge lengths and radii stay finite"
+            )
+        # Collinear and orientation tests take the coordinates scaled by 2**-e, which
+        # puts scale in [0.5, 1): exact, so every decision is the unscaled one wherever
+        # that one's products are normal floats, and no cross product overflows, nor
+        # underflows unless it lies far below col_tol (at least 2.5e-13).
+        mantissa, e = math.frexp(scale)
+        col_tol = 1e-12 * mantissa * mantissa
+        scaled = np.ldexp(verts, -e).ravel().tolist()
+        xs, ys, sx, sy = flat[0::2], flat[1::2], scaled[0::2], scaled[1::2]
 
         # Drop duplicate and collinear vertices (cross product of incident edges ~ 0),
         # the first such vertex at a time, until none is left.
-        while len(verts) >= 3:
-            edges = _edges(verts)
-            before = np.concatenate((edges[-1:], edges[:-1]))  # edge i-1, ending at vertex i
-            crosses = before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
-            small = np.flatnonzero(np.abs(crosses) <= col_tol)
-            if small.size == 0:
+        while len(sx) >= 3:
+            crosses = _crosses(sx, sy)
+            if min(map(abs, crosses)) > col_tol:
                 break
-            verts = np.delete(verts, small[0], axis=0)
-        if len(verts) < 3:
+            i = next(i for i, c in enumerate(crosses) if abs(c) <= col_tol)
+            del xs[i], ys[i], sx[i], sy[i]
+        if len(sx) < 3:
             raise DegenerateDimensionsError("fewer than 3 distinct vertices after collinear removal")
 
-        if np.all(crosses < 0):
+        if max(crosses) < 0:
             raise NonConvexError("vertices are ordered clockwise; counterclockwise required")
-        if not np.all(crosses > 0):
+        if not min(crosses) > 0:
             raise NonConvexError("vertices are not in strictly convex order")
 
-        polygon = Polygon(verts)
-        if not np.all(polygon.offsets > 1e-12 * scale):
-            raise OriginNotInteriorError("origin is not strictly inside the polygon")
+        polygon = Polygon(verts if len(xs) == len(verts) else _columns(xs, ys))
+        polygon._derive(xs, ys, 1e-12 * scale)
         return polygon
 
     def gauge(self, v):
@@ -600,35 +685,6 @@ class Polygon:
             return None
         return face, 0.0, self.kinks[0], 2.0**17 * vy * self.inner_radius / self.circumradius
 
-    @cached_property
-    def kink_flanks(self):
-        """For each kink K[m] (see `kinks`), the V_x/V_y of one point on each facet of its
-        vertex W, just beyond the distance from W at which case (b) of line_face can hold.
-
-        On facet j at distance s from W, 1 - tau_o = s |(fp_j - fp_o) . e| for the
-        other facet o at W and the unit edge vector e from W along j, and (b)
-        needs more than band/h_min of it; the point sits at 1.25 times that s.
-        None for a point past the middle of its facet or not above the x-axis.
-        """
-        _, facet_at = self.kinks
-        verts, fp = self.vertices.tolist(), self.facet_points.tolist()
-        n = len(verts)
-        need = 1.25 * VERTEX_FACE_TOL * self.circumradius / self.inner_radius
-        flanks = []
-        for w in facet_at[:-1]:
-            (wx, wy), ratios = verts[w], []
-            # Facet w - 1 ends at W, facet w starts there.
-            for j, o, (ox, oy) in ((w - 1, w, verts[w - 1]), (w, w - 1, verts[(w + 1) % n])):
-                ex, ey = ox - wx, oy - wy
-                length = math.hypot(ex, ey)
-                ex, ey = ex / length, ey / length
-                slope = abs((fp[j][0] - fp[o][0]) * ex + (fp[j][1] - fp[o][1]) * ey)
-                step = need / slope if slope > 0.0 else math.inf
-                px, py = wx + step * ex, wy + step * ey
-                ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
-            flanks.append(tuple(ratios))
-        return tuple(flanks)
-
     def _line_form(self, vy, tail):
         """line_face(vy), with the last answer of its case (c) only when tail is true."""
         h_min, radius = self.inner_radius, self.circumradius
@@ -731,8 +787,16 @@ def normal_face_rows(vset, vs):
 
     Row n is bit-equal to normal_face(vset, vs[n]).zeta_lo and .zeta_hi.
     """
+    return _face_rows(vset, vs)[0]
+
+
+def _face_rows(vset, vs):
+    """normal_face_rows(vset, vs) and the pair (g, p): the rows' gauges g and the
+    boundary points p = vs/g the faces are taken at."""
     vs = np.asarray(vs, dtype=float)
     # A row is zero only if its y-component is, so one reduction clears the usual case.
     if not vs[:, 1].all() and ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
         raise ZeroVectorError("normal_face needs a nonzero direction")
-    return vset.boundary_face(vs / vset.gauge(vs)[:, None])
+    g = vset.gauge(vs)
+    p = vs / g[:, None]
+    return vset.boundary_face(p), (g, p)

@@ -39,10 +39,11 @@ import numpy as np
 from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
 from .geometry import (
     Ball,
+    NormalFace,
+    _face_rows,
     _point_with_x_rows,
     _x_range_rows,
     normal_face,
-    normal_face_rows,
     validate,
 )
 
@@ -200,9 +201,14 @@ def _residual_faces(problem, y):
     yv = np.array([y, 0.0])
     face0 = normal_face(problem.F0, yv - problem.x0)
     neg_face1 = normal_face(problem.F1, problem.x1 - yv)
+    return _interval(face0, neg_face1), face0, neg_face1
+
+
+def _interval(face0, neg_face1):
+    """The delta interval of the faces face0 and neg_face1 (see `_residual_faces`)."""
     a0, b0 = face0.x_range
     a1m, b1m = neg_face1.x_range
-    return DeltaInterval(a0 - b1m, b0 - a1m), face0, neg_face1
+    return DeltaInterval(a0 - b1m, b0 - a1m)
 
 
 def delta(problem, y):
@@ -214,8 +220,11 @@ def delta(problem, y):
 def _residual_rows(problem, ys, x1s):
     """_residual_faces at every ys[n] for the target x1s[n] (x1s may be one shared point).
 
-    Returns the interval ends (lo, hi) and the (zeta_lo, zeta_hi) rows of face0
-    and neg_face1, each row bit-equal to the scalar call's.
+    Returns the interval ends (lo, hi), the (zeta_lo, zeta_hi) rows of face0
+    and neg_face1, each row bit-equal to the scalar call's, and per side the
+    pair (g, v): the gauges g of the rows w0 = (y, 0) - x0 (F0) and
+    w1 = x1 - (y, 0) (F1), and the boundary points v = w/g the faces are
+    taken at.
     """
     # The rows (y, 0) - x0 and x1 - (y, 0), entry by entry as those subtractions round them.
     x0x, x0y = problem.x0
@@ -226,17 +235,16 @@ def _residual_rows(problem, ys, x1s):
     v1 = np.empty((len(ys), 2))
     v1[:, 0] = x1x - ys
     v1[:, 1] = x1y
-    face0 = normal_face_rows(problem.F0, v0)
-    neg_face1 = normal_face_rows(problem.F1, v1)
+    face0, at0 = _face_rows(problem.F0, v0)
+    neg_face1, at1 = _face_rows(problem.F1, v1)
     a0, b0 = _x_range_rows(*face0)
     a1m, b1m = _x_range_rows(*neg_face1)
-    return a0 - b1m, b0 - a1m, face0, neg_face1
+    return a0 - b1m, b0 - a1m, face0, neg_face1, at0, at1
 
 
 def delta_rows(problem, ys):
     """delta at every entry of the 1-D array ys, as arrays (lo, hi), bit-equal entry by entry."""
-    lo, hi, _, _ = _residual_rows(problem, np.asarray(ys, dtype=float), problem.x1)
-    return lo, hi
+    return _residual_rows(problem, np.asarray(ys, dtype=float), problem.x1)[:2]
 
 
 def _select_multipliers(interval, face0, neg_face1):
@@ -261,7 +269,7 @@ def _line_face0(problem):
     return problem.F0.line_face(0.0 - float(problem.x0[1]))
 
 
-def _residual_side(problem, face0=None):
+def _residual_side(problem, face0=None, face1=None):
     """The bisection's decision at y, as a function side(y) of a Python float.
 
     side(y) is 1 when delta(y).lo > eps, -1 when delta(y).hi < -eps and 0
@@ -273,8 +281,9 @@ def _residual_side(problem, face0=None):
     +-eps holds only if the same strict comparison holds unrounded, so
     lo - err > eps proves 1, hi + err < -eps proves -1, and lo + err < eps
     with hi - err > -eps proves 0.  Otherwise, or where a line form gives
-    up, `delta` decides.  face0, F0's line form `_line_face0(problem)`, may be
-    passed in by a caller that shares it between targets.
+    up, `delta` decides.  face0, F0's line form `_line_face0(problem)`, and
+    face1, F1's `line_face(x1_y)`, may be passed in by a caller that shares
+    them between targets.
     """
     eps = problem.epsilon
     x0x, _ = problem.x0.tolist()
@@ -282,7 +291,8 @@ def _residual_side(problem, face0=None):
     # The kernels' directions are (y - x0_x, 0 - x0_y) and (x1_x - y, x1_y - 0).
     if face0 is None:
         face0 = _line_face0(problem)
-    face1 = problem.F1.line_face(x1y)
+    if face1 is None:
+        face1 = problem.F1.line_face(x1y)
     if face0 is None or face1 is None:
         face0 = face1 = _no_line_face
 
@@ -402,7 +412,7 @@ def _level0(problem):
     return problem.F0.threshold_face(0.0 - float(problem.x0[1]))
 
 
-def _thresholds(problem, l, r, level0):
+def _thresholds(problem, l, r, level0, level1=None):
     """Certified thresholds (a, c, d, b) of the kernels' decision on [l, r]; see `_bisect`.
 
     The decision at y is -1 iff the kernels' hi_K(y) < -eps and 1 iff their
@@ -423,13 +433,15 @@ def _thresholds(problem, l, r, level0):
     which hold the crossings when the zero lies in its snap band, or else a
     safeguarded (Illinois) secant inside a gap and one probe aimed just
     outside each crossing.  The search stops where a form gives up.  Absent
-    thresholds are -inf (a, d) and inf (c, b).
+    thresholds are -inf (a, d) and inf (c, b).  level0 is `_level0(problem)`
+    and level1 F1's `threshold_face(x1_y)`, built here unless passed in.
     """
     eps = problem.epsilon
     x0x, x0y = problem.x0.tolist()
     x1x, x1y = problem.x1.tolist()
     a, c, d, b = -math.inf, math.inf, -math.inf, math.inf
-    level1 = problem.F1.threshold_face(x1y)
+    if level1 is None:
+        level1 = problem.F1.threshold_face(x1y)
     if level0 is None or level1 is None:
         return a, c, d, b
     (form0, e0, kinks0, reach0), (form1, e1, kinks1, reach1) = level0, level1
@@ -554,7 +566,7 @@ def _thresholds(problem, l, r, level0):
     return a, c, d, b
 
 
-def _bisect(problem, side, level0):
+def _bisect(problem, side, level0, level1=None):
     """The bracket and bisection of `solve`, deciding by side: (steps, y, expanded).
 
     steps holds each step's (k, l, r, y, d) on Python floats, y is where the
@@ -565,11 +577,11 @@ def _bisect(problem, side, level0):
     y <= a, 1 at every y >= b and 0 on [c, d], each possibly absent; the
     loop takes such a midpoint's decision by comparison and asks side only
     for the others, so its steps are those of side at every midpoint.
-    level0 is F0's threshold form, `_level0(problem)`, which a caller may
-    share between targets.
+    level0 is F0's threshold form, `_level0(problem)`, and level1 F1's (see
+    `_thresholds`), which a caller may share between targets.
     """
     l, r, expanded = _expand(problem, side)
-    a, c, d, b = _thresholds(problem, l, r, level0)
+    a, c, d, b = _thresholds(problem, l, r, level0, level1)
     max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
     d_k = r - l
     steps = []
@@ -601,26 +613,33 @@ def solve(problem):
     decision, so the steps are those of the loop that evaluates `delta` at
     every midpoint.  The midpoints are formed on Python floats, and one that
     overflows raises BracketExpansionFailedError before it is evaluated.
-    The interval, faces, status and multipliers at the final y come from one
-    `_residual_faces` call; y, l, r and d are reported as np.float64.
+    At the final y each side's gauge g is taken once: v = w/g is both the
+    result's v0 or v1 and the boundary point its face is taken at, so the
+    interval, status, multipliers and time come from that one evaluation;
+    y, l, r and d are reported as np.float64.
     """
     steps, y, expanded = _bisect(problem, _residual_side(problem), _level0(problem))
     y = np.float64(y)
-    interval, face0, neg_face1 = _residual_faces(problem, y)
-    status = _stop_status(interval.lo, interval.hi, problem.epsilon) or STATUS_MAX_ITERATIONS
-    if expanded:
-        status = BRACKET_EXPANDED_PREFIX + status
-    zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
     g0 = problem.F0.gauge(w0)
     g1 = problem.F1.gauge(w1)
+    v0, v1 = w0 / g0, w1 / g1
+    # normal_face at w0 and w1, taken at the boundary points v0 and v1; its zero check
+    # cannot fire, as w0_y = -x0_y and w1_y = x1_y are positive.
+    face0 = NormalFace(*problem.F0.boundary_face(v0))
+    neg_face1 = NormalFace(*problem.F1.boundary_face(v1))
+    interval = _interval(face0, neg_face1)
+    status = _stop_status(interval.lo, interval.hi, problem.epsilon) or STATUS_MAX_ITERATIONS
+    if expanded:
+        status = BRACKET_EXPANDED_PREFIX + status
+    zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1)
     result = SolveResult(
         y=y,
         time=float(g0 + g1),
-        v0=w0 / g0,
-        v1=w1 / g1,
+        v0=v0,
+        v1=v1,
         zeta0=zeta0,
         zeta1=zeta1,
         iterations=len(steps),
@@ -633,12 +652,13 @@ def solve_batch(problem, x1s):
     """solve for every target x1s[n] of an (N, 2) array (or one point); one SolveResult per node.
 
     problem is an ElvisProblem whose own x1 is not used (a SweepSpec is one).
-    Each node runs solve's `_bisect` on its own problem, with F0's line form
-    built once for all of them, and keeps only its stopping abscissa and
-    step count; one row-kernel call at those abscissae gives every node its
-    last interval and faces, bit-equal to solve's, so its status and
-    multipliers, and result n equals solve(problem with x1 = x1s[n])[0] field
-    by field.  Result n is None where solve raises BracketExpansionFailedError.
+    Each node runs solve's `_bisect` on its own problem, with F0's forms built
+    once for all of them and F1's once per run of nodes with equal x1_y, and
+    keeps only its stopping abscissa and step count; one row-kernel call at
+    those abscissae gives every node its last interval, faces and gauges,
+    bit-equal to solve's, so its status, multipliers, time and velocities,
+    and result n equals solve(problem with x1 = x1s[n])[0] field by field.
+    Result n is None where solve raises BracketExpansionFailedError.
     """
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape == (2,):
@@ -647,13 +667,17 @@ def solve_batch(problem, x1s):
         raise ValidationError(f"x1s must be an (N, 2) array or one point, got shape {x1s.shape}")
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
-    eps = problem.epsilon
+    eps, F1 = problem.epsilon, problem.F1
     face0, level0 = _line_face0(problem), _level0(problem)
     solved, y_end, iterations, expanded = [], [], [], []
-    for n, x1 in enumerate(x1s):
-        node = ElvisProblem(problem.x0, x1, problem.F0, problem.F1, eps, problem.max_iter)
+    forms_y = None
+    for n, (x1, x1y) in enumerate(zip(x1s, x1s[:, 1].tolist())):
+        # F1's forms depend on x1_y alone, so a run of nodes with equal x1_y (a grid row) shares them.
+        if x1y != forms_y:
+            forms_y, face1, level1 = x1y, F1.line_face(x1y), F1.threshold_face(x1y)
+        node = ElvisProblem(problem.x0, x1, problem.F0, F1, eps, problem.max_iter)
         try:
-            steps, y, grown = _bisect(node, _residual_side(node, face0), level0)
+            steps, y, grown = _bisect(node, _residual_side(node, face0, face1), level0, level1)
         except BracketExpansionFailedError:
             continue
         solved.append(n)
@@ -662,7 +686,7 @@ def solve_batch(problem, x1s):
         expanded.append(grown)
 
     y = np.array(y_end)
-    lo, hi, (zlo0, zhi0), (zlo1, zhi1) = _residual_rows(problem, y, x1s[solved])
+    lo, hi, (zlo0, zhi0), (zlo1, zhi1), (g0, v0), (g1, v1) = _residual_rows(problem, y, x1s[solved])
     # _select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
     target = np.where(hi < target, hi, target)  # min(target, hi)
@@ -673,13 +697,7 @@ def solve_batch(problem, x1s):
     z0x = np.where(b0 < z0x, b0, z0x)
     zeta0 = _point_with_x_rows(zlo0, zhi0, z0x)
     zeta1 = -_point_with_x_rows(zlo1, zhi1, -(target - z0x))
-    pts = np.column_stack((y, np.zeros(len(y))))
-    w0 = pts - problem.x0
-    w1 = x1s[solved] - pts
-    g0 = problem.F0.gauge(w0)
-    g1 = problem.F1.gauge(w1)
     times = (g0 + g1).tolist()
-    v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
 
     results = [None] * len(x1s)
     for m, (i, lo_m, hi_m) in enumerate(zip(solved, lo.tolist(), hi.tolist())):

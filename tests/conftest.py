@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,13 @@ def boundary_points(vset, n, rng):
     t = rng.uniform(0.0, 1.0, n)[:, None]
     nxt = np.roll(verts, -1, axis=0)
     return (1.0 - t) * verts[idx] + t * nxt[idx]
+
+
+def pool_problems(seed, n=270):
+    """The problem texts of the benchmark's `problem_pool(seed, n)` (perfbench/inputs.py)."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.inputs import problem_pool
+
+    return problem_pool(seed, n)

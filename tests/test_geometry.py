@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import types
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,9 +29,16 @@ from elvis import (
     validate,
 )
 
+from elvis import geometry
 from elvis.geometry import VERTEX_FACE_TOL, normal_face_rows
 
-from conftest import SQUARE0_VERTICES, boundary_points, egg_polygon, random_validated_set
+from conftest import (
+    SQUARE0_VERTICES,
+    boundary_points,
+    egg_polygon,
+    pool_problems,
+    random_validated_set,
+)
 
 
 class TestValidate:
@@ -123,10 +132,100 @@ class TestValidate:
         with pytest.raises(DegenerateDimensionsError):
             validate(Polygon([(1, 0), (1.0, 0.0), (0, 1)]))
 
+    @pytest.mark.parametrize("s", [1e-200, 1e160, 1e200])
+    def test_extreme_squares(self, s):
+        """Collinearity and orientation are tested on power-of-two scaled coordinates, so
+        the square (+-s, +-s) validates where its cross products would underflow or
+        overflow, with no warning, and its constants are the unit square's scaled by s."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sq = validate(Polygon([(s, s), (-s, s), (-s, -s), (s, -s)]))
+        assert sq.normals.tolist() == [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+        assert sq.offsets.tolist() == [s] * 4 and sq.inner_radius == s
+        assert sq.facet_points.tolist() == (sq.normals / s).tolist()
+        assert sq.circumradius == float(np.hypot(s, s))
+        assert sq.kinks == ((-1.0, 1.0), (1, 0, 3))
+
+    @pytest.mark.parametrize("s, match", [(1e308, "at most"), (5e307, "at most"),
+                                          (1e-320, "facet points")])
+    def test_square_beyond_float_range(self, s, match):
+        """Coordinates above a quarter of the largest float could overflow an edge length or
+        radius, and a facet point n/h of a subnormal square overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDimensionsError, match=match):
+                validate(Polygon([(s, s), (-s, s), (-s, -s), (s, -s)]))
+
+    @pytest.mark.parametrize("verts, error", [
+        ([(1, 1), (1, 1), (-1, 0)], DegenerateDimensionsError),  # an edge of length 0
+        ([(1, 0), (2, 0), (1, 1)], OriginNotInteriorError),
+    ])
+    def test_unvalidated_degenerate_constants(self, verts, error):
+        """An unvalidated polygon derives its constants on first read, with the checks its
+        divisions need."""
+        with pytest.raises(error):
+            Polygon(verts).normals
+
+
+POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
+                     "inner_radius", "kinks", "kink_flanks", "_line_data")
+
+
+def reference_constants(verts):
+    """Every constant of a validated polygon with these vertices, derived by the array
+    expressions Polygon used before it derived them on Python floats in one pass."""
+    edges = np.concatenate((verts[1:], verts[:1])) - verts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+    offsets = np.sum(normals * verts, axis=1)
+    facet_points = normals / offsets[:, None]
+    circumradius = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
+    inner_radius = float(np.min(offsets))
+
+    points = verts.tolist()
+    n = len(points)
+    upper = sorted((x / y, i) for i, (x, y) in enumerate(points) if y > 0)
+    facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % n,)
+
+    facets = [(nx, ny, h) for (nx, ny), h in zip(normals.tolist(), offsets.tolist())]
+    ring = facets[-2:] + facets + facets[:2]
+    rows = [tuple(ring[c:c + 5]) for c in range(n)]
+    if n < 5:
+        rows = [(f0 if n > 3 else geometry._NO_FACET, f1, f2, f3, geometry._NO_FACET)
+                for f0, f1, f2, f3, _ in rows]
+    fx = facet_points[:, 0].tolist()
+
+    fp = facet_points.tolist()
+    need = 1.25 * VERTEX_FACE_TOL * circumradius / inner_radius
+    flanks = []
+    for w in facet_at[:-1]:
+        (wx, wy), ratios = points[w], []
+        for j, o, (ox, oy) in ((w - 1, w, points[w - 1]), (w, w - 1, points[(w + 1) % n])):
+            ex, ey = ox - wx, oy - wy
+            length = math.hypot(ex, ey)
+            ex, ey = ex / length, ey / length
+            slope = abs((fp[j][0] - fp[o][0]) * ex + (fp[j][1] - fp[o][1]) * ey)
+            step = need / slope if slope > 0.0 else math.inf
+            px, py = wx + step * ex, wy + step * ey
+            ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
+        flanks.append(tuple(ratios))
+
+    return dict(
+        normals=normals, offsets=offsets, facet_points=facet_points, circumradius=circumradius,
+        inner_radius=inner_radius, kinks=(tuple(q for q, _ in upper), facet_at),
+        kink_flanks=tuple(flanks), _line_data=(tuple(rows), fx, max(map(abs, fx))),
+    )
+
+
+def constants_of(polygon):
+    """Every constant of the polygon: arrays by shape and bytes, the rest by repr."""
+    return [(name, (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v))
+            for name in POLYGON_CONSTANTS for v in [getattr(polygon, name)]]
+
 
 def loop_validate(polygon):
-    """Polygon.validate written vertex by vertex, with the half-plane form derived here
-    too: the reference the array form and the polygon's cached constants must equal.
+    """Polygon.validate written vertex by vertex, with its constants derived by
+    `reference_constants`: the reference the polygon's validate and constants must equal.
 
     Collinear vertices go one at a time, the first in vertex order each pass,
     and every cross product is taken on one vertex's two incident edges.
@@ -167,20 +266,15 @@ def loop_validate(polygon):
     offsets = np.sum(normals * verts, axis=1)
     if not np.all(offsets > 1e-12 * scale):
         raise OriginNotInteriorError("origin is not strictly inside the polygon")
-    return types.SimpleNamespace(
-        vertices=verts, normals=normals, offsets=offsets, facet_points=normals / offsets[:, None],
-        circumradius=float(np.max(np.hypot(verts[:, 0], verts[:, 1]))),
-    )
+    return types.SimpleNamespace(vertices=verts, **reference_constants(verts))
 
 
 def validate_outcome(validate_fn, vertices):
-    """The validated arrays' bytes and the circumradius, or the error's type and message."""
+    """The validated polygon's constants (`constants_of`), or the error's type and message."""
     try:
-        p = validate_fn(Polygon(vertices))
+        return constants_of(validate_fn(Polygon(vertices)))
     except ValidationError as exc:
         return type(exc), str(exc)
-    arrays = [getattr(p, name) for name in ("vertices", "normals", "offsets", "facet_points")]
-    return [(a.shape, a.tobytes()) for a in arrays], repr(p.circumradius)
 
 
 def edge_insert(verts, i, *points):
@@ -197,7 +291,8 @@ def edge_insert(verts, i, *points):
 
 
 class TestValidateMatchesLoop:
-    """Polygon.validate's array form equals the vertex-by-vertex loop, errors included."""
+    """Polygon.validate equals the vertex-by-vertex loop, errors included, and every
+    constant of the polygon it returns equals the array derivations (`reference_constants`)."""
 
     def test_random_and_degenerate_polygons(self):
         rng = np.random.default_rng(41)
@@ -227,7 +322,7 @@ class TestValidateMatchesLoop:
                 got = validate_outcome(Polygon.validate, vs)
                 assert got == validate_outcome(loop_validate, vs), name
                 # Vertices added to the convex polygon that survive, or the error raised.
-                added = got[0][0][0][0] - n if isinstance(got[0], list) else got[0]
+                added = got[0][1][0][0] - n if isinstance(got, list) else got[0]
                 outcomes.setdefault(name, set()).add(added)
                 cases += 1
         assert cases == 520
@@ -241,6 +336,20 @@ class TestValidateMatchesLoop:
             assert outcomes[name] == {NonConvexError}, name
         assert outcomes["origin outside"] == {OriginNotInteriorError}
         assert outcomes["collinear"] == {DegenerateDimensionsError}
+
+    def test_egg_and_pool_polygons(self):
+        """The sweep 48-gon and every polygon of the benchmark's problem pools 1-3, validated
+        and, unvalidated, read directly: one derivation serves both."""
+        vertex_lists = [egg_polygon().vertices.tolist()]
+        for seed in (1, 2, 3):
+            for text in pool_problems(seed):
+                doc = json.loads(text)
+                vertex_lists += [doc[k]["vertices"] for k in ("F0", "F1") if doc[k]["kind"] == "polygon"]
+        assert len(vertex_lists) == 1 + 3 * 180
+        for verts in vertex_lists:
+            want = validate_outcome(loop_validate, verts)
+            assert validate_outcome(Polygon.validate, verts) == want
+            assert constants_of(Polygon(verts)) == want
 
 
 class TestGauge:

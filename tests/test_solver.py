@@ -36,6 +36,7 @@ from elvis.solver import STATUS_CONVERGED, STATUS_RESIDUAL_ZERO_IN_FACE, delta_r
 from conftest import (
     SQUARE0_VERTICES,
     egg_polygon,
+    pool_problems,
     random_ball,
     random_ellipse,
     random_polygon,
@@ -280,6 +281,20 @@ class TestSolve:
         lo, hi = delta_rows(p, [-1.0, 2.0])
         assert [lo[1], hi[1]] == [delta(p, 2.0).lo, delta(p, 2.0).hi]
 
+    @pytest.mark.parametrize("side", ["F0", "F1"])
+    @pytest.mark.parametrize("s, status, iterations, time", [
+        (1e200, STATUS_CONVERGED, 40, 1.0),
+        (1e-200, STATUS_RESIDUAL_ZERO_IN_FACE, 30, 1e200),
+    ])
+    def test_extreme_squares(self, side, s, status, iterations, time):
+        """The squares (+-s, +-s) against Ball(1): a huge square takes no time, a tiny one
+        all of it, flat over a range of y; no warning on the way."""
+        sets = {"F0": Ball(1.0), "F1": Ball(1.0), side: Polygon([(s, s), (-s, s), (-s, -s), (s, -s)])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, _ = solve(make_problem((0.0, -1.0), (1.0, 1.0), sets["F0"], sets["F1"]))
+        assert (result.status, result.iterations, result.time) == (status, iterations, time)
+
     def test_convergence_bound(self, elliptic_problem):
         result, trace = solve(elliptic_problem)
         y_star, _ = minimize_objective(elliptic_problem)
@@ -383,6 +398,40 @@ def assert_same_solve(got, want):
     """Two (SolveResult, BisectionTrace) pairs agree byte for byte, types included."""
     assert field_bits(got[0]) == field_bits(want[0])
     assert [field_bits(row) for row in got[1]] == [field_bits(row) for row in want[1]]
+
+
+def two_gauge_answer(problem, steps, y, expanded):
+    """solve's SolveResult at the bisection's final y formed as before each side's gauge was
+    taken once: one _residual_faces call, then both gauges again for time, v0 and v1."""
+    y = np.float64(y)
+    interval, face0, neg_face1 = solver._residual_faces(problem, y)
+    status = solver._stop_status(interval.lo, interval.hi, problem.epsilon) or solver.STATUS_MAX_ITERATIONS
+    if expanded:
+        status = solver.BRACKET_EXPANDED_PREFIX + status
+    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1)
+    yv = np.array([y, 0.0])
+    w0 = yv - problem.x0
+    w1 = problem.x1 - yv
+    g0 = problem.F0.gauge(w0)
+    g1 = problem.F1.gauge(w1)
+    return solver.SolveResult(y, float(g0 + g1), w0 / g0, w1 / g1, zeta0, zeta1, len(steps), status)
+
+
+class TestAnswer:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_two_gauge_answer(self, seed):
+        """Every SolveResult field, bytes and type, on the benchmark's problem pools 1-3."""
+        compared = 0
+        for text in pool_problems(seed):
+            p = parse_problem(text)
+            try:
+                got = solve(p)[0]
+            except BracketExpansionFailedError:
+                continue
+            steps, y, expanded = solver._bisect(p, solver._residual_side(p), solver._level0(p))
+            assert field_bits(got) == field_bits(two_gauge_answer(p, steps, y, expanded))
+            compared += 1
+        assert compared > 250
 
 
 class TestLookahead:
@@ -692,7 +741,7 @@ def lockstep_expand_rows(problem, x1s):
         width = r[nodes] - l[nodes]
         step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
         for tries in itertools.count():
-            lo, hi, _, _ = solver._residual_rows(problem, end[nodes], x1s[nodes])
+            lo, hi = solver._residual_rows(problem, end[nodes], x1s[nodes])[:2]
             outward = lo > eps if left else hi < -eps
             nodes, step = nodes[outward], step[outward]
             if nodes.size == 0 or tries >= solver.MAX_BRACKET_DOUBLINGS:
@@ -726,7 +775,7 @@ def lockstep_solve_batch(problem, x1s):
         if not finite.all():  # an overflowing midpoint fails its node unevaluated, as in solve
             failed[nodes[~finite]] = True
             nodes, y, l, r, d, x1_run = (a[finite] for a in (nodes, y, l, r, d, x1_run))
-        lo, hi, _, _ = solver._residual_rows(problem, y, x1_run)
+        lo, hi = solver._residual_rows(problem, y, x1_run)[:2]
         hit = (lo <= eps) & (hi >= -eps)
         stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
         if stop.any():
@@ -742,7 +791,7 @@ def lockstep_solve_batch(problem, x1s):
 
     solved = np.flatnonzero(~failed)
     y = y_end[solved]
-    lo, hi, (zlo0, zhi0), (zlo1, zhi1) = solver._residual_rows(problem, y, x1s[solved])
+    lo, hi, (zlo0, zhi0), (zlo1, zhi1), _, _ = solver._residual_rows(problem, y, x1s[solved])
     # _select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
     target = np.where(hi < target, hi, target)  # min(target, hi)

@@ -14,7 +14,11 @@ bit-identical (every float by its bytes, every value with its type name):
 - solve_batch: every SolveResult field of `solve_batch` over the grids of
   `sweep_specs` seeds 1-10 (None where a node failed);
 - sweep_csv: the bytes `elvis sweep` writes for those sweep files;
-- oracle: (y*, phi*) of `minimize_objective` on pool seeds 1-10.
+- oracle: (y*, phi*) of `minimize_objective` on pool seeds 1-10;
+- polygon_constants: every constant a validated polygon derives from its
+  vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
+  the sweep files (the sweep 48-gon).  It reads only attributes that
+  earlier checkouts have too, so one copy of this script compares any two.
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
 from a per-node `solve` in any field; it is 0 on a correct checkout.
@@ -31,7 +35,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
-from elvis import cli, solver  # noqa: E402
+from elvis import Polygon, cli, solver  # noqa: E402
 from elvis.oracle import minimize_objective  # noqa: E402
 from elvis.probfile import parse_problem, parse_sweep, sweep_grid  # noqa: E402
 from perfbench.inputs import problem_pool, sweep_specs  # noqa: E402
@@ -40,6 +44,8 @@ POOL_SEEDS = tuple(range(1, 11)) + tuple(range(101, 111))
 POOL_SIZE = 270
 ORACLE_SEEDS = tuple(range(1, 11))
 SWEEP_SEEDS = tuple(range(1, 11))
+POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
+                     "inner_radius", "kinks", "kink_flanks", "_line_data")
 
 
 def _feed(h, value):
@@ -72,11 +78,21 @@ def _same(a, b):
         for f in dataclasses.fields(a))
 
 
-def pool_digests():
+def _feed_polygons(h, problem):
+    """Every constant of the problem's polygons; tuples by repr, which keeps every float."""
+    for vset in (problem.F0, problem.F1):
+        if isinstance(vset, Polygon):
+            for name in POLYGON_CONSTANTS:
+                h.update(name.encode())
+                _feed(h, getattr(vset, name))
+
+
+def pool_digests(polygons):
     results, rows, brackets = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for seed in POOL_SEEDS:
         for text in problem_pool(seed, POOL_SIZE):
             problem = parse_problem(text)
+            _feed_polygons(polygons, problem)
             try:
                 result, trace = solver.solve(problem)
             except solver.BracketExpansionFailedError as exc:
@@ -94,7 +110,7 @@ def pool_digests():
     return {"solve_result": results, "trace_row": rows, "expand_bracket": brackets}
 
 
-def sweep_digests():
+def sweep_digests(polygons):
     batch, csv = hashlib.sha256(), hashlib.sha256()
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,6 +119,7 @@ def sweep_digests():
             for doc in sweep_specs(seed):
                 text = json.dumps(doc)
                 spec = parse_sweep(text)
+                _feed_polygons(polygons, spec)
                 xs, ys = sweep_grid(spec)
                 targets = np.array([[x, y] for y in ys for x in xs])
                 for x1, got in zip(targets, solver.solve_batch(spec, targets)):
@@ -136,10 +153,12 @@ def oracle_digest():
 
 
 def main():
-    digests = pool_digests()
-    sweeps, mismatches = sweep_digests()
+    polygons = hashlib.sha256()
+    digests = pool_digests(polygons)
+    sweeps, mismatches = sweep_digests(polygons)
     digests.update(sweeps)
     digests["oracle"] = oracle_digest()
+    digests["polygon_constants"] = polygons
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
     print(f"solve_batch_vs_solve {mismatches}")
