@@ -11,14 +11,19 @@ the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.
 Each question is first put to a float screen, closed-form float gauges with
 a proven error bound, in the manner of adaptive-precision predicates
 (Shewchuk, Discrete Comput. Geom. 18, 1997).  Only what the bound leaves
-open is settled by the exact values: `crossing_time` on the grid points the
-screen cannot rule out (bit-equal row by row to the full batched call), and
-the 136-bit phi of a golden point, computed on first need and kept.  That
-phi does mpmath arithmetic on raw libmp values, calling the functions mpf's
-operators call, in the same order: the gauge terms that do not depend on y
-are computed once per call, and a polygon keeps only the facets that can
-attain its maximum on the refine bracket.  Every answer is the one the exact
-values give, so (y*, phi*) keep their bits.
+open is settled by the exact values.  The grid screens every 64th point
+first; since phi is convex, a screened point that is certainly above
+another rules out every grid point beyond it, so the full screen and
+`crossing_time` (bit-equal row by row to the full batched call) run only
+on the coarse cells left open, usually two.  The golden points are the
+136-bit values libmp's operations give, kept as Python integers of one
+binary frame and rounded as libmp rounds, and the 136-bit phi of a point
+is computed on first need and kept.  That phi does mpmath arithmetic on
+raw libmp values, calling the functions mpf's operators call, in the same
+order: the gauge terms that do not depend on y are computed once per call,
+and a polygon keeps only the facets that can attain its maximum on the
+refine bracket.  Every answer is the one the exact values give, so
+(y*, phi*) keep their bits.
 
 The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
 2**-53, for float +, -, *, /, and an error under one ulp for `math.hypot`,
@@ -39,7 +44,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     from_float,
-    from_int,
+    from_man_exp,
     fzero,
     mpf_add,
     mpf_cos,
@@ -51,20 +56,26 @@ from mpmath.libmp import (
     mpf_sin,
     mpf_sqrt,
     mpf_sub,
-    to_float,
+    round_nearest,
 )
 
 from .errors import ZeroVectorError
 from .geometry import _SCALE_MAX, _SCALE_MIN, Ball, Ellipse, Polygon, support
 from .solver import crossing_time, expand_bracket
 
-# 1/golden ratio as a raw value, computed at mpmath's default 53 bits.  This
-# rounded value steers every refine step, so it is part of the output bits.
+# 1/golden ratio as a raw value, computed at mpmath's default 53 bits, and
+# its mantissa and exponent.  This rounded value steers every refine step,
+# so it is part of the output bits.
 _INV_GOLDEN = ((mp.mpf(5).sqrt() - 1) / 2)._mpf_
+_GOLDEN_MAN, _GOLDEN_EXP = _INV_GOLDEN[1], _INV_GOLDEN[2]
+# The refine's precision: mpmath's binary precision at 40 digits.
+_PREC = mp.libmp.dps_to_prec(40)
 # sample_interior gives up after this many rejected draws per requested sample.
 MAX_REJECTIONS_PER_SAMPLE = 1000
-# Points of minimize_objective's grid scan over the expanded bracket.
+# Points of minimize_objective's grid scan over the expanded bracket, and
+# the stride of the coarse points its convexity pruning screens first.
 GRID_POINTS = 4096
+_COARSE = 64
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
 # whose derivation needs less (see _grid_screen and _side_screen); math.inf
@@ -269,6 +280,9 @@ def _grid_screen(problem, ys):
     way, and a ball's by under 4 u |v|_1/rho; the final sums add u each.
     That is under 39 u in all, and the roundings of bound and of
     approx -+ bound add under 3 u, against _GRID_REL of about 9000 u.
+    bound_i also bounds |approx_i - phi(y_i)| and |v_i - phi(y_i)| for the
+    exact phi: the float offset vx = y - x0_x (or x1_x - y) is within u |vx|
+    of the exact one and gamma is 1/rho-Lipschitz, which adds u |v|_1/rho.
     """
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
@@ -279,21 +293,55 @@ def _grid_screen(problem, ys):
     return approx, bound
 
 
+def _open_window(problem, ys):
+    """(lo, hi): crossing_time at each grid point outside ys[lo:hi] is above its least value.
+
+    The screen (see _grid_screen) runs on every _COARSE-th point and the
+    last.  Let U = min (approx + bound) over them, reached at coarse point j,
+    and B the largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid
+    point, since |v|_1/rho is convex in y and so greatest at a grid end.
+    A coarse p < j with approx_p - bound_p - B > U has
+    phi(y_p) >= approx_p - bound_p > U >= phi(y_j), so phi, being convex,
+    is at least phi(y_p) at every y_i <= y_p, and there
+    v_i >= phi(y_i) - B >= approx_p - bound_p - B > U >= v_m, the least v
+    (U >= v_j >= v_m, see _grid_argmin).  No such i is an argmin of v or ties
+    one.  The coarse q > j are the mirror image.  lo is one past the last
+    such p and hi the first such q: (0, len(ys)) if there is none.  The two
+    float roundings of the test add under 3 u |approx_p| + u B, inside the
+    slack of _GRID_REL.
+    """
+    n = len(ys)
+    coarse = np.append(np.arange(0, n - 1, _COARSE), n - 1)
+    approx, bound = _grid_screen(problem, ys[coarse])
+    upper = approx + bound
+    j = int(np.argmin(upper))
+    out = np.flatnonzero(approx - bound - np.max(bound) > upper[j])
+    left, right = out[out < j], out[out > j]
+    lo = int(coarse[left[-1]]) + 1 if len(left) else 0
+    hi = int(coarse[right[0]]) if len(right) else n
+    return lo, hi
+
+
 def _grid_argmin(problem, ys, screened):
     """int(np.argmin(crossing_time(problem, ys))), evaluating crossing_time only where needed.
 
-    With screened, crossing_time runs only on the candidates i with
-    approx_i - bound_i <= U = min_j (approx_j + bound_j) (see _grid_screen).
-    Let m be the first index of the least v.  For every j, v_m <= v_j <=
+    With screened, only the open window ys[lo:hi] (see _open_window) is
+    screened, usually two coarse cells, and crossing_time runs only on its
+    candidates i with approx_i - bound_i <= U = min_j (approx_j + bound_j)
+    over the window (see _grid_screen).  Let m be the first index of the
+    least v; it lies in the window.  For every j, v_m <= v_j <=
     approx_j + bound_j, so v_m <= U and approx_m - bound_m <= v_m <= U: m is
-    a candidate.  The candidates come in index order, and none before m has
-    v = v_m, so the first argmin of v over the candidates is m.
+    a candidate.  The candidates come in index order, and no point before m
+    has v = v_m, so the first argmin of v over the candidates is m.  With
+    nothing pruned the window is the whole grid.
     """
     if not screened:
         return int(np.argmin(crossing_time(problem, ys)))
-    approx, bound = _grid_screen(problem, ys)
+    lo, hi = _open_window(problem, ys)
+    window = ys[lo:hi]
+    approx, bound = _grid_screen(problem, window)
     cand = np.flatnonzero(approx - bound <= np.min(approx + bound))
-    return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
+    return lo + int(cand[np.argmin(crossing_time(problem, window[cand]))])
 
 
 def _side_screen(vset, vy, live):
@@ -382,9 +430,10 @@ def _side_screen(vset, vy, live):
 def _step_screen(problem, sides):
     """Float screen for phi(c) - phi(d) at golden points of the float bracket of sides.
 
-    Returns (point, difference).  point(y) gives the float data of the raw
-    libmp point y; difference(p, q, delta) takes two such data and the float
-    delta = to_float(mpf_sub(y_p, y_q)), and returns (D, E) with
+    Returns (point, difference).  point(yf) gives the float data of a golden
+    point y from yf = to_float(y); difference(p, q, delta) takes two such
+    data and the float delta = to_float(mpf_sub(y_p, y_q)), and returns
+    (D, E) with
     |D - (phi_p - phi_q)| <= E for the 136-bit values phi_p, phi_q that
     _objective_raw gives.  Each side contributes its _side_screen pair (F0's
     vx is y - x0_x, moving by delta; F1's is x1_x - y, moving by -delta).
@@ -395,8 +444,7 @@ def _step_screen(problem, sides):
     point0, difference0 = _side_screen(*sides[0])
     point1, difference1 = _side_screen(*sides[1])
 
-    def point(y):
-        yf = to_float(y)
+    def point(yf):
         return point0(yf, yf - x0x), point1(yf, x1x - yf)
 
     def difference(p, q, delta):
@@ -413,16 +461,145 @@ def _grid(problem):
     return np.linspace(l, r, GRID_POINTS if r > l else 1)
 
 
+def _round(n, prec=_PREC):
+    """(m, k) with m * 2**k the integer n rounded to prec significant bits, nearest-even.
+
+    This is the rounding of libmp's normalize with rnd 'n': for values
+    n_x * 2**e and n_y * 2**e of one binary frame, mpf_add, mpf_sub and
+    mpf_mul at prec give n_x + n_y, n_x - n_y (times 2**e) or n_x * n_y
+    (times 2**(2e)) so rounded.
+    """
+    k = n.bit_length() - prec
+    if k <= 0:
+        return n, 0
+    m = -n if n < 0 else n
+    q = m >> k
+    rest = m - (q << k)
+    half = 1 << (k - 1)
+    if rest > half or (rest == half and q & 1):
+        q += 1
+    return (-q if n < 0 else q), k
+
+
+def _to_float(n, e, nearest=False):
+    """libmp's to_float of n * 2**e: n cut to 53 bits toward zero (or nearest-even), then ldexp."""
+    k = n.bit_length() - 53
+    if k > 0:
+        if nearest:
+            n, k = _round(n, 53)
+        else:
+            n = -(-n >> k) if n < 0 else n >> k
+        e += k
+    return math.ldexp(n, e)
+
+
+def _scaled(num, den, frame):
+    """floor(num/den / 2**frame) for a power of two den: a float's integer ratio in a frame."""
+    shift = 1 - den.bit_length() - frame
+    return num << shift if shift >= 0 else num >> -shift
+
+
+def _refine(a, b, tol, objective, screen):
+    """Golden-section search for the least phi on the float bracket [a, b], to width tol.
+
+    Returns y*, the float nearest the midpoint of the last bracket.  The
+    golden points are the ones libmp's mpf_add, mpf_sub and mpf_mul give at
+    _PREC bits, operation by operation, but each value is a Python integer n
+    standing for n * 2**frame, one frame for a, b, w = b - a and the points
+    c, d: sums are exact and _round rounds them as libmp does.  The step
+    _INV_GOLDEN*w, rounded, may have bits below the frame, so a point is
+    summed in the step's frame; a point with bits below the frame (one
+    near 0) deepens the frame, rescaling the values that are live.  A
+    bracket clear of 0 never does: every point lies in [a, b], and the
+    frame starts at the last of the _PREC bits of min(|a|, |b|).  The loop
+    stops when w is at most tol, compared as floor(tol / 2**frame), or no
+    longer shrinks (tol below the _PREC-bit spacing of y).
+
+    The exact phi decides a step; objective() builds it, on first need (a
+    screened call usually has none).  phi takes a raw mpf, from_man_exp(n,
+    frame), and a point's value is computed on first need and kept.  With
+    screen, the (point, difference) pair of _step_screen, a step is first
+    put to the float screen, and phi settles only what its bound leaves open.
+    """
+    (na, da), (nb, db), (nt, dt) = (x.as_integer_ratio() for x in (a, b, tol))
+    frame = 1 - max(da, db).bit_length()
+    tops = [n.bit_length() - d.bit_length() for n, d in ((na, da), (nb, db)) if n]
+    if tops:
+        frame = min(frame, min(tops) + 1 - _PREC)
+    a, b, tol_n = _scaled(na, da, frame), _scaled(nb, db, frame), _scaled(nt, dt, frame)
+    screen_point, screen_difference = screen or (None, None)
+    phi = None
+
+    def golden_point(base, sign, keep):
+        """[n, float screen data, phi once needed] for base + sign*_INV_GOLDEN*w, rounded.
+
+        keep is the other live point, rescaled with a, b and w if the frame deepens.
+        """
+        nonlocal a, b, w, frame, tol_n
+        m, k = _round(_GOLDEN_MAN * w)
+        shift = _GOLDEN_EXP + k  # the step is m * 2**(frame + shift)
+        if shift >= 0:
+            y, k = _round(base + sign * (m << shift))
+        else:
+            y, k = _round((base << -shift) + sign * m)
+            k += shift
+        if k >= 0:
+            y <<= k
+        else:
+            a, b, w, keep[0] = a << -k, b << -k, w << -k, keep[0] << -k
+            frame += k
+            tol_n = _scaled(nt, dt, frame)
+        return [y, screen_point(_to_float(y, frame)) if screen else None, None]
+
+    def less(p, q):
+        """phi(p) < phi(q): by the float screen when its bound settles it, else exactly."""
+        nonlocal phi
+        if screen:
+            m, k = _round(p[0] - q[0])
+            diff, err = screen_difference(p[1], q[1], _to_float(m, frame + k))
+            if diff + err < 0:
+                return True
+            if diff - err > 0:
+                return False
+        phi = phi or objective()
+        for pt in (p, q):
+            if pt[2] is None:
+                pt[2] = phi(from_man_exp(pt[0], frame))
+        return mpf_lt(p[2], q[2])
+
+    m, k = _round(b - a)
+    w = m << k
+    c = golden_point(b, -1, [0])  # nothing else is live yet
+    d = golden_point(a, 1, c)
+    while w > tol_n:
+        w_last = w
+        lower = less(c, d)
+        if lower:
+            b, d = d[0], c
+        else:
+            a, c = c[0], d
+        m, k = _round(b - a)
+        w = m << k
+        if not w < w_last:
+            break  # the _PREC-bit spacing of y: tol is below it
+        if lower:
+            c = golden_point(b, -1, d)
+        else:
+            d = golden_point(a, 1, c)
+    m, k = _round(a + b)
+    return _to_float(m, frame + k - 1, nearest=True)
+
+
 def minimize_objective(problem, cfg=None):
     """Brute-force minimizer of the crossing-time objective.
 
-    Grid scan over the (expanded) bracket locates the minimal cell; a
-    golden-section search run at extended precision refines it to
+    A grid scan over the (expanded) bracket locates the minimal cell, and a
+    golden-section search with _PREC-bit points and values refines it to
     cfg.golden_tol, or until a step no longer narrows the bracket, which
-    happens when golden_tol is below the 136-bit spacing of y.  Returns
+    happens when golden_tol is below the _PREC-bit spacing of y.  Returns
     (y_star, phi_star).  Both stages decide by the float screens where their
     bounds allow and by exact values elsewhere, with the answers the exact
-    values give throughout.
+    values give throughout (see _grid_argmin and _refine).
     """
     cfg = cfg or OracleConfig()
     ys = _grid(problem)
@@ -430,50 +607,10 @@ def minimize_objective(problem, cfg=None):
     i = _grid_argmin(problem, ys, screened)
     a = float(ys[max(i - 1, 0)])
     b = float(ys[min(i + 1, len(ys) - 1)])
-
-    with mp.workdps(40):
-        prec, rnd = mp.mp._prec_rounding
-        sides = _sides(problem, a, b)
-        phi = _objective_raw(problem, sides, prec, rnd)
-        screen_point, screen_difference = _step_screen(problem, sides) if screened else (None, None)
-        a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
-
-        def point(y):
-            """A golden point: [raw y, float screen data, 136-bit phi once needed]."""
-            return [y, screen_point(y) if screened else None, None]
-
-        def less(p, q):
-            """phi(p) < phi(q): by the float screen when its bound settles it, else exactly."""
-            if screened:
-                delta = to_float(mpf_sub(p[0], q[0], prec, rnd))
-                diff, err = screen_difference(p[1], q[1], delta)
-                if diff + err < 0:
-                    return True
-                if diff - err > 0:
-                    return False
-            for pt in (p, q):
-                if pt[2] is None:
-                    pt[2] = phi(pt[0])
-            return mpf_lt(p[2], q[2])
-
-        # w = b - a is both the loop's width and the golden step's base.
-        w = mpf_sub(b, a, prec, rnd)
-        step = mpf_mul(_INV_GOLDEN, w, prec, rnd)
-        c = point(mpf_sub(b, step, prec, rnd))
-        d = point(mpf_add(a, step, prec, rnd))
-        while mpf_gt(w, tol):
-            w_last = w
-            if less(c, d):
-                b, d = d[0], c
-                w = mpf_sub(b, a, prec, rnd)
-                c = point(mpf_sub(b, mpf_mul(_INV_GOLDEN, w, prec, rnd), prec, rnd))
-            else:
-                a, c = c[0], d
-                w = mpf_sub(b, a, prec, rnd)
-                d = point(mpf_add(a, mpf_mul(_INV_GOLDEN, w, prec, rnd), prec, rnd))
-            if not mpf_lt(w, w_last):
-                break  # the 136-bit spacing of y: golden_tol is below it
-        y_star = to_float(mpf_div(mpf_add(a, b, prec, rnd), from_int(2), prec, rnd), rnd=rnd)
+    sides = _sides(problem, a, b)
+    screen = _step_screen(problem, sides) if screened else None
+    y_star = _refine(a, b, cfg.golden_tol,
+                     lambda: _objective_raw(problem, sides, _PREC, round_nearest), screen)
     return y_star, crossing_time(problem, y_star)
 
 

@@ -8,7 +8,18 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import mpf_sub, to_float
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_sub,
+    to_float,
+)
 
 import elvis
 from elvis import (
@@ -27,12 +38,14 @@ from elvis import (
     make_problem,
     minimize_objective,
     oracle,
+    parse_problem,
     solve,
     validate,
 )
 
 from conftest import (
     SQUARE0_VERTICES,
+    pool_problems,
     random_ball,
     random_ellipse,
     random_polygon,
@@ -295,7 +308,16 @@ class TestFloatScreen:
             p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
             ys = oracle._grid(p)
             approx, bound = oracle._grid_screen(p, ys)
-            assert np.all(np.abs(approx - crossing_time(p, ys)) <= bound)
+            vals = crossing_time(p, ys)
+            assert np.all(np.abs(approx - vals) <= bound)
+            # bound also holds against the exact phi, here at 60 digits.
+            with mp.workdps(60):
+                prec, rnd = mp.mp._prec_rounding
+                phi = oracle._objective_raw(p, oracle._sides(p, ys[0], ys[-1]), prec, rnd)
+                for i in rng.choice(len(ys), 40, replace=False):
+                    exact = mp.mpf(phi(from_float(float(ys[i]))))
+                    assert abs(mp.mpf(approx[i]) - exact) <= bound[i]
+                    assert abs(mp.mpf(vals[i]) - exact) <= bound[i]
 
     @pytest.mark.parametrize("k0", range(3))
     @pytest.mark.parametrize("k1", range(3))
@@ -315,7 +337,7 @@ class TestFloatScreen:
                     c = mp.mpf(a) + mp.mpf(rng.uniform(0.1, 0.4)) * (mp.mpf(b) - mp.mpf(a))
                     d = c + mp.mpf(gap) * mp.mpf(rng.uniform(1.0, 2.0))
                     delta = to_float(mpf_sub(c._mpf_, d._mpf_, prec, rnd))
-                    dd, e = difference(point(c._mpf_), point(d._mpf_), delta)
+                    dd, e = difference(point(to_float(c._mpf_)), point(to_float(d._mpf_)), delta)
                     with mp.workprec(600):
                         err = abs(mp.mpf(dd) - (mp.mpf(phi(c._mpf_)) - mp.mpf(phi(d._mpf_))))
                     assert err <= e
@@ -336,3 +358,231 @@ class TestFloatScreen:
             monkeypatch.setattr(oracle, name, math.inf)  # every decision by exact values
         exact = [TestRawRefine.bits(minimize_objective(p, cfg)) for p in problems for cfg in configs]
         assert screened == exact
+
+
+def full_scan_argmin(problem, ys):
+    """The screened grid argmin without convexity pruning: every point screened."""
+    approx, bound = oracle._grid_screen(problem, ys)
+    cand = np.flatnonzero(approx - bound <= np.min(approx + bound))
+    return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
+
+
+class TestPrunedScan:
+    """The convexity-pruned grid scan finds the full scan's argmin."""
+
+    MAKERS = (random_ball, random_ellipse, random_polygon)
+
+    @staticmethod
+    def check(problem, ys):
+        assert oracle._grid_argmin(problem, ys, True) == full_scan_argmin(problem, ys)
+        assert full_scan_argmin(problem, ys) == int(np.argmin(crossing_time(problem, ys)))
+
+    @pytest.mark.parametrize("k0", range(3))
+    @pytest.mark.parametrize("k1", range(3))
+    def test_equals_full_scan(self, k0, k1):
+        rng = np.random.default_rng([28, k0, k1])
+        for _ in range(4):
+            base = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
+            for shift in (0.0, 1e3, 1e6):
+                p = translated(base, shift)
+                ys = oracle._grid(p)
+                assert oracle._well_scaled(p, ys, OracleConfig().golden_tol)
+                self.check(p, ys)
+
+    def test_flat_minimum(self, square0):
+        # phi is 2 on the whole of [0, 0.5]: the argmin is its first grid point.
+        p = make_problem((0.0, -1.0), (0.5, 1.0), square0, square0)
+        self.check(p, oracle._grid(p))
+
+    def test_minimum_at_grid_end(self, symmetric_ball_problem):
+        p = symmetric_ball_problem  # least phi at y = 0
+        for start, stop in ((0.0, 3.0), (-3.0, 0.0), (1.0, 4.0), (-4.0, -1.0)):
+            ys = np.linspace(start, stop, oracle.GRID_POINTS)
+            self.check(p, ys)
+            lo, hi = oracle._open_window(p, ys)
+            assert hi - lo < oracle.GRID_POINTS
+
+    def test_sound_at_the_bound(self, monkeypatch, symmetric_ball_problem):
+        """Float phi that errs by up to 0.99 bound still gives the true argmin.
+
+        Near its minimum phi varies by a few bounds over these grids, so a
+        pruning test that compared approx without its bounds would cut the
+        least value away.
+        """
+        p = symmetric_ball_problem  # phi(y) = 2*sqrt(2) + y**2/sqrt(2) + O(y**4)
+        rng = np.random.default_rng(32)
+        screen = oracle._grid_screen
+
+        def noisy_screen(problem, ys):
+            approx, bound = screen(problem, ys)
+            return approx + rng.choice((-0.99, 0.99), len(ys)) * bound, bound
+
+        monkeypatch.setattr(oracle, "_grid_screen", noisy_screen)
+        for width in (1e-6, 3e-6, 1e-5, 3e-5, 1e-4):
+            for _ in range(10):
+                ys = np.linspace(-width * rng.uniform(0.2, 1.0), width, oracle.GRID_POINTS)
+                assert oracle._grid_argmin(p, ys, True) == int(np.argmin(crossing_time(p, ys)))
+
+    def test_one_point_grid(self, symmetric_ball_problem):
+        ys = np.array([0.25])
+        assert oracle._open_window(symmetric_ball_problem, ys) == (0, 1)
+        self.check(symmetric_ball_problem, ys)
+
+    def test_unscreened_problem(self):
+        p = make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25))
+        ys = oracle._grid(p)
+        assert not oracle._well_scaled(p, ys, OracleConfig().golden_tol)
+        assert oracle._grid_argmin(p, ys, False) == int(np.argmin(crossing_time(p, ys)))
+        assert minimize_objective(p) == reference_minimize(p, OracleConfig())
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_window_is_pruned_on_pool(self, seed):
+        for text in pool_problems(seed):
+            p = parse_problem(text)
+            ys = oracle._grid(p)
+            lo, hi = oracle._open_window(p, ys)
+            assert 0 <= lo < hi <= len(ys)
+            assert hi - lo < oracle.GRID_POINTS
+            self.check(p, ys)
+
+
+def libmp_refine(problem, a, b, cfg, screened):
+    """The golden section with its points as raw libmp values: the loop the integer points replaced."""
+    with mp.workdps(40):
+        prec, rnd = mp.mp._prec_rounding
+        sides = oracle._sides(problem, a, b)
+        phi = oracle._objective_raw(problem, sides, prec, rnd)
+        screen_point, screen_difference = oracle._step_screen(problem, sides)
+        a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
+        inv_golden = oracle._INV_GOLDEN
+
+        def point(y):
+            return [y, screen_point(to_float(y)) if screened else None, None]
+
+        def less(p, q):
+            if screened:
+                delta = to_float(mpf_sub(p[0], q[0], prec, rnd))
+                diff, err = screen_difference(p[1], q[1], delta)
+                if diff + err < 0:
+                    return True
+                if diff - err > 0:
+                    return False
+            for pt in (p, q):
+                if pt[2] is None:
+                    pt[2] = phi(pt[0])
+            return mpf_lt(p[2], q[2])
+
+        w = mpf_sub(b, a, prec, rnd)
+        step = mpf_mul(inv_golden, w, prec, rnd)
+        c = point(mpf_sub(b, step, prec, rnd))
+        d = point(mpf_add(a, step, prec, rnd))
+        while mpf_gt(w, tol):
+            w_last = w
+            if less(c, d):
+                b, d = d[0], c
+                w = mpf_sub(b, a, prec, rnd)
+                c = point(mpf_sub(b, mpf_mul(inv_golden, w, prec, rnd), prec, rnd))
+            else:
+                a, c = c[0], d
+                w = mpf_sub(b, a, prec, rnd)
+                d = point(mpf_add(a, mpf_mul(inv_golden, w, prec, rnd), prec, rnd))
+            if not mpf_lt(w, w_last):
+                break
+        return to_float(mpf_div(mpf_add(a, b, prec, rnd), from_int(2), prec, rnd), rnd=rnd)
+
+
+def libmp_minimize(problem, cfg):
+    """minimize_objective with libmp_refine: the reference for the integer points."""
+    ys = oracle._grid(problem)
+    screened = oracle._well_scaled(problem, ys, cfg.golden_tol)
+    i = full_scan_argmin(problem, ys) if screened else int(np.argmin(crossing_time(problem, ys)))
+    a = float(ys[max(i - 1, 0)])
+    b = float(ys[min(i + 1, len(ys) - 1)])
+    y_star = libmp_refine(problem, a, b, cfg, screened)
+    return y_star, crossing_time(problem, y_star)
+
+
+def random_mantissa(rng, bits):
+    """A random integer of exactly bits bits (bits >= 1), every bit below the top one drawn."""
+    return (1 << (bits - 1)) | int.from_bytes(rng.bytes(bits // 8 + 1), "little") % (1 << (bits - 1))
+
+
+class TestIntegerPoints:
+    """The refine's integer arithmetic rounds as libmp does, and the refine keeps its bits."""
+
+    PREC = oracle._PREC
+
+    @staticmethod
+    def operands(rng):
+        """Pairs (n_x, n_y) of one frame: random widths, signs, exact ties and near-cancellations."""
+        out = []
+        for _ in range(400):
+            nx = random_mantissa(rng, int(rng.integers(1, 200)))
+            ny = random_mantissa(rng, int(rng.integers(1, 200)))
+            out.append((nx, ny))
+            out.append((-nx, ny))
+            out.append((nx, -nx + int(rng.integers(-5, 6))))  # near 0
+        for _ in range(200):
+            k = int(rng.integers(1, 80))
+            q = random_mantissa(rng, TestIntegerPoints.PREC)
+            tie = (q << k) | (1 << (k - 1))  # exactly half-way between two 136-bit values
+            out.append((tie, 0))
+            out.append((-tie, 0))
+            out.append(((q | 1) << k, 1 << (k - 1)))  # an odd q ties too
+            out.append((((1 << TestIntegerPoints.PREC) - 1) << k, 1 << (k - 1)))  # rounds up a binade
+            out.append((1 << (TestIntegerPoints.PREC + k), -1))  # falls a binade
+        return out
+
+    def test_round_matches_libmp(self):
+        rng = np.random.default_rng(29)
+        prec = self.PREC
+        for nx, ny in self.operands(rng):
+            e = int(rng.integers(-300, 300))
+            x, y = from_man_exp(nx, e), from_man_exp(ny, e)
+            for exact, want, exp in ((nx + ny, mpf_add(x, y, prec, "n"), e),
+                                     (nx - ny, mpf_sub(x, y, prec, "n"), e),
+                                     (nx * ny, mpf_mul(x, y, prec, "n"), 2 * e)):
+                m, k = oracle._round(exact)
+                assert m.bit_length() <= prec + 1
+                assert from_man_exp(m, exp + k) == want
+
+    def test_to_float_matches_libmp(self):
+        rng = np.random.default_rng(30)
+        cases = [(0, 0), (1, -1074), (3, -1076), (1, 1023)]
+        for _ in range(2000):
+            n = random_mantissa(rng, int(rng.integers(1, 140)))
+            n = -n if rng.integers(2) else n
+            cases.append((n, int(rng.integers(-1200, 900)) - n.bit_length()))
+        for _ in range(300):
+            k = int(rng.integers(1, 90))
+            q = random_mantissa(rng, 53)
+            for n in ((q << k) | (1 << (k - 1)), (q << k) | 1, ((1 << 53) - 1) << k | (1 << (k - 1))):
+                cases += [(n, -k), (-n, -k), (n, -1100 - k)]  # ties, sticky bits, subnormals
+        for n, e in cases:
+            x = from_man_exp(n, e)
+            assert repr(oracle._to_float(n, e)) == repr(to_float(x))
+            assert repr(oracle._to_float(n, e, nearest=True)) == repr(to_float(x, rnd="n"))
+
+    @pytest.mark.parametrize("tol", (1e-12, 1e-14, 1e-300))
+    def test_symmetric_problems_match_libmp_loop(self, tol, symmetric_ball_problem):
+        diamond = validate(Polygon([(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]))
+        problems = [symmetric_ball_problem,
+                    make_problem((0.0, -1.0), (0.0, 2.0), Ball(1.0), Ellipse(2.0, 0.5)),
+                    make_problem((0.0, -1.0), (0.0, 1.0), diamond, Ball(2.0))]
+        cfg = OracleConfig(golden_tol=tol)
+        for p in problems:
+            got = minimize_objective(p, cfg)
+            assert abs(got[0]) <= max(1e-9, 1e3 * tol)
+            assert TestRawRefine.bits(got) == TestRawRefine.bits(libmp_minimize(p, cfg))
+
+    @pytest.mark.parametrize("k0", range(3))
+    @pytest.mark.parametrize("k1", range(3))
+    def test_random_problems_match_libmp_loop(self, k0, k1):
+        makers = TestPrunedScan.MAKERS
+        rng = np.random.default_rng([31, k0, k1])
+        for _ in range(3):
+            base = pair_problem(rng, makers[k0], makers[k1])
+            for p in (base, translated(base, 1e6), translated(base, 1e30)):
+                for cfg in (OracleConfig(), OracleConfig(golden_tol=1e-14)):
+                    want = libmp_minimize(p, cfg)
+                    assert TestRawRefine.bits(minimize_objective(p, cfg)) == TestRawRefine.bits(want)

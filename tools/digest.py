@@ -15,10 +15,16 @@ bit-identical (every float by its bytes, every value with its type name):
   `sweep_specs` seeds 1-10 (None where a node failed);
 - sweep_csv: the bytes `elvis sweep` writes for those sweep files;
 - oracle: (y*, phi*) of `minimize_objective` on pool seeds 1-10;
+- oracle_gate: (y*, phi*) of `minimize_objective` at
+  `OracleConfig(golden_tol=1e-14)`, the benchmark gate's configuration, on
+  pool seeds 101-110, where most golden steps are decided exactly;
 - polygon_constants: every constant a validated polygon derives from its
   vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
-  the sweep files (the sweep 48-gon).  It reads only attributes that
-  earlier checkouts have too, so one copy of this script compares any two.
+  the sweep files (the sweep 48-gon).
+
+The script reads only names that earlier checkouts have too (the oracle
+lines use the public `minimize_objective` and `OracleConfig`), so one copy
+of it compares any two checkouts.
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
 from a per-node `solve` in any field; it is 0 on a correct checkout.
@@ -35,14 +41,15 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
-from elvis import Polygon, cli, solver  # noqa: E402
-from elvis.oracle import minimize_objective  # noqa: E402
+from elvis import OracleConfig, Polygon, cli, minimize_objective, solver  # noqa: E402
 from elvis.probfile import parse_problem, parse_sweep, sweep_grid  # noqa: E402
 from perfbench.inputs import problem_pool, sweep_specs  # noqa: E402
 
 POOL_SEEDS = tuple(range(1, 11)) + tuple(range(101, 111))
 POOL_SIZE = 270
 ORACLE_SEEDS = tuple(range(1, 11))
+ORACLE_GATE_SEEDS = tuple(range(101, 111))
+ORACLE_GATE = OracleConfig(golden_tol=1e-14)
 SWEEP_SEEDS = tuple(range(1, 11))
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
                      "inner_radius", "kinks", "kink_flanks", "_line_data")
@@ -143,11 +150,11 @@ def sweep_digests(polygons):
     return {"solve_batch": batch, "sweep_csv": csv}, mismatches
 
 
-def oracle_digest():
+def oracle_digest(seeds, cfg=None):
     h = hashlib.sha256()
-    for seed in ORACLE_SEEDS:
+    for seed in seeds:
         for text in problem_pool(seed, POOL_SIZE):
-            for value in minimize_objective(parse_problem(text)):
+            for value in minimize_objective(parse_problem(text), cfg):
                 _feed(h, value)
     return h
 
@@ -157,7 +164,8 @@ def main():
     digests = pool_digests(polygons)
     sweeps, mismatches = sweep_digests(polygons)
     digests.update(sweeps)
-    digests["oracle"] = oracle_digest()
+    digests["oracle"] = oracle_digest(ORACLE_SEEDS)
+    digests["oracle_gate"] = oracle_digest(ORACLE_GATE_SEEDS, ORACLE_GATE)
     digests["polygon_constants"] = polygons
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
