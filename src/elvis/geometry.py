@@ -25,7 +25,8 @@ rotation matrices and squared semi-axes (`cached_property`s), and a
 polygon's half-plane form, facet points n_i/h_i, radii, kinks and line-form
 data, all from one pass over its vertices on Python floats (`Polygon`), the
 arrays read-only like its vertices.  `inner_radius` is the radius of the
-largest centred disk in the set.
+largest centred disk in the set and `circumradius` that of the smallest
+centred disk around it, so |v|/circumradius <= gauge(v) <= |v|/inner_radius.
 
 `normal_face_rows` refuses a zero row, as `normal_face` refuses a zero
 vector; since a row is zero only if its y-component is, one reduction over
@@ -205,6 +206,10 @@ class Ball:
     def inner_radius(self):
         return self.r
 
+    @property
+    def circumradius(self):
+        return self.r
+
     def validate(self):
         if not 0 < self.r < math.inf:
             raise DegenerateDimensionsError(f"ball radius must be finite and positive, got {self.r}")
@@ -281,6 +286,10 @@ class Ellipse:
     def inner_radius(self):
         return min(self.a, self.b)
 
+    @property
+    def circumradius(self):
+        return max(self.a, self.b)
+
     @cached_property
     def _to_axes(self):
         return _rotation(-self.rot)
@@ -330,7 +339,7 @@ class Ellipse:
         err = LINE_FACE_REL (1 + S/g)(C/g + 1/min(a, b)).
         """
         a, b = self.a, self.b
-        if not (_in_scale(a, b, vy) and max(a, b) <= _ASPECT_MAX * min(a, b)):
+        if not (_in_scale(a, b, vy) and self.circumradius <= _ASPECT_MAX * self.inner_radius):
             return None
         (t00, t01), (t10, t11) = self._to_axes.tolist()
         (f00, f01), _ = self._from_axes.tolist()
@@ -338,7 +347,7 @@ class Ellipse:
         t01_vy, t11_vy = t01 * vy, t11 * vy
         abs_t01_vy, abs_t11_vy = abs(t01_vy), abs(t11_vy)
         c0, c1 = abs(f00) / a2, abs(f01) / b2
-        floor = 1.0 / min(a, b)
+        floor = 1.0 / self.inner_radius
         scale_max, hypot = _SCALE_MAX, math.hypot
 
         def face(vx):
@@ -372,8 +381,8 @@ class Ellipse:
         face = self.line_face(vy)
         if face is None:
             return None
-        m = min(self.a, self.b)
-        k = max(self.a, self.b) / m
+        m = self.inner_radius
+        k = self.circumradius / m
         return face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), math.inf
 
 

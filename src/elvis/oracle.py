@@ -8,33 +8,35 @@ the shapes' line forms and, on close calls, by `delta`).
 
 Both stages only ask yes/no questions of their values: which grid point has
 the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.
-Each question is first put to a float screen, closed-form float gauges with
-a proven error bound, in the manner of adaptive-precision predicates
-(Shewchuk, Discrete Comput. Geom. 18, 1997).  Only what the bound leaves
-open is settled by the exact values.  The grid screens every 64th point
-first; since phi is convex, a screened point that is certainly above
-another rules out every grid point beyond it, so the full screen and
-`crossing_time` (bit-equal row by row to the full batched call) run only
-on the coarse cells left open, usually two.  The golden points are the
-136-bit values libmp's operations give, kept as Python integers of one
-binary frame and rounded as libmp rounds, and the 136-bit phi of a point
-is computed on first need and kept.  That phi does mpmath arithmetic on
-raw libmp values, calling the functions mpf's operators call, in the same
-order: the gauge terms that do not depend on y are computed once per call,
-and a polygon keeps only the facets that can attain its maximum on the
-refine bracket.  Every answer is the one the exact values give, so
-(y*, phi*) keep their bits.
+Each question is first put to float values with a proven error bound, in
+the manner of adaptive-precision predicates (Shewchuk, Discrete Comput.
+Geom. 18, 1997).  Only what the bound leaves open is settled by the exact
+values.  The grid's float values are `crossing_time`'s own, with a bound on
+their distance to the exact phi.  They are taken at every 64th point
+first; since phi is convex, a point that is certainly above another rules
+out every grid point beyond it, so the rest of the grid is evaluated only
+in the coarse cells left open, usually two (the batched rows are bit-equal
+to the full call's).  A golden step is screened by a float form of
+phi(c) - phi(d).  The golden points are the 136-bit values libmp's
+operations give, kept as Python integers of one binary frame and rounded
+as libmp rounds, and the 136-bit phi of a point is computed on first need
+and kept.  That phi does mpmath arithmetic on raw libmp values, calling
+the functions mpf's operators call, in the same order: the gauge terms
+that do not depend on y are computed once per call, and a polygon keeps
+only the facets that can attain its maximum on the refine bracket.  Every
+answer is the one the exact values give, so (y*, phi*) keep their bits.
 
 The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
-2**-53, for float +, -, *, /, and an error under one ulp for `math.hypot`,
-`math.cos`, `math.sin`, their numpy forms and `to_float`.  Underflow breaks
-the model only by an absolute 2**-1075 per operation, so the screens run
-only on problems whose scales (|x0_y|, |x1_y|, the inner and outer radii of
-both sets, golden_tol) lie in [2**-64, 2**64] and whose abscissae (x0_x,
-x1_x, the grid ends) are at most 2**64 in size.  There every bound term
-exceeds 2**-250, underflow adds under 2**-700 to any result even after the
-later operations amplify it, and nothing overflows; other problems take the
-exact path throughout.
+2**-53, for float +, -, *, /, an error under one ulp for `math.hypot`,
+`math.cos`, `math.sin`, their numpy forms and `to_float`, and for a 2-term
+dot product of the gauge kernels (BLAS, fused or not) an error under
+2.01 u (|m_0 v_0| + |m_1 v_1|).  Underflow breaks the model only by an
+absolute 2**-1075 per operation, so the screens run only on problems whose
+scales (|x0_y|, |x1_y|, the inner and outer radii of both sets, golden_tol)
+lie in [2**-64, 2**64] and whose abscissae (x0_x, x1_x, the grid ends) are
+at most 2**64 in size.  There every bound term exceeds 2**-250, underflow
+adds under 2**-700 to any result even after the later operations amplify
+it, and nothing overflows; other problems take the exact path throughout.
 """
 
 import math
@@ -59,7 +61,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import ZeroVectorError
+from .errors import ValidationError, ZeroVectorError
 from .geometry import _SCALE_MAX, _SCALE_MIN, Ball, Ellipse, Polygon, support
 from .solver import crossing_time, expand_bracket
 
@@ -80,7 +82,7 @@ _COARSE = 64
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
 # whose derivation needs less (see _grid_screen and _side_screen); math.inf
 # sends every decision to the exact values.
-_GRID_REL = 1e-12  # about 9000 u; the derivation needs 42 u
+_GRID_REL = 1e-12  # about 9000 u; the derivation needs 13 u
 _STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
 _MP_REL = 2.0**-120  # the derivation needs 2**-132
 
@@ -91,8 +93,8 @@ class OracleConfig:
     grid_points = GRID_POINTS  # a class constant, not a field: read by perfbench's replay
 
     def __post_init__(self):
-        if not self.golden_tol > 0:
-            raise ValueError("golden_tol must be positive")
+        if not 0 < self.golden_tol < math.inf:
+            raise ValueError("golden_tol must be positive and finite")
 
 
 def contains(vset, point):
@@ -111,6 +113,8 @@ def contains(vset, point):
 def gauge_by_membership(vset, v):
     """Gauge via bisection on t in the predicate "v / t in F" (no closed forms)."""
     v = np.asarray(v, dtype=float)
+    if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        raise ValidationError(f"gauge_by_membership needs a finite vector, got {v.tolist()}")
     if v[0] == 0.0 and v[1] == 0.0:
         raise ZeroVectorError("gauge_by_membership needs a nonzero vector")
     hi = 1.0
@@ -222,100 +226,67 @@ def _objective_raw(problem, sides, prec, rnd):
     )
 
 
-def _radii(vset):
-    """(rho, R): radii of origin-centred discs inside and around vset, so |v|/R <= gamma(v) <= |v|/rho."""
-    if isinstance(vset, Ball):
-        return vset.r, vset.r
-    if isinstance(vset, Ellipse):
-        return min(vset.a, vset.b), max(vset.a, vset.b)
-    return float(np.min(vset.offsets)), vset.circumradius
-
-
-def _axes(vset):
-    """(c, s, a, b) with gamma(v) = |((c*vx - s*vy)/a, (s*vx + c*vy)/b)| for a ball or ellipse.
-
-    c, s are the cosine and sine of -rot; a ball is an unrotated ellipse with
-    a = b = r.
-    """
-    if isinstance(vset, Ball):
-        return 1.0, 0.0, vset.r, vset.r
-    return math.cos(-vset.rot), math.sin(-vset.rot), vset.a, vset.b
-
-
-def _float_gauge(vset, vx, vy):
-    """gamma(vx[n], vy) in float by closed forms, for an array vx and one float vy.
-
-    A polygon takes the max of its facet terms (n_x*vx + n_y*vy)/h laid out
-    facets-major, shape (k, N); the 0 of the gauge's max never wins, since
-    vy != 0 makes some term positive.
-    """
-    if isinstance(vset, Polygon):
-        nx, ny = vset.normals.T
-        return ((nx[:, None] * vx + (ny * vy)[:, None]) / vset.offsets[:, None]).max(axis=0)
-    c, s, a, b = _axes(vset)
-    return np.hypot((c * vx - s * vy) / a, (s * vx + c * vy) / b)
-
-
 def _well_scaled(problem, ys, tol):
     """Whether the float screens' error model holds for this problem (see the module notes)."""
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
-    scales = (abs(x0y), abs(x1y), tol, *_radii(problem.F0), *_radii(problem.F1))
+    scales = (abs(x0y), abs(x1y), tol, problem.F0.inner_radius, problem.F0.circumradius,
+              problem.F1.inner_radius, problem.F1.circumradius)
     positions = (x0x, x1x, float(ys[0]), float(ys[-1]))
     return (all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
             and all(abs(p) <= _SCALE_MAX for p in positions))
 
 
 def _grid_screen(problem, ys):
-    """(approx, bound): float phi at every ys[i] and a bound on its distance to crossing_time.
+    """(v, bound): v = crossing_time(problem, ys) and a bound on its distance to the exact phi.
 
-    |approx_i - v_i| <= bound_i for v_i = crossing_time(problem, ys[i]), with
+    |v_i - phi(y_i)| <= bound_i, with phi the exact objective of the sets'
+    float constants (the one _objective_raw evaluates to 136 bits), and
     bound_i = _GRID_REL*(|v0|_1/rho0 + |v1|_1/rho1) for the vectors
-    v0 = (y - x0_x, -x0_y), v1 = (x1_x - y, x1_y) that crossing_time forms.
-    Proof: gamma(v) <= |v|_1/rho, and both evaluations of a side start from
-    the same float v.  A polygon term errs by under 4 u |v|_1/rho either way
-    (BLAS may fuse its dot product); an ellipse component by under
-    (2 + 2 + 1) u |v|_1/rho (cosine and sine within 2 u, the products and
-    difference, the quotient), so its gauge by under 9.1 u |v|_1/rho either
-    way, and a ball's by under 4 u |v|_1/rho; the final sums add u each.
-    That is under 39 u in all, and the roundings of bound and of
-    approx -+ bound add under 3 u, against _GRID_REL of about 9000 u.
-    bound_i also bounds |approx_i - phi(y_i)| and |v_i - phi(y_i)| for the
-    exact phi: the float offset vx = y - x0_x (or x1_x - y) is within u |vx|
-    of the exact one and gamma is 1/rho-Lipschitz, which adds u |v|_1/rho.
+    v0 = (y - x0_x, -x0_y), v1 = (x1_x - y, x1_y) that crossing_time forms,
+    rho the inner radius, so that gamma(v) <= |v|/rho.  Proof, per side:
+    the float offset y - x0_x (or x1_x - y) is within u |vx| of the exact
+    one, and gamma is 1/rho-Lipschitz, which adds u |v|_1/rho.  The kernel's
+    gauge of the float v errs by under 3.01 u |v|_1/rho for a ball (hypot,
+    quotient).  For an ellipse, rotated component i errs by under 4.02 u A_i
+    (cosine and sine within 2 u, the dot product), A_i = |c vx| + |s vy| or
+    |s vx| + |c vy|, and by 5.03 u A_i/rho after the quotient; as
+    A_0^2 + A_1^2 <= |v|_1^2, the hypot errs by under 7.05 u |v|_1/rho.  For
+    a polygon each facet term errs by under 3.1 u |v|_1/rho (|n| <= 1 + 3u,
+    the dot product, the quotient by h >= rho), and so does their max.  The
+    final sum adds u (gamma_0 + gamma_1).  That is under 9.1 u in all, and
+    the roundings of bound and of v -+ bound add under 3 u, against
+    _GRID_REL of about 9000 u.
     """
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
-    v0x, v1x = ys - x0x, x1x - ys
-    approx = _float_gauge(problem.F0, v0x, -x0y) + _float_gauge(problem.F1, v1x, x1y)
-    bound = _GRID_REL * ((np.abs(v0x) + abs(x0y)) / _radii(problem.F0)[0]
-                         + (np.abs(v1x) + abs(x1y)) / _radii(problem.F1)[0])
-    return approx, bound
+    bound = _GRID_REL * ((np.abs(ys - x0x) + abs(x0y)) / problem.F0.inner_radius
+                         + (np.abs(x1x - ys) + abs(x1y)) / problem.F1.inner_radius)
+    return crossing_time(problem, ys), bound
 
 
 def _open_window(problem, ys):
     """(lo, hi): crossing_time at each grid point outside ys[lo:hi] is above its least value.
 
     The screen (see _grid_screen) runs on every _COARSE-th point and the
-    last.  Let U = min (approx + bound) over them, reached at coarse point j,
-    and B the largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid
+    last.  Let U = min (v + bound) over them, reached at coarse point j, and
+    B the largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid
     point, since |v|_1/rho is convex in y and so greatest at a grid end.
-    A coarse p < j with approx_p - bound_p - B > U has
-    phi(y_p) >= approx_p - bound_p > U >= phi(y_j), so phi, being convex,
-    is at least phi(y_p) at every y_i <= y_p, and there
-    v_i >= phi(y_i) - B >= approx_p - bound_p - B > U >= v_m, the least v
-    (U >= v_j >= v_m, see _grid_argmin).  No such i is an argmin of v or ties
-    one.  The coarse q > j are the mirror image.  lo is one past the last
-    such p and hi the first such q: (0, len(ys)) if there is none.  The two
-    float roundings of the test add under 3 u |approx_p| + u B, inside the
-    slack of _GRID_REL.
+    A coarse p < j with v_p - bound_p - B > U has
+    phi(y_p) >= v_p - bound_p > U >= phi(y_j), so phi, being convex, is at
+    least phi(y_p) at every y_i <= y_p, and there
+    v_i >= phi(y_i) - B >= v_p - bound_p - B > U >= v_j >= v_m, the least v.
+    No such i is an argmin of v or ties one.  The coarse q > j are the
+    mirror image.  lo is one past the last such p and hi the first such q:
+    (0, len(ys)) if there is none.  The two float roundings of the test add
+    under 3 u |v_p| + u B, inside the slack of _GRID_REL.
     """
     n = len(ys)
     coarse = np.append(np.arange(0, n - 1, _COARSE), n - 1)
-    approx, bound = _grid_screen(problem, ys[coarse])
-    upper = approx + bound
+    v, bound = _grid_screen(problem, ys[coarse])
+    upper = v + bound
     j = int(np.argmin(upper))
-    out = np.flatnonzero(approx - bound - np.max(bound) > upper[j])
+    out = np.flatnonzero(v - bound - np.max(bound) > upper[j])
     left, right = out[out < j], out[out > j]
     lo = int(coarse[left[-1]]) + 1 if len(left) else 0
     hi = int(coarse[right[0]]) if len(right) else n
@@ -325,23 +296,15 @@ def _open_window(problem, ys):
 def _grid_argmin(problem, ys, screened):
     """int(np.argmin(crossing_time(problem, ys))), evaluating crossing_time only where needed.
 
-    With screened, only the open window ys[lo:hi] (see _open_window) is
-    screened, usually two coarse cells, and crossing_time runs only on its
-    candidates i with approx_i - bound_i <= U = min_j (approx_j + bound_j)
-    over the window (see _grid_screen).  Let m be the first index of the
-    least v; it lies in the window.  For every j, v_m <= v_j <=
-    approx_j + bound_j, so v_m <= U and approx_m - bound_m <= v_m <= U: m is
-    a candidate.  The candidates come in index order, and no point before m
-    has v = v_m, so the first argmin of v over the candidates is m.  With
-    nothing pruned the window is the whole grid.
+    With screened, crossing_time runs only on the open window ys[lo:hi]
+    (see _open_window), usually two coarse cells.  Its rows are bit-equal to
+    the full call's, and every point outside the window has a value above
+    the least one, so the window's first argmin is the grid's.
     """
     if not screened:
         return int(np.argmin(crossing_time(problem, ys)))
     lo, hi = _open_window(problem, ys)
-    window = ys[lo:hi]
-    approx, bound = _grid_screen(problem, window)
-    cand = np.flatnonzero(approx - bound <= np.min(approx + bound))
-    return lo + int(cand[np.argmin(crossing_time(problem, window[cand]))])
+    return lo + int(np.argmin(crossing_time(problem, ys[lo:hi])))
 
 
 def _side_screen(vset, vy, live):
@@ -377,8 +340,7 @@ def _side_screen(vset, vy, live):
     dx*n_x/h, within 4.1 u |dx|/rho.  Otherwise D is the plain difference of
     the float maxima, within 5.2 u A/rho.
     """
-    rho = _radii(vset)[0]
-    inv_rho, avy = 1.0 / rho, abs(vy)
+    inv_rho, avy = 1.0 / vset.inner_radius, abs(vy)
     rel, mp_rel = _STEP_REL, _MP_REL
     if isinstance(vset, Polygon):
         facets = [(nx, ny * vy, h) for nx, ny, h in live]
@@ -406,7 +368,10 @@ def _side_screen(vset, vy, live):
 
         return polygon_point, polygon_difference
 
-    cos, sin, a, b = _axes(vset)
+    if isinstance(vset, Ball):  # an unrotated ellipse with a = b = r
+        cos, sin, a, b = 1.0, 0.0, vset.r, vset.r
+    else:
+        cos, sin, a, b = math.cos(-vset.rot), math.sin(-vset.rot), vset.a, vset.b
     sin_vy, cos_vy = sin * vy, cos * vy
     mx, my = cos / a, sin / b
 

@@ -23,6 +23,7 @@ from elvis import (
     gauge,
     gauge_by_membership,
     normal_face,
+    parse_problem,
     polar,
     sample_interior,
     support,
@@ -374,6 +375,37 @@ class TestGauge:
         sq = validate(Polygon(SQUARE0_VERTICES))
         for vset in (Ball(2.0), Ellipse(1.0, 3.0), sq):
             assert gauge(vset, (0, 0)) == 0.0
+
+
+def assert_radii_bound_gauge(vset, vs):
+    """|v|/circumradius <= gauge(v) <= |v|/inner_radius for every row v, to 1e-14 relative."""
+    norms = np.hypot(vs[:, 0], vs[:, 1])
+    g = vset.gauge(vs)
+    assert np.all(norms / vset.circumradius <= g * (1.0 + 1e-14))
+    assert np.all(g <= norms / vset.inner_radius * (1.0 + 1e-14))
+
+
+class TestRadii:
+    """inner_radius and circumradius bound every family's gauge, as the oracle's screens read them."""
+
+    @pytest.mark.parametrize("kind", ("ball", "ellipse", "polygon"))
+    def test_random_sets(self, kind):
+        rng = np.random.default_rng([33, len(kind)])
+        for _ in range(20):
+            vset = random_row_set(rng, kind)
+            vs = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-6, 6, (200, 1))
+            assert_radii_bound_gauge(vset, vs)
+
+    def test_pool_sets(self):
+        rng = np.random.default_rng(34)
+        for text in pool_problems(1):
+            problem = parse_problem(text)
+            for vset in (problem.F0, problem.F1):
+                assert_radii_bound_gauge(vset, rng.normal(size=(50, 2)))
+
+    def test_ball_and_ellipse(self):
+        assert (Ball(2.5).inner_radius, Ball(2.5).circumradius) == (2.5, 2.5)
+        assert (Ellipse(3.0, 0.5, 1.0).inner_radius, Ellipse(3.0, 0.5, 1.0).circumradius) == (0.5, 3.0)
 
 
 def random_row_set(rng, kind):

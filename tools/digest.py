@@ -18,13 +18,16 @@ bit-identical (every float by its bytes, every value with its type name):
 - oracle_gate: (y*, phi*) of `minimize_objective` at
   `OracleConfig(golden_tol=1e-14)`, the benchmark gate's configuration, on
   pool seeds 101-110, where most golden steps are decided exactly;
+- oracle_shifted: (y*, phi*) of `minimize_objective` on pool seeds 1-3,
+  each problem moved by 1e3 and by 1e6 along the interface, where the grid
+  screen's bound is widest relative to phi's variation;
 - polygon_constants: every constant a validated polygon derives from its
   vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
   the sweep files (the sweep 48-gon).
 
 The script reads only names that earlier checkouts have too (the oracle
-lines use the public `minimize_objective` and `OracleConfig`), so one copy
-of it compares any two checkouts.
+lines use the public `minimize_objective`, `OracleConfig` and
+`make_problem`), so one copy of it compares any two checkouts.
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
 from a per-node `solve` in any field; it is 0 on a correct checkout.
@@ -41,7 +44,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
-from elvis import OracleConfig, Polygon, cli, minimize_objective, solver  # noqa: E402
+from elvis import OracleConfig, Polygon, cli, make_problem, minimize_objective, solver  # noqa: E402
 from elvis.probfile import parse_problem, parse_sweep, sweep_grid  # noqa: E402
 from perfbench.inputs import problem_pool, sweep_specs  # noqa: E402
 
@@ -50,6 +53,8 @@ POOL_SIZE = 270
 ORACLE_SEEDS = tuple(range(1, 11))
 ORACLE_GATE_SEEDS = tuple(range(101, 111))
 ORACLE_GATE = OracleConfig(golden_tol=1e-14)
+ORACLE_SHIFTED_SEEDS = (1, 2, 3)
+ORACLE_SHIFTS = (1e3, 1e6)
 SWEEP_SEEDS = tuple(range(1, 11))
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
                      "inner_radius", "kinks", "kink_flanks", "_line_data")
@@ -150,12 +155,17 @@ def sweep_digests(polygons):
     return {"solve_batch": batch, "sweep_csv": csv}, mismatches
 
 
-def oracle_digest(seeds, cfg=None):
+def oracle_digest(seeds, cfg=None, shifts=(0.0,)):
+    """(y*, phi*) on the pools of seeds, each problem moved by every shift along the interface."""
     h = hashlib.sha256()
     for seed in seeds:
         for text in problem_pool(seed, POOL_SIZE):
-            for value in minimize_objective(parse_problem(text), cfg):
-                _feed(h, value)
+            p = parse_problem(text)
+            for shift in shifts:
+                moved = make_problem((p.x0[0] + shift, p.x0[1]), (p.x1[0] + shift, p.x1[1]),
+                                     p.F0, p.F1) if shift else p
+                for value in minimize_objective(moved, cfg):
+                    _feed(h, value)
     return h
 
 
@@ -166,6 +176,7 @@ def main():
     digests.update(sweeps)
     digests["oracle"] = oracle_digest(ORACLE_SEEDS)
     digests["oracle_gate"] = oracle_digest(ORACLE_GATE_SEEDS, ORACLE_GATE)
+    digests["oracle_shifted"] = oracle_digest(ORACLE_SHIFTED_SEEDS, shifts=ORACLE_SHIFTS)
     digests["polygon_constants"] = polygons
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
