@@ -108,14 +108,12 @@ def cmd_sweep(sweep_path, out_csv, epsilon=None):
             # Row-major nodes: y varies over rows, x within a row.
             i = np.arange(start, min(start + BATCH_ROWS, nodes))
             block = np.column_stack((xs[i % len(xs)], ys[i // len(xs)]))
-            for (x1, y1), result in zip(block, solve_batch(spec, block)):
+            for (x1, y1), result in zip(block.tolist(), solve_batch(spec, block)):
                 if result is None:
-                    fh.write(f"{_fmt(x1)},{_fmt(y1)},nan,nan,BracketExpansionFailed,0\n")
+                    fh.write("%.17g,%.17g,nan,nan,BracketExpansionFailed,0\n" % (x1, y1))
                     continue
-                fh.write(
-                    f"{_fmt(x1)},{_fmt(y1)},{_fmt(result.y)},{_fmt(result.time)},"
-                    f"{result.status},{result.iterations}\n"
-                )
+                fh.write("%.17g,%.17g,%.17g,%.17g,%s,%d\n" % (
+                    x1, y1, result.y.item(), result.time, result.status, result.iterations))
                 successes += 1
     sys.stdout.write(json.dumps({"nodes": nodes, "solved": successes}) + "\n")
     return EXIT_OK if successes > 0 else EXIT_SOLVER

@@ -22,9 +22,10 @@ scalars for a vector and columns for rows.  Every shape is a frozen value,
 and the kernels read constants derived from its fields once, stored on the
 instance so that fields, equality and repr are left alone: an ellipse's
 rotation matrices and squared semi-axes (`cached_property`s), and a
-polygon's half-plane form, facet points n_i/h_i, radii, kinks and line-form
-data, all from one pass over its vertices on Python floats (`Polygon`), the
-arrays read-only like its vertices.  `inner_radius` is the radius of the
+polygon's half-plane form, facet points n_i/h_i and radii from one pass over
+its vertices on Python floats, the arrays read-only like its vertices, and
+its kinks and line-form table from a second pass on its first line form
+(`Polygon`).  `inner_radius` is the radius of the
 largest centred disk in the set and `circumradius` that of the smallest
 centred disk around it, so |v|/circumradius <= gauge(v) <= |v|/inner_radius.
 
@@ -37,7 +38,11 @@ brings the largest to [0.5, 1), so they neither overflow nor underflow.
 
 Line forms.  `line_face(vy)` restricts `normal_face` to the directions
 (vx, vy) with one float vy > 0 and returns a function of a float vx giving
-(lo, hi, err) on Python floats, or None where it cannot be sure.  (lo_K, hi_K)
+(lo, hi, err) on Python floats, or None where it cannot be sure.  A ball or
+an ellipse evaluates the kernel's formulas on Python floats; a polygon's
+answer depends on the direction alone, so its form looks the ratio vx/vy up
+in a sorted table of direction cuts that the polygon builds once, and
+returns the slot's entry of facet_points (see `Polygon.line_face`).  (lo_K, hi_K)
 is the kernel's `normal_face(vset, (vx, vy)).x_range`; the guarantee is
 
     1.01 * (|lo - lo_K| + 2u m) <= err  and  1.01 * (|hi - hi_K| + 2u m) <= err,
@@ -78,6 +83,7 @@ kernel's exactly within its reach (see `Polygon.threshold_face`).
 """
 
 import math
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -104,8 +110,6 @@ LINE_FACE_REL = 2.0**-47
 # aspect ratios up to _ASPECT_MAX.
 _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 _ASPECT_MAX = 2.0**16
-# A window slot of Polygon.line_face that holds no facet: its value is -inf.
-_NO_FACET = (0.0, -math.inf, 1.0)
 # Polygon coordinates up to this magnitude keep every edge length, radius and
 # offset finite (each is at most 2**1.5 times it).
 _COORD_MAX = sys.float_info.max / 4.0
@@ -387,8 +391,12 @@ class Ellipse:
 
 
 class _Derived:
-    """A constant of a Polygon.  The first read derives all of them (`Polygon._derive`)
-    and stores them on the polygon, where later reads find them first."""
+    """A constant of a Polygon.  The first read derives it with the other constants of
+    its group (the Polygon method named `derive`) and stores them on the polygon, where
+    later reads find them first."""
+
+    def __init__(self, derive):
+        self.derive = derive
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -396,8 +404,7 @@ class _Derived:
     def __get__(self, polygon, owner=None):
         if polygon is None:
             return self
-        flat = polygon.vertices.ravel().tolist()
-        polygon._derive(flat[0::2], flat[1::2], 0.0)
+        getattr(polygon, self.derive)()
         return polygon.__dict__[self.name]
 
 
@@ -405,17 +412,27 @@ class _Derived:
 class Polygon:
     """Convex polygon given by counterclockwise vertices, kept as a read-only float copy.
 
-    Its constants come from one pass over the vertex coordinates on Python
-    floats (`_derive`), which `validate` makes and any other polygon makes on
-    the first read of one of them, raising a ValidationError where they are
-    undefined (an edge of length 0, the origin not strictly inside, a facet
-    point that overflows); the arrays are read-only too:
+    Its constants come in two groups, each derived in one pass on Python
+    floats and stored on the polygon, the arrays read-only too.  The shape
+    constants come from the vertex coordinates (`_derive`), which `validate`
+    makes and any other polygon makes on the first read of one of them,
+    raising a ValidationError where they are undefined (an edge of length 0,
+    the origin not strictly inside, a facet point that overflows):
 
     - the half-plane form: unit outward normals `normals` and offsets
       `offsets`, facet i joining vertex i to vertex i+1;
     - the facet points `facet_points`, row i n_i/h_i, the point of the polar
       boundary that facet i exposes;
-    - `circumradius` and `inner_radius` (the least offset);
+    - `circumradius` and `inner_radius` (the least offset).
+
+    Each value has the bits of the array expression it replaces: edge
+    lengths and radii come from one `np.hypot` call (libm, which may round
+    differently from `math.hypot`), normals are (e_y, -e_x)/length, offsets
+    n_x*V_x + n_y*V_y and facet points n/h, all element-wise.
+
+    The line-form constants, which only the solver reads, come from the
+    shape constants on the first read of one of them (`_derive_line_table`):
+
     - `kinks` = (K, facet_at): K is the sorted V_x/V_y over the vertices
       with V_y > 0, and facet_at[m] is the facet a direction (vx, vy),
       vy > 0, with K[m-1] < vx/vy <= K[m] meets: U[m] for m < len(K), where
@@ -423,33 +440,28 @@ class Polygon:
       last kink.  The vertices with V_y > 0 run contiguously, clockwise in
       K's order, so facet_at[m + 1] = facet_at[m] - 1;
     - `kink_flanks`: for each kink K[m], the V_x/V_y of one point on each
-      facet of its vertex W, just beyond the distance from W at which case
-      (b) of `line_face` can hold.  On facet j at distance s from W,
-      1 - tau_o = s |(fp_j - fp_o) . e| for the other facet o at W and the
-      unit edge vector e from W along j, and (b) needs more than band/h_min
-      of it; the point sits at 1.25 times that s.  None for a point past the
-      middle of its facet or not above the x-axis;
-    - `_line_data`, line_face's constants: rows[c] holds facets c-2..c+2 as
-      (n_x, n_y, h), where a fence that repeats a facet of the row (fewer
-      than five facets) is _NO_FACET, whose value is -inf; fx lists the
-      facet points' x and fx_max is max |fx|.
-
-    Each value has the bits of the array expression it replaces: edge
-    lengths and radii come from one `np.hypot` call (libm, which may round
-    differently from `math.hypot`), normals are (e_y, -e_x)/length, offsets
-    n_x*V_x + n_y*V_y and facet points n/h, all element-wise.
+      facet of its vertex W at 1.25 times the distance from W at which the
+      other facet's tau falls below 1 by band/h_min: on facet j at distance
+      s from W, 1 - tau_o = s |(fp_j - fp_o) . e| for the other facet o at
+      W and the unit edge vector e from W along j.  None for a point past
+      the middle of its facet or not above the x-axis;
+    - `_line_table` = (cuts, line, threshold), the answers of `line_face`
+      and `threshold_face` by direction: cuts is a sorted tuple of ratios
+      vx/vy, and a direction with cuts[k-1] < vx/vy <= cuts[k] gets line[k]
+      and threshold[k] (see `line_face`); None outside the line forms' scale
+      and aspect limits.
     """
 
     vertices: np.ndarray
 
-    normals = _Derived()
-    offsets = _Derived()
-    facet_points = _Derived()
-    circumradius = _Derived()
-    inner_radius = _Derived()
-    kinks = _Derived()
-    kink_flanks = _Derived()
-    _line_data = _Derived()
+    normals = _Derived("_derive_shape")
+    offsets = _Derived("_derive_shape")
+    facet_points = _Derived("_derive_shape")
+    circumradius = _Derived("_derive_shape")
+    inner_radius = _Derived("_derive_shape")
+    kinks = _Derived("_derive_line_table")
+    kink_flanks = _Derived("_derive_line_table")
+    _line_table = _Derived("_derive_line_table")
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _read_only(np.array(self.vertices, float, ndmin=2)))
@@ -461,9 +473,13 @@ class Polygon:
         # Copies and unpickled polygons go through the constructor, read-only too.
         return (Polygon, (self.vertices,))
 
+    def _derive_shape(self):
+        flat = self.vertices.ravel().tolist()
+        self._derive(flat[0::2], flat[1::2], 0.0)
+
     def _derive(self, xs, ys, floor):
-        """Derive every constant from the vertex coordinates xs, ys and store it on the
-        polygon.  Raises OriginNotInteriorError unless every offset exceeds floor, and
+        """Derive the shape constants from the vertex coordinates xs, ys and store them on
+        the polygon.  Raises OriginNotInteriorError unless every offset exceeds floor, and
         DegenerateDimensionsError on an edge of length 0 or a facet point that overflows."""
         n = len(xs)
         ex = [b - a for a, b in zip(xs, xs[1:] + xs[:1])]
@@ -480,43 +496,130 @@ class Polygon:
             raise OriginNotInteriorError("origin is not strictly inside the polygon")
         fx = [p / t for p, t in zip(nx, h)]
         fy = [q / t for q, t in zip(ny, h)]
-        fx_max = max(map(abs, fx))
-        if not max(fx_max, max(map(abs, fy))) < math.inf:
+        if not max(max(map(abs, fx)), max(map(abs, fy))) < math.inf:
             raise DegenerateDimensionsError("polygon facet points n/h overflow: its offsets are too small")
-        radius = max(hyp[n:])
-
-        upper = sorted((x / y, i) for i, (x, y) in enumerate(zip(xs, ys)) if y > 0)
-        kinks = tuple(q for q, _ in upper)
-        facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % n,)
-
-        facets = list(zip(nx, ny, h))
-        ring = facets[-2:] + facets + facets[:2]
-        rows = list(zip(ring, ring[1:], ring[2:], ring[3:], ring[4:]))
-        if n < 5:  # c + 2 repeats a facet of the row, and with three facets so does c - 2
-            rows = [(f0 if n > 3 else _NO_FACET, f1, f2, f3, _NO_FACET) for f0, f1, f2, f3, _ in rows]
-
-        need = 1.25 * VERTEX_FACE_TOL * radius / h_min
-        flanks = []
-        for w in facet_at[:-1]:
-            wx, wy, ratios = xs[w], ys[w], []
-            # Facet w - 1 ends at W and facet w starts there.  For each, facet j, (dx, dy)
-            # runs from W along it and (sx, sy) = fp_j - fp_o, o the other facet.
-            gx, gy = fx[w - 1] - fx[w], fy[w - 1] - fy[w]
-            for dx, dy, sx, sy in ((-ex[w - 1], -ey[w - 1], gx, gy), (ex[w], ey[w], -gx, -gy)):
-                length = math.hypot(dx, dy)
-                dx, dy = dx / length, dy / length
-                slope = abs(sx * dx + sy * dy)
-                step = need / slope if slope > 0.0 else math.inf
-                px, py = wx + step * dx, wy + step * dy
-                ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
-            flanks.append(tuple(ratios))
-
         self.__dict__.update(
             normals=_columns(nx, ny), offsets=_read_only(np.array(h)),
-            facet_points=_columns(fx, fy), circumradius=radius, inner_radius=h_min,
-            kinks=(kinks, facet_at), kink_flanks=tuple(flanks),
-            _line_data=(tuple(rows), fx, fx_max),
+            facet_points=_columns(fx, fy), circumradius=max(hyp[n:]), inner_radius=h_min,
         )
+
+    def _derive_line_table(self):
+        """Derive `kinks`, `kink_flanks` and `_line_table` and store them on the polygon.
+
+        The table walks the chain Z0, U[0], ..., U[-1], Z1 of the upper vertices
+        U (V_y > 0, in K's order) and the vertex past each end, Z0 = U[0] + 1
+        and Z1 = U[-1] - 1; facet_at[m] joins the chain's m-th and (m+1)-th
+        vertices.  Each side of a chain vertex W (facet W toward smaller
+        ratios, facet W - 1 toward larger) gets the distances and checks of
+        `line_face`, and the slots of an answered upper vertex W, in the
+        order of the ratios, are: its left gap (fp[W] in both forms), fp[W]
+        in line_face only, None, the snap face, None, fp[W - 1] in line_face
+        only, then its right gap.  A run of vertices that are not answered,
+        with the failed gaps between them, is one slot of None.
+        """
+        flat = self.vertices.ravel().tolist()
+        xs, ys = flat[0::2], flat[1::2]
+        nf, fp = self.normals.ravel().tolist(), self.facet_points.ravel().tolist()
+        nx, ny, fx, fy = nf[0::2], nf[1::2], fp[0::2], fp[1::2]
+        h_min, radius = self.inner_radius, self.circumradius
+        n = len(xs)
+        upper = sorted((x / y, i) for i, (x, y) in enumerate(zip(xs, ys)) if y > 0)
+        chain = [(upper[0][1] + 1) % n] + [i for _, i in upper] + [(upper[-1][1] - 1) % n]
+
+        band = VERTEX_FACE_TOL * radius
+        r_h = radius / h_min
+        flank = 1.25 * VERTEX_FACE_TOL * radius / h_min
+        slack = LINE_FACE_REL * radius * (1.0 + r_h)  # S of line_face
+        split = 1.01 * LINE_FACE_REL * r_h
+        drop = 1.0001 * (band + LINE_FACE_REL * radius) / h_min  # 1.0001 D
+        corner = 0.25 * LINE_FACE_REL
+        last = len(chain) - 1
+        # zones[m]: lam, whether the core is answered, then per side (facet w toward
+        # smaller ratios, facet w - 1 toward larger ones) the cuts at core, near and far,
+        # the far distance and the facet's length.
+        zones, flanks = [], []
+        for m, w in enumerate(chain):
+            end = m == 0 or m == last
+            wx, wy = xs[w], ys[w]
+            sine = abs(nx[w - 1] * ny[w] - ny[w - 1] * nx[w]) - corner
+            lam = (corner * radius / sine if sine > 0.0 else math.inf) + 0.75 * slack
+            mu = 2.0 * lam + 0.25 * slack
+            core, edge = band - mu, band + mu
+            gx, gy = fx[w - 1] - fx[w], fy[w - 1] - fy[w]  # fp[w - 1] - fp[w]
+            zone = [lam, core > 0.5 * band]
+            # Each side runs from W toward a neighbour.  A cut not above the x-axis lies
+            # past the ratios' end on its side, or for an end vertex, which lies at or
+            # below the axis, short of it; an end vertex's other side is never read.
+            for v, below in (((w + 1) % n, -math.inf), (w - 1, math.inf)):
+                if end and (m == 0) == (below < 0.0):
+                    zone += (None,) * 5
+                    continue
+                dx, dy = xs[v] - wx, ys[v] - wy
+                length = math.hypot(dx, dy)
+                dx, dy = dx / length, dy / length
+                slope = abs(gx * dx + gy * dy)
+                if slope > 0.0:
+                    step = flank / slope
+                    near = lam + split / slope
+                    if near < edge:
+                        near = edge
+                    far = lam + drop / slope
+                    if far < near:
+                        far = near
+                else:
+                    step = near = far = math.inf
+                if end:
+                    below = -below
+                else:
+                    px, py = wx + step * dx, wy + step * dy
+                    zone.append(px / py if step <= 0.5 * length and py > 0.0 else None)
+                px, py = wx + core * dx, wy + core * dy
+                cut_core = px / py if py > 0.0 else below
+                px, py = wx + near * dx, wy + near * dy
+                cut_near = px / py if py > 0.0 else below
+                px, py = wx + far * dx, wy + far * dy
+                zone += cut_core, cut_near, (px / py if py > 0.0 else below), far, length
+            if not end:
+                flanks.append((zone[8], zone[2]))
+                del zone[8], zone[2]
+            zones.append(zone)
+
+        # Gap m, the slot of facet facet_at[m] between chain vertices m and m + 1, is sound
+        # where their zones on that facet leave room between them; an upper vertex is
+        # answered where both its gaps are.
+        facet_at = tuple(chain[1:])
+        gaps = [left[10] + right[5] + 2.0 * (left[0] + right[0]) < right[6]
+                for left, right in zip(zones, zones[1:])]
+        err = LINE_FACE_REL * max(map(abs, fx))
+        # The slot that ends at cuts[k] answers line[k] and threshold[k].
+        cuts, line, threshold = [], [], []
+        for m, sound in enumerate(gaps):
+            if not sound:
+                continue
+            if m == 0 or not gaps[m - 1]:  # the None over chain vertex m's zone ends here
+                cuts.append(zones[m][9])
+                line.append(None)
+                threshold.append(None)
+            zone, x = zones[m + 1], fx[facet_at[m]]
+            f = x, x, err
+            cuts.append(zone[4])
+            line.append(f)
+            threshold.append(f)
+            if m + 1 < last and gaps[m + 1]:
+                snap, y = None, fx[facet_at[m + 1]]  # the facets of W are facet_at[m] and [m + 1]
+                if zone[1]:
+                    snap = (y, x, err) if y <= x else (x, y, err)
+                cuts += zone[3], zone[2], zone[7], zone[8], zone[9]
+                line += f, None, snap, None, (y, y, err)
+                threshold += None, None, snap, None, None
+        line.append(None)
+        threshold.append(None)
+        table = None
+        if (_in_scale(h_min, radius) and radius <= _ASPECT_MAX * h_min
+                and all(map(operator.le, cuts, cuts[1:]))):
+            table = (tuple(cuts), tuple(line), tuple(threshold))
+        self.__dict__.update(kinks=(tuple(q for q, _ in upper), facet_at),
+                             kink_flanks=tuple(flanks), _line_table=table)
 
     def validate(self):
         verts = self.vertices
@@ -585,76 +688,101 @@ class Polygon:
         return self.facet_points[k - snap], self.facet_points[k]
 
     def line_face(self, vy):
-        """Line form of the normal face's x-range (see the module notes).
+        """Line form of the normal face's x-range (see the module notes): the answer
+        `_line_table` holds for the slot of the ratio vx/vy.
 
         The kernel takes g = max_i T_i, T_i = (n_i . v)/h_i, and p = v/g; p
-        snaps to its nearest vertex w when that np.hypot distance is at most
+        snaps to its nearest vertex W when that np.hypot distance is at most
         band = VERTEX_FACE_TOL * circumradius, giving the face
         (fp[w-1], fp[w]) of facet_points fp, and otherwise the face is fp[j]
-        for the facet j with the largest (n_j . p)/h_j.  These are entries of
-        fp, exact once the snap and j are certain, so err = LINE_FACE_REL
-        max|fp_x| only covers the caller's rounding (2u m).
+        for the facet j with the largest (n_j . p)/h_j.  The answers are
+        entries of fp, exact where the table is right, so err = LINE_FACE_REL
+        max|fp_x| only covers the caller's rounding (2u m).  The table does
+        not depend on vy: the face depends on the direction of v alone, up
+        to the roundings counted below.
 
-        The form looks at a window of five facets, c-2..c+2 (all of them when
-        there are at most five), around c = facet_at[bisect_left(K, vx/vy)]
-        (see `kinks`); c-2 and c+2 are its fences.  Here t_i = (n_i . v)/h_i
-        in float over the window, j is a facet with the window's top value
-        t_j, t2 the window's runner-up value, nu = (|vx| + vy)/h_min and R the
-        circumradius.  Each t_i and T_i is within e = 3.02u nu of the exact
-        tau_i(v), so g, and t_j when the window holds the exact argmax (i),
-        are within e of the exact maximum; the aspect bound R/h_min <= 2**16
-        keeps them positive.
-        The form gives up when j or the near facet r of (c) is a fence.
-        (i) vx/vy and each kink err by at most u relatively (or 2**-1074
-        absolutely), so the float quotient falls on the wrong side of a kink
-        only within 2u of it.  If at most one kink is that close, c is the
-        facet c* the exact ray meets (the argmax of tau) or its neighbour
-        across that kink's vertex: c* lies in c-1..c+1.
-        (ii) tau_i(v) = <fp_i, v> over the polar polygon's vertices fp_i in
-        cyclic order is cyclically bitonic in i: it falls along both arcs
-        from its maximum to its minimum.  With c* in c-1..c+1, a facet o
-        outside the window lies beyond a fence on its arc, so t_o is under
-        that fence's t + 2e.  Neither fence is j or r, so both are below
-        thr: every t_o < thr + 2e and t_j - t_o > t_j - t2 - 2e, and the
-        margins of (a)-(c) cover those 2e = 6.04u nu.
-        (iii) If two kinks lie within 2u of the quotient, their vertices lie
-        on rays within 4.1u of each other, so with h_min >= R 2**-16 they lie
-        within 2**-34 R of p, inside the band.  By (a) the three or more
-        facets around them reach thr, and three of them are in the window:
-        (c) gives up.
-        (a) The two facets of a vertex W pass within 7.2u R of it (h_a
-        rounds n_a . V_a, and n_a is normal to the rounded edge).  If the
-        kernel's distance from p to W is at most band, |p - W| <=
-        (1 + 3.1u) band, so both facets have tau(p) >= 1 - (band + 7.3u R)/
-        h_min; p is v/g up to one rounding per component and g >= t_j - 2e,
-        so both have t >= t_j - W*, W* = t_j (band + 7.3u R)/h_min + 10.4u nu.
-        The threshold thr = t_j - (t_j band/h_min + LINE_FACE_REL (t_j R/h_min
-        + nu)) formed here lies more than 2e below t_j - W*, roundings
-        included: a vertex the kernel snaps to has both its facets at or
-        above thr + 2e.
-        (b) t2 < thr: no vertex has two facets there, so the kernel does not
-        snap.  (n_i . p)/h_i as the kernel rounds it is within 7.4u nu/g of
-        t_i/g, so t_j - t2 - 2e > 57.9u nu > 14.9u nu makes j its argmax:
-        fp[j].
-        (c) Otherwise one window facet r in c-1..c+1 besides j must reach
-        thr; with more, or with a fence, two vertices could lie in the band
-        (a degenerate polygon): None.  If r and j share a vertex W, the point
-        v/t_j formed here is within 12.2u R**2/h_min + 2.9u R of the kernel's
-        p, and each distance rounds by under 3.6u of itself, so the kernel's
-        distance to W is within M = LINE_FACE_REL (R (1 + R/h_min) + dist)
-        of the one here, dist.  dist + M < band proves the snap to W, whose
-        face is (fp[w-1], fp[w]) (any other vertex has a facet below
-        thr + 2e, so the kernel finds it farther than band); dist - M > band
-        proves there is none, and then fp[j] needs t_j - t2 > LINE_FACE_REL
-        nu as in (b).  Between: None.
+        Notation: q_i = n_i/h_i exactly, the polygon Pi = {x : q_i . x <= 1}
+        of the stored half-planes, G(v) = max_i q_i . v its gauge,
+        P = v/G(v), tau_i = q_i . P, R the circumradius, h = h_min,
+        REL = LINE_FACE_REL = 64u and S = REL R (1 + R/h).
+        (k1) Each T_i is within 3.02u (|vx| + vy)/h of q_i . v and
+        G >= |v|/R, so g is within 4.3u R/h of G relatively; p is v/g with
+        one rounding per component, so p - P is nearly radial and
+        |p - P| <= 4.3u R**2/h + 1.01u R < 0.07 S.
+        (k2) The kernel's distance to a vertex is within 3.1u of |p - V|.
+        (k3) Its values (n_i . p)/h_i lie within 20u R/h of tau_i, so a
+        facet ahead of every other by REL R/h is its argmax.
+        (k4) A stored vertex lies within 7.3u R of the lines of its two
+        facets (h_i rounds n_i . V_i, and n_i is normal to the rounded edge).
+        (k5) If the kernel snaps to a vertex Z, each facet k of Z has
+        q_k . p >= 1 - (band + 7.4u R)/h by (k2) and (k4), so with p's
+        rounding (1.5u R/h here) and (k1) tau_k >= 1 - (band + 13.2u R)/h,
+        above 1 - D with D = (band + REL R)/h.
+        (k6) tau over the facets in cyclic order is cyclically bitonic: it
+        falls along both arcs from its maximum to its minimum (the q_i are
+        the polar polygon's vertices in order).
+
+        Cuts.  Take a vertex W of the chain (see `_derive_line_table`), its
+        facets o and j and the corner W* of Pi where their lines meet.  By
+        (k4), |W - W*| <= omega = 0.25 REL R/(c - 0.25 REL) with c the cross
+        product of the two normals formed here, within 6.1u of the sine of
+        the lines' angle.  Along facet j at distance t from W*,
+        1 - tau_o = t sigma exactly, sigma the rate |q_o . e_j| on j's unit
+        direction; the slope formed here, |(fp_j - fp_o) . e| with the
+        rounded unit edge vector e, errs by under (18u + 30u R/L)/h (L the
+        edge length), which is within 2**-17 of sigma wherever the gap test
+        below passes, as it gives slope > D/L.  A cut at distance s is the
+        ratio x/y of the point W + s e formed here: that point lies within
+        33u R of j's line and 11u R along it from where it should, the ray
+        through it meets the line at a sine above h/R, and the cut and vx/vy
+        round by u each, which moves a boundary point by under u R**2/h.  So
+        a direction on the far side of the cut has its boundary point on j
+        at t > s - lam, and one on the near side at t < s + lam, with
+        lam = omega + 0.75 S, and |P - W| is within omega of t.  On each
+        side, with mu = 2 lam + S/4, the cuts sit at core = band - mu,
+        near = max(band + mu, lam + 1.01 REL (R/h)/slope) and
+        far = max(near, lam + 1.0001 D/slope).  A cut whose point is not
+        above the x-axis is the end of the ratios on that side: the chain
+        facet there crosses the axis at a sine above h/R (its line is
+        h_j >= h from the origin), so every direction with vy > 0 lies on
+        the vertex's side of it.
+        (z) Zones.  The gap test for chain facet f with ends X and Y is
+        far_X + far_Y + 2 (lam_X + lam_Y) < |f| (the distances on f).
+        Where it holds on both facets of W, every facet other than o and j
+        has tau <= 1 - D over W's zone, the boundary from o's far point to
+        j's through W*: at j's far point tau_o <= 1 - D and, by the test,
+        the facet across j's other end too, so by (k6) all others; likewise
+        at o's far point; at W* the facets across o's and j's other ends
+        have tau = 1 - (length) (rate) <= 1 - D; and tau is affine on both
+        segments.
+        The slots of such a W, each side's ratios taken outward:
+        (a) within core on both sides: |P - W| <= core + 2 lam, so the
+        kernel's distance to W is at most (band - S/4 + 0.07 S)(1 + 3.1u),
+        below band: it snaps, and only to W, since every other vertex has a
+        facet outside o, j, under 1 - D by (z), against (k5).  The snap face
+        (fp[w-1], fp[w]) where core > band/2, else None.
+        (b) from core to near: None, the band's edge.
+        (c) from near to far on j: |P - W| >= near - 2 lam >= band + S/4,
+        so by (k1), (k2) no snap to W, nor to any other vertex by (z) and
+        (k5); tau_j - tau_o >= (near - lam) sigma >= REL R/h, and every
+        other facet lies under 1 - D: fp[j] by (k3).
+        (d) beyond far, a gap: in the gap of facet f between two vertices
+        whose test holds, both neighbours of f have tau <= 1 - D, and by
+        (k6) so has every facet but f: no snap by (k5), fp[f] by (k3).
+        Where the test fails on a facet of W, or W is an end of the chain
+        (at or below the x-axis, its zone only partly above it), W's zone,
+        with every failed gap next to it, gives None.  The table is None
+        outside the scale and aspect limits of the module notes, and where
+        its cuts come out unsorted.  As S and omega are far below band, an
+        answer lacks only on slivers about 2 mu wide at the band's edge.
         """
-        return self._line_form(vy, True)
+        return self._line_form(vy, 1)
 
     def threshold_face(self, vy):
         """(form, 0.0, K, reach) for the threshold locator (see the module notes), or None
-        where line_face gives up; form is line_face(vy) without the last answer of (c),
-        the facet near a vertex but outside its band, K is `kinks`' K and
-        reach = 2**17 vy h_min/R.
+        where line_face gives up; form is line_face(vy) without its answers of slot (c),
+        the facet near a vertex but outside its band, which it gives up on, K is
+        `kinks`' K and reach = 2**17 vy h_min/R.
 
         The form's answer (lo, hi) at vx_a bounds the kernel's x-range at every
         |vx| <= reach: at most hi for vx < vx_a, at least lo for vx > vx_a.
@@ -664,14 +792,14 @@ class Polygon:
         with the q_ix of the facets met by the line's rays as its slopes
         along the line, nondecreasing as vx grows.
         (1) At v the kernel returns fp[i] only if q_i . v >= (1 - x) G(v), with
-        x = 31u R/h_min by (b)'s rounding (each kernel value within 7.4u nu/g
-        of t_i/g, t_i within e of q_i . v, nu/g <= 1.42 R/h_min), and snaps
-        only to a vertex whose two facets both have q . v >= (1 - x') G(v),
-        x' = (band + 7.4u R)/h_min by (a).
-        (2) At v_a, case (b) leaves every facet k but j, and the snap of (c)
-        every facet but j and r, below thr + 2e (by (ii) outside the
-        window): q_k . v_a < (1 - M) G(v_a) with M = (band + 57u R)/h_min,
-        and q_j . v_a = G(v_a) up to e.
+        x = 31u R/h_min (each kernel value within 7.4u nu/g of t_i/g, t_i
+        within 3.02u nu of q_i . v, nu/g <= 1.42 R/h_min, nu = (|vx| + vy)/h_min),
+        and snaps only to a vertex whose two facets both have
+        q . v >= (1 - x') G(v), x' = (band + 13.2u R)/h_min by line_face's (k5).
+        (2) At v_a, in a gap (d) every facet but j, and in a core (a) every
+        facet but o and j, has tau <= 1 - D (line_face's (z) and (d)):
+        q_k . v_a < (1 - M) G(v_a) with M = (band + 57u R)/h_min <= D, and
+        q_j . v_a = G(v_a).
         (3) A facet with fx_i > hi has q_ix > q_jx, so (q_i - q_j) . v grows
         with vx; below -M G(v_a) at v_a, it stays below it at v, while a pick
         at v needs it at least -x G(v).  That needs G(v)/G(v_a) > M/x > 2.9e5,
@@ -680,73 +808,32 @@ class Polygon:
         (4) At v the boundary point P = v/G(v) has P_y >= h_min vy/|v| >
         2 band, so a vertex the kernel snaps to lies above the x-axis and the
         line's rays meet both its facets.  If one of them, i, were met past
-        P_a (beyond j, and beyond r in (c)): the boundary arc from P to facet
-        i spans less than pi of angle and so lies within x' h_i of facet i's
-        line (1 - q_i . z is affine in z, at most x' at both ends of the
-        chord, 1 at the origin, and the arc lies beyond the chord from the
-        origin); it passes P_a, against (2) as M > x'.  So the facets of a
-        snap are met at or before P_a, and their fx are at most hi.
-        The last answer of (c) has no margin like (2), so its value need not
-        carry; this form gives up there instead.
+        P_a (beyond the facets of the answer): the boundary arc from P to
+        facet i spans less than pi of angle and so lies within x' h_i of
+        facet i's line (1 - q_i . z is affine in z, at most x' at both ends
+        of the chord, 1 at the origin, and the arc lies beyond the chord from
+        the origin); it passes P_a, against (2) as M > x'.  So the facets of
+        a snap are met at or before P_a, and their fx are at most hi.
+        Slot (c) has no margin like (2), so its value need not carry; this
+        form gives up there instead.
         """
-        face = self._line_form(vy, False)
+        face = self._line_form(vy, 2)
         if face is None:
             return None
         return face, 0.0, self.kinks[0], 2.0**17 * vy * self.inner_radius / self.circumradius
 
-    def _line_form(self, vy, tail):
-        """line_face(vy), with the last answer of its case (c) only when tail is true."""
-        h_min, radius = self.inner_radius, self.circumradius
-        if not (_in_scale(h_min, radius, vy) and radius <= _ASPECT_MAX * h_min):
+    def _line_form(self, vy, slot):
+        """The form `_line_table[slot]` gives along vy: line_face at 1, threshold_face at 2."""
+        table = self._line_table
+        if table is None or not _in_scale(vy):
             return None
-        kinks, facet_at = self.kinks
-        windows, fx, fx_max = self._line_data
-        n = len(windows)
-        band = VERTEX_FACE_TOL * radius
-        band_h, r_h = band / h_min, radius / h_min
-        err = LINE_FACE_REL * fx_max
-        scale_max, neg_inf, place = _SCALE_MAX, -math.inf, bisect_left
+        cuts, answers = table[0], table[slot]
+        scale_max, place = _SCALE_MAX, bisect_left
 
         def face(vx):
             if not -scale_max <= vx <= scale_max:
                 return None
-            c = facet_at[place(kinks, vx / vy)]
-            (a0, b0, h0), (a1, b1, h1), (a2, b2, h2), (a3, b3, h3), (a4, b4, h4) = windows[c]
-            t0, t1, t2 = (a0 * vx + b0 * vy) / h0, (a1 * vx + b1 * vy) / h1, (a2 * vx + b2 * vy) / h2
-            t3, t4 = (a3 * vx + b3 * vy) / h3, (a4 * vx + b4 * vy) / h4
-            nu = (abs(vx) + vy) / h_min
-            thr = t2 - (t2 * band_h + LINE_FACE_REL * (t2 * r_h + nu))
-            if t0 < thr and t1 < thr and t3 < thr and t4 < thr < t2:  # case (b) with j = c
-                return fx[c], fx[c], err
-            ts = [t0, t1, t2, t3, t4]
-            top = max(ts)
-            at = ts.index(top)
-            if not 0 < at < 4:  # a fence is the top
-                return None
-            j = (c + at - 2) % n
-            thr = top - (top * band_h + LINE_FACE_REL * (top * r_h + nu))
-            ts[at] = neg_inf
-            second = max(ts)
-            if second < thr:
-                return fx[j], fx[j], err
-            near = [k for k, t in enumerate(ts) if t >= thr]
-            if len(near) != 1 or not 0 < near[0] < 4:
-                return None
-            r = (c + near[0] - 2) % n
-            # The vertex facets j and r share, if any (facet i joins vertex i to i + 1).
-            w = r if r == (j + 1) % n else j if r == (j - 1) % n else None
-            if w is not None:
-                wx, wy = self.vertices[w].tolist()
-                dist = math.hypot(wx - vx / top, wy - vy / top)
-                margin = LINE_FACE_REL * (radius * (1.0 + r_h) + dist)
-                if dist + margin < band:
-                    lo, hi = fx[w - 1], fx[w]
-                    return (lo, hi, err) if lo <= hi else (hi, lo, err)
-                if not dist - margin > band:
-                    return None
-            if tail and top - second > LINE_FACE_REL * nu:
-                return fx[j], fx[j], err
-            return None
+            return answers[place(cuts, vx / vy)]
 
         return face
 

@@ -28,7 +28,8 @@ answer is the one the exact values give, so (y*, phi*) keep their bits.
 
 The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
 2**-53, for float +, -, *, /, an error under one ulp for `math.hypot`,
-`math.cos`, `math.sin`, their numpy forms and `to_float`, and for a 2-term
+`math.cos`, `math.sin` and their numpy forms, the nearest float for an
+integer's `float()`, and for a 2-term
 dot product of the gauge kernels (BLAS, fused or not) an error under
 2.01 u (|m_0 v_0| + |m_1 v_1|).  Underflow breaks the model only by an
 absolute 2**-1075 per operation, so the screens run only on problems whose
@@ -111,29 +112,45 @@ def contains(vset, point):
 
 
 def gauge_by_membership(vset, v):
-    """Gauge via bisection on t in the predicate "v / t in F" (no closed forms)."""
+    """Gauge via bisection on t in the predicate "v / t in F" (no closed forms).
+
+    The gauge is positively homogeneous, so the bisection runs on v scaled by
+    the power of two 2**-e that brings its larger component into [0.5, 1)
+    (exact, unless a component far below the other underflows), and the
+    answer is scaled back by 2**e, with the stopping width and the floor
+    taken in the unscaled units.  Raises ValidationError where the gauge
+    exceeds the float range.
+    """
     v = np.asarray(v, dtype=float)
     if not (math.isfinite(v[0]) and math.isfinite(v[1])):
         raise ValidationError(f"gauge_by_membership needs a finite vector, got {v.tolist()}")
     if v[0] == 0.0 and v[1] == 0.0:
         raise ZeroVectorError("gauge_by_membership needs a nonzero vector")
+    _, e = math.frexp(max(abs(v[0]), abs(v[1])))
+    scaled = np.ldexp(v, -e)
+    unit = math.ldexp(1.0, -e) if e > -1024 else math.inf  # 1 in the scaled units
     hi = 1.0
-    while not contains(vset, v / hi):
+    while not contains(vset, scaled / hi):
         hi *= 2.0
+        if hi == math.inf:
+            raise ValidationError(f"the gauge of {v.tolist()} exceeds the float range")
     lo = hi / 2.0
-    while contains(vset, v / lo):
+    while contains(vset, scaled / lo):
         hi = lo
         lo /= 2.0
-        if lo < 1e-300:
+        if lo < 1e-300 * unit:
             return 0.0
     # Invariant: v/lo outside, v/hi inside.
-    while hi - lo > 1e-13 * max(1.0, hi):
+    while hi - lo > 1e-13 * max(unit, hi):
         mid = 0.5 * (lo + hi)
-        if contains(vset, v / mid):
+        if contains(vset, scaled / mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    try:
+        return math.ldexp(0.5 * (lo + hi), e)
+    except OverflowError:
+        raise ValidationError(f"the gauge of {v.tolist()} exceeds the float range") from None
 
 
 def _live_facets(vset, vy, vx_ends):
@@ -310,12 +327,13 @@ def _grid_argmin(problem, ys, screened):
 def _side_screen(vset, vy, live):
     """Float screen for one gauge term gamma(vx, vy) of phi, vy fixed and vx in its bracket.
 
-    Returns (point, difference).  point(yf, vx) takes a golden point's
-    to_float value yf and vx computed from it in float, and returns the
+    Returns (point, difference).  point(yf, vx) takes yf, the float nearest
+    a golden point y, and vx computed from it in float, and returns the
     point's float data; its last entry is the scale s = |yf| + |vx| + |vy|.
-    The float vx errs by under 2.01 u s (to_float truncates: under 2 u |y|;
-    the subtraction: u |vx|).  difference(p, q, dx) takes two points and the
-    float dx of their exact vx_p - vx_q, relative error under 2.01 u, and
+    The float vx errs by under 1.01 u s (yf: under u |y|; the subtraction:
+    u |vx|), which the bounds below take as 2.01 u s.  difference(p, q, dx)
+    takes two points and the float dx nearest their exact vx_p - vx_q,
+    relative error under u, which the bounds take as 2.01 u, and
     returns (D, E): a float D and a bound E >= |D - (g_p - g_q)| + e_p + e_q,
     where g is the exact gauge and e bounds the error of this side's share
     of the 136-bit phi (its gauge, and its part of the final sum): under
@@ -396,8 +414,8 @@ def _step_screen(problem, sides):
     """Float screen for phi(c) - phi(d) at golden points of the float bracket of sides.
 
     Returns (point, difference).  point(yf) gives the float data of a golden
-    point y from yf = to_float(y); difference(p, q, delta) takes two such
-    data and the float delta = to_float(mpf_sub(y_p, y_q)), and returns
+    point y from yf, the float nearest y; difference(p, q, delta) takes two
+    such data and delta, the float nearest the exact y_p - y_q, and returns
     (D, E) with
     |D - (phi_p - phi_q)| <= E for the 136-bit values phi_p, phi_q that
     _objective_raw gives.  Each side contributes its _side_screen pair (F0's
@@ -444,18 +462,6 @@ def _round(n, prec=_PREC):
     if rest > half or (rest == half and q & 1):
         q += 1
     return (-q if n < 0 else q), k
-
-
-def _to_float(n, e, nearest=False):
-    """libmp's to_float of n * 2**e: n cut to 53 bits toward zero (or nearest-even), then ldexp."""
-    k = n.bit_length() - 53
-    if k > 0:
-        if nearest:
-            n, k = _round(n, 53)
-        else:
-            n = -(-n >> k) if n < 0 else n >> k
-        e += k
-    return math.ldexp(n, e)
 
 
 def _scaled(num, den, frame):
@@ -514,14 +520,13 @@ def _refine(a, b, tol, objective, screen):
             a, b, w, keep[0] = a << -k, b << -k, w << -k, keep[0] << -k
             frame += k
             tol_n = _scaled(nt, dt, frame)
-        return [y, screen_point(_to_float(y, frame)) if screen else None, None]
+        return [y, screen_point(math.ldexp(float(y), frame)) if screen else None, None]
 
     def less(p, q):
         """phi(p) < phi(q): by the float screen when its bound settles it, else exactly."""
         nonlocal phi
         if screen:
-            m, k = _round(p[0] - q[0])
-            diff, err = screen_difference(p[1], q[1], _to_float(m, frame + k))
+            diff, err = screen_difference(p[1], q[1], math.ldexp(float(p[0] - q[0]), frame))
             if diff + err < 0:
                 return True
             if diff - err > 0:
@@ -552,7 +557,8 @@ def _refine(a, b, tol, objective, screen):
         else:
             d = golden_point(a, 1, c)
     m, k = _round(a + b)
-    return _to_float(m, frame + k - 1, nearest=True)
+    # libmp's to_float: m rounded to 53 bits nearest-even, as float() rounds an int.
+    return math.ldexp(float(m), frame + k - 1)
 
 
 def minimize_objective(problem, cfg=None):

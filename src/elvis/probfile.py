@@ -21,6 +21,8 @@ from .solver import ElvisProblem, make_problem
 PROBLEM_KEYS = ("x0", "x1", "F0", "F1", "epsilon", "max_iter")
 SWEEP_KEYS = ("x0", "F0", "F1", "epsilon", "max_iter", "x1_grid")
 GRID_KEYS = ("xmin", "xmax", "ymin", "ymax", "nx", "ny")
+# The types json.loads gives a JSON number (bool is neither) and the largest magnitude kept.
+_NUMBER, _INTEGER, _FLOAT_MAX = (int, float), (int,), sys.float_info.max
 MAX_GRID_AXIS = 10**7  # one axis array is then 80 MB, one line of nodes an hour's work
 # Set kinds whose fields are numbers: kind -> (class, {field: its default, or
 # MISSING if the field is required}), read off the dataclass.  The other kind,
@@ -56,22 +58,31 @@ def _object(obj, where, required, allowed):
     return obj
 
 
-def _number(val, what, integer=False):
-    """val itself, checked to be a finite JSON number (an integer if asked).
+def _is_number(val, integer=False):
+    """Whether val is a finite JSON number (an integer if asked).
 
     Booleans are not numbers; NaN, Infinity and integers beyond the float
     range fail the magnitude test.
     """
-    if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))
-            or not abs(val) <= sys.float_info.max):
+    return type(val) in (_INTEGER if integer else _NUMBER) and abs(val) <= _FLOAT_MAX
+
+
+def _number(val, what, integer=False):
+    """val itself, checked by _is_number."""
+    if not _is_number(val, integer):
         raise ProblemFormatError(f"{what} must be {'an integer' if integer else 'a finite number'}")
     return val
 
 
-def _pair(val, what):
+def _pair(val, *what):
+    """val itself, checked to be a list of two finite numbers; the parts of what, joined
+    by ': ', name it in an error message, which is built only when raised."""
     if not isinstance(val, list) or len(val) != 2:
-        raise ProblemFormatError(f"{what} must be a pair of numbers")
-    return [_number(c, f"{what} coordinate") for c in val]
+        raise ProblemFormatError(f"{': '.join(what)} must be a pair of numbers")
+    x, y = val  # _is_number's test, written out: it runs for every vertex
+    if not (type(x) in _NUMBER and type(y) in _NUMBER and abs(x) <= _FLOAT_MAX and abs(y) <= _FLOAT_MAX):
+        raise ProblemFormatError(f"{': '.join(what)} coordinate must be a finite number")
+    return val
 
 
 def parse_set(obj, where):
@@ -81,7 +92,7 @@ def parse_set(obj, where):
         verts = _object(obj, where, ("vertices",), ("kind", "vertices"))["vertices"]
         if not isinstance(verts, list):
             raise ProblemFormatError(f"{where}: key 'vertices' must be a list of pairs")
-        return Polygon([_pair(p, f"{where}: vertex") for p in verts])
+        return Polygon([_pair(p, where, "vertex") for p in verts])
     if not (isinstance(kind, str) and kind in NUMERIC_SETS):
         raise ProblemFormatError(f"{where}: 'kind' must be ball, ellipse or polygon, got {kind!r}")
     cls, fields = NUMERIC_SETS[kind]

@@ -169,12 +169,13 @@ class TestValidate:
 
 
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
-                     "inner_radius", "kinks", "kink_flanks", "_line_data")
+                     "inner_radius", "kinks", "kink_flanks", "_line_table")
 
 
 def reference_constants(verts):
-    """Every constant of a validated polygon with these vertices, derived by the array
-    expressions Polygon used before it derived them on Python floats in one pass."""
+    """Every constant of a validated polygon with these vertices: the shape constants by
+    the array expressions Polygon used before it derived them on Python floats in one
+    pass, the line-form constants by `reference_line_table`."""
     edges = np.concatenate((verts[1:], verts[:1])) - verts
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
@@ -182,40 +183,89 @@ def reference_constants(verts):
     facet_points = normals / offsets[:, None]
     circumradius = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
     inner_radius = float(np.min(offsets))
+    kinks, flanks, table = reference_line_table(verts.tolist(), normals.tolist(),
+                                                facet_points.tolist(), circumradius, inner_radius)
+    return dict(normals=normals, offsets=offsets, facet_points=facet_points,
+                circumradius=circumradius, inner_radius=inner_radius, kinks=kinks,
+                kink_flanks=flanks, _line_table=table)
 
-    points = verts.tolist()
+
+def reference_line_table(points, normals, fp, radius, h_min):
+    """kinks, kink_flanks and _line_table from the rules of `Polygon.line_face`, vertex by
+    vertex: each chain vertex's two sides, the gap tests, then the slots in ratio order."""
     n = len(points)
     upper = sorted((x / y, i) for i, (x, y) in enumerate(points) if y > 0)
-    facet_at = tuple(i for _, i in upper) + ((upper[-1][1] - 1) % n,)
+    chain = [(upper[0][1] + 1) % n] + [i for _, i in upper] + [(upper[-1][1] - 1) % n]
+    rel, band = geometry.LINE_FACE_REL, VERTEX_FACE_TOL * radius
+    slack = rel * radius * (1.0 + radius / h_min)
+    drop = 1.0001 * (band + rel * radius) / h_min  # 1.0001 D
 
-    facets = [(nx, ny, h) for (nx, ny), h in zip(normals.tolist(), offsets.tolist())]
-    ring = facets[-2:] + facets + facets[:2]
-    rows = [tuple(ring[c:c + 5]) for c in range(n)]
-    if n < 5:
-        rows = [(f0 if n > 3 else geometry._NO_FACET, f1, f2, f3, geometry._NO_FACET)
-                for f0, f1, f2, f3, _ in rows]
-    fx = facet_points[:, 0].tolist()
+    def side(w, toward, lam, mu, outside):
+        """Cuts (core, near, far), far, length and flank ratio of W's side along the facet
+        toward vertex `toward`; outside is the cut of a point not above the x-axis."""
+        (wx, wy), (ox, oy) = points[w], points[toward % n]
+        j, o = (w, w - 1) if toward == w + 1 else (w - 1, w)
+        ex, ey = ox - wx, oy - wy
+        length = math.hypot(ex, ey)
+        ex, ey = ex / length, ey / length
+        slope = abs((fp[j][0] - fp[o][0]) * ex + (fp[j][1] - fp[o][1]) * ey)
+        if slope == 0.0:
+            step = near = far = math.inf
+        else:
+            step = 1.25 * VERTEX_FACE_TOL * radius / h_min / slope
+            near = max(band + mu, lam + 1.01 * rel * (radius / h_min) / slope)
+            far = max(near, lam + drop / slope)
 
-    fp = facet_points.tolist()
-    need = 1.25 * VERTEX_FACE_TOL * circumradius / inner_radius
-    flanks = []
-    for w in facet_at[:-1]:
-        (wx, wy), ratios = points[w], []
-        for j, o, (ox, oy) in ((w - 1, w, points[w - 1]), (w, w - 1, points[(w + 1) % n])):
-            ex, ey = ox - wx, oy - wy
-            length = math.hypot(ex, ey)
-            ex, ey = ex / length, ey / length
-            slope = abs((fp[j][0] - fp[o][0]) * ex + (fp[j][1] - fp[o][1]) * ey)
-            step = need / slope if slope > 0.0 else math.inf
-            px, py = wx + step * ex, wy + step * ey
-            ratios.append(px / py if step <= 0.5 * length and py > 0.0 else None)
-        flanks.append(tuple(ratios))
+        def ratio(s):
+            x, y = wx + s * ex, wy + s * ey
+            return x / y if y > 0.0 else outside
 
-    return dict(
-        normals=normals, offsets=offsets, facet_points=facet_points, circumradius=circumradius,
-        inner_radius=inner_radius, kinks=(tuple(q for q, _ in upper), facet_at),
-        kink_flanks=tuple(flanks), _line_data=(tuple(rows), fx, max(map(abs, fx))),
-    )
+        flank = ratio(step) if step <= 0.5 * length and wy + step * ey > 0.0 else None
+        return dict(core=ratio(band - mu), near=ratio(near), far=ratio(far), far_s=far,
+                    length=length, flank=flank)
+
+    vertices = []
+    for m, w in enumerate(chain):
+        end = m in (0, len(chain) - 1)
+        c = abs(normals[w - 1][0] * normals[w][1] - normals[w - 1][1] * normals[w][0])
+        omega = 0.25 * rel * radius / (c - 0.25 * rel) if c > 0.25 * rel else math.inf
+        lam = omega + 0.75 * slack
+        mu = 2.0 * lam + 0.25 * slack
+        vertices.append(dict(w=w, lam=lam, snaps=band - mu > 0.5 * band,
+                             left=side(w, w + 1, lam, mu, math.inf if end else -math.inf),
+                             right=side(w, w - 1, lam, mu, -math.inf if end else math.inf)))
+    flanks = tuple((v["right"]["flank"], v["left"]["flank"]) for v in vertices[1:-1])
+    sound = [a["right"]["far_s"] + b["left"]["far_s"] + 2.0 * (a["lam"] + b["lam"]) < b["left"]["length"]
+             for a, b in zip(vertices, vertices[1:])]
+
+    err = rel * max(abs(p[0]) for p in fp)
+
+    def facet(i):
+        return fp[i][0], fp[i][0], err
+
+    slots = []  # (the ratio the slot ends at, line answer, threshold answer)
+    for m in range(len(sound)):
+        if not sound[m]:
+            continue
+        if m == 0 or not sound[m - 1]:
+            slots.append((vertices[m]["right"]["far"], None, None))
+        v = vertices[m + 1]
+        f = facet(chain[m + 1])
+        slots.append((v["left"]["far"], f, f))
+        if m + 1 < len(sound) and sound[m + 1]:
+            lo, hi = sorted((fp[v["w"] - 1][0], fp[v["w"]][0]))
+            snap = (lo, hi, err) if v["snaps"] else None
+            g = facet(v["w"] - 1)
+            slots += [(v["left"]["near"], f, None), (v["left"]["core"], None, None),
+                      (v["right"]["core"], snap, snap), (v["right"]["near"], None, None),
+                      (v["right"]["far"], g, None)]
+    cuts = [c for c, _, _ in slots]
+    table = None
+    scales_ok = all(2.0**-64 <= x <= 2.0**64 for x in (h_min, radius)) and radius <= 2.0**16 * h_min
+    if scales_ok and all(a <= b for a, b in zip(cuts, cuts[1:])):
+        table = (tuple(cuts), tuple(a for _, a, _ in slots) + (None,),
+                 tuple(b for _, _, b in slots) + (None,))
+    return (tuple(q for q, _ in upper), tuple(chain[1:])), flanks, table
 
 
 def constants_of(polygon):
@@ -566,14 +616,15 @@ def scaled(vset, s):
     return validate(Polygon(vset.vertices * s))
 
 
-def check_line_face(vset, vy, vxs):
-    """Every answer of vset.line_face(vy) on vxs against normal_face's x-range.
+def check_line_face(vset, vy, vxs, face=None):
+    """Every answer of vset.line_face(vy), or of the form face along vy, on vxs against
+    normal_face's x-range.
 
     The answer keeps the guarantee of the module notes, and a polygon's face
     is the kernel's, bit for bit.  Returns the answered (lo, hi) pairs and
     the number of calls that gave up.
     """
-    face = vset.line_face(vy)
+    face = face or vset.line_face(vy)
     answers, gave_up = [], 0
     for vx in vxs:
         got = face(vx)
@@ -663,8 +714,8 @@ class TestLineFace:
     def test_polygon_short_edge_after_sharp_vertex(self):
         """A 37-degree apex W followed by an edge 1e-10 to 5e-10 long: toward points on W's
         other edge within the band, the short edge's far end V is nearer than W, and the
-        kernel snaps to V.  V's second facet lies two facets from the window's centre, so
-        the form must see it there and give up, never answer W's face."""
+        kernel snaps to V.  The zones of W and V overlap on the short edge, so the form
+        must give up over both, never answer W's face."""
         apex, left, right = np.array([0.0, 3.0]), np.array([-1.0, -3.0]), np.array([1.0, -3.0])
         left, right = left / np.hypot(*left), right / np.hypot(*right)
         out = np.array([left[1], -left[0]])  # outward normal of the edge from W along left
@@ -682,6 +733,44 @@ class TestLineFace:
                     far_snaps += sum(normal_face(vset, (vx, vy)).x_range == (min(fp[1:3]), max(fp[1:3]))
                                      for vx in vxs)
         assert far_snaps > 50
+
+    @staticmethod
+    def short_edge_polygon():
+        """test_polygon_short_edge_after_sharp_vertex's polygon with a 2e-10 edge bent by 3e-11."""
+        apex, left = np.array([0.0, 3.0]), np.array([-1.0, -3.0]) / np.hypot(1.0, 3.0)
+        v = apex + 2e-10 * left + 3e-11 * np.array([left[1], -left[0]])
+        return validate(Polygon([(1.0, 0.0), apex, v, (-1.0, 0.0), (-0.5, -1.0), (0.5, -1.0)]))
+
+    def test_polygon_table_cuts(self):
+        """Both forms at every cut of the table and 1, 2 and 4 ulps either side of it, on
+        3-48-gons, the egg-shaped 48-gon and the degenerate polygons above, for vy from
+        2**-20 to 2**20: every answer is the kernel's face."""
+        rng = np.random.default_rng(47)
+        polygons = [random_row_set(rng, "polygon") for _ in range(12)] + [egg_polygon()] + [
+            validate(Polygon(verts)) for verts in (
+                [(1.0, 1.0 - 0.7e-9), (1.0 - 0.7e-9, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)],
+                [(1.0, 1.0), (0.0, 1.0 + 2e-12), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)],
+                [(1.0, 1.0 - 1e-11), (1.0 - 1e-11, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+        ] + [self.short_edge_polygon()]
+        answered = gave_up = 0
+        for vset in polygons:
+            cuts = [c for c in vset._line_table[0] if math.isfinite(c)]
+            ratios = []
+            for c in cuts:
+                ratios.append(c)
+                for k in (1, 2, 4):
+                    up = down = c
+                    for _ in range(k):
+                        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                    ratios += [up, down]
+            for vy in (2.0**-20, 0.37, 1.0, 12.5, 2.0**20):
+                vxs = [vy * q for q in ratios]
+                for face in (vset.line_face(vy), vset.threshold_face(vy)[0]):
+                    answers, missed = check_line_face(vset, vy, vxs, face)
+                    answered += len(answers)
+                    gave_up += missed
+        # Every cut borders a slot that gives up, so about half the calls do.
+        assert answered > 0.5 * gave_up > 0
 
     def test_facet_values_bitonic(self):
         """tau_i(v) = <n_i/h_i, v> is cyclically bitonic in i, in exact arithmetic, on 3-48-gons:

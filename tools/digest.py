@@ -57,7 +57,7 @@ ORACLE_SHIFTED_SEEDS = (1, 2, 3)
 ORACLE_SHIFTS = (1e3, 1e6)
 SWEEP_SEEDS = tuple(range(1, 11))
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
-                     "inner_radius", "kinks", "kink_flanks", "_line_data")
+                     "inner_radius", "kinks", "kink_flanks", "_line_table")
 
 
 def _feed(h, value):
