@@ -21,14 +21,6 @@ from .geometry import (
     support,
     validate,
 )
-from .oracle import (
-    OracleConfig,
-    contains,
-    flat_minimum_interval,
-    gauge_by_membership,
-    minimize_objective,
-    sample_interior,
-)
 from .probfile import (
     dump_problem,
     load_problem,
@@ -85,3 +77,28 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The oracle's names load oracle.py, and with it mpmath, on first use, so
+# that importing the package (and the CLI, which never verifies) does not.
+_ORACLE_NAMES = (
+    "OracleConfig",
+    "contains",
+    "flat_minimum_interval",
+    "gauge_by_membership",
+    "minimize_objective",
+    "sample_interior",
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # The names of an eager import of the oracle, without these hooks.
+    hooks = {"_ORACLE_NAMES", "__getattr__", "__dir__"}
+    return sorted((set(globals()) - hooks) | set(_ORACLE_NAMES) | {"oracle"})

@@ -16,15 +16,19 @@ their distance to the exact phi.  They are taken at every 64th point
 first; since phi is convex, a point that is certainly above another rules
 out every grid point beyond it, so the rest of the grid is evaluated only
 in the coarse cells left open, usually two (the batched rows are bit-equal
-to the full call's).  A golden step is screened by a float form of
-phi(c) - phi(d).  The golden points are the 136-bit values libmp's
-operations give, kept as Python integers of one binary frame and rounded
-as libmp rounds, and the 136-bit phi of a point is computed on first need
-and kept.  That phi does mpmath arithmetic on raw libmp values, calling
-the functions mpf's operators call, in the same order: the gauge terms
-that do not depend on y are computed once per call, and a polygon keeps
-only the facets that can attain its maximum on the refine bracket.  Every
-answer is the one the exact values give, so (y*, phi*) keep their bits.
+to the full call's).  Only the grid points that are read are formed: the
+coarse points, the open cells and the two neighbours of the least one, each
+with the bits np.linspace gives it (see _grid_points); the unscreened path
+and flat_minimum_interval form the whole grid the same way.  A golden step
+is screened by a float form of phi(c) - phi(d).  The golden points are the
+136-bit values libmp's operations give, kept as Python integers of one
+binary frame and rounded as libmp rounds, and the 136-bit phi of a point
+is computed on first need and kept.  That phi does mpmath arithmetic on
+raw libmp values, calling the functions mpf's operators call, in the same
+order: the gauge terms that do not depend on y are computed once per call,
+and a polygon keeps only the facets that can attain its maximum on the
+refine bracket.  Every answer is the one the exact values give, so
+(y*, phi*) keep their bits.
 
 The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
 2**-53, for float +, -, *, /, an error under one ulp for `math.hypot`,
@@ -79,6 +83,9 @@ MAX_REJECTIONS_PER_SAMPLE = 1000
 # the stride of the coarse points its convexity pruning screens first.
 GRID_POINTS = 4096
 _COARSE = 64
+_GRID_INDEX = np.arange(GRID_POINTS)
+# The coarse points: every _COARSE-th grid point and the last.
+_COARSE_INDEX = np.append(_GRID_INDEX[:-1:_COARSE], GRID_POINTS - 1)
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
 # whose derivation needs less (see _grid_screen and _side_screen); math.inf
@@ -99,13 +106,17 @@ class OracleConfig:
 
 
 def contains(vset, point):
-    """Membership test straight from the defining inequalities of the set."""
+    """Membership test straight from the defining inequalities of the set.
+
+    A ball or an ellipse compares a hypot with 1 (or r), so no square leaves
+    the float range.
+    """
     x, y = float(point[0]), float(point[1])
     if isinstance(vset, Ball):
-        return x * x + y * y <= vset.r * vset.r
+        return math.hypot(x, y) <= vset.r
     if isinstance(vset, Ellipse):
-        w = vset._to_axes @ np.array([x, y])
-        return (w[0] / vset.a) ** 2 + (w[1] / vset.b) ** 2 <= 1.0
+        w0, w1 = (vset._to_axes @ np.array([x, y])).tolist()
+        return math.hypot(w0 / vset.a, w1 / vset.b) <= 1.0
     if isinstance(vset, Polygon):
         return bool(np.all(vset.normals @ np.array([x, y]) <= vset.offsets))
     raise TypeError(f"not a velocity set: {vset!r}")
@@ -157,21 +168,23 @@ def _live_facets(vset, vy, vx_ends):
     """The facets (nx, ny, h) that can attain the polygon gauge of (vx, vy) for vx in vx_ends.
 
     Each facet term (nx*vx + ny*vy)/h is linear in vx, so a facet that the
-    facet j with the largest end sum exceeds at both ends lies below j on the
-    whole interval.  The terms are compared in float with a margin about six
-    orders of magnitude above their round-off, so the maximum over the kept
-    facets is the maximum over all of them at any precision.  A ball or an
-    ellipse has no facets: None.
+    facet j with the largest end sum (the first, on a tie) exceeds at both
+    ends lies below j on the whole interval.  The terms are compared in
+    float with a margin about six orders of magnitude above their round-off,
+    so the maximum over the kept facets is the maximum over all of them at
+    any precision.  A ball or an ellipse has no facets: None.
     """
     if not isinstance(vset, Polygon):
         return None
-    ends = np.array(vx_ends)
-    terms = (vset.normals[:, :1] * ends + vset.normals[:, 1:] * vy) / vset.offsets[:, None]
-    j = np.argmax(terms.sum(axis=1))
-    margin = 1e-9 * (np.max(np.abs(ends)) + abs(vy)) / np.min(vset.offsets)
-    live = np.flatnonzero(np.any(terms[j] - terms <= margin, axis=1))
-    return [(nx, ny, h)
-            for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())]
+    e0, e1 = vx_ends
+    facets = [(nx, ny, h) for (nx, ny), h in zip(vset.normals.tolist(), vset.offsets.tolist())]
+    terms = [((nx * e0 + ny * vy) / h, (nx * e1 + ny * vy) / h) for nx, ny, h in facets]
+    sums = [t0 + t1 for t0, t1 in terms]
+    j = sums.index(max(sums))
+    margin = 1e-9 * (max(abs(e0), abs(e1)) + abs(vy)) / vset.inner_radius
+    top0, top1 = terms[j]
+    return [facet for facet, (t0, t1) in zip(facets, terms)
+            if top0 - t0 <= margin or top1 - t1 <= margin]
 
 
 def _sides(problem, a, b):
@@ -243,13 +256,16 @@ def _objective_raw(problem, sides, prec, rnd):
     )
 
 
-def _well_scaled(problem, ys, tol):
-    """Whether the float screens' error model holds for this problem (see the module notes)."""
+def _well_scaled(problem, ends, tol):
+    """Whether the float screens' error model holds for this problem (see the module notes).
+
+    ends holds the grid's ends first and last: the bracket (l, r), or the grid itself.
+    """
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
     scales = (abs(x0y), abs(x1y), tol, problem.F0.inner_radius, problem.F0.circumradius,
               problem.F1.inner_radius, problem.F1.circumradius)
-    positions = (x0x, x1x, float(ys[0]), float(ys[-1]))
+    positions = (x0x, x1x, float(ends[0]), float(ends[-1]))
     return (all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
             and all(abs(p) <= _SCALE_MAX for p in positions))
 
@@ -282,46 +298,49 @@ def _grid_screen(problem, ys):
     return crossing_time(problem, ys), bound
 
 
-def _open_window(problem, ys):
-    """(lo, hi): crossing_time at each grid point outside ys[lo:hi] is above its least value.
+def _open_window(problem, l, r):
+    """(lo, hi): crossing_time at each grid point of [l, r] outside lo:hi is above its least value.
 
-    The screen (see _grid_screen) runs on every _COARSE-th point and the
-    last.  Let U = min (v + bound) over them, reached at coarse point j, and
-    B the largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid
-    point, since |v|_1/rho is convex in y and so greatest at a grid end.
+    The screen (see _grid_screen) runs on the coarse points.  Let
+    U = min (v + bound) over them, reached first at coarse point j, and B the
+    largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid point,
+    since |v|_1/rho is convex in y and so greatest at a grid end.
     A coarse p < j with v_p - bound_p - B > U has
     phi(y_p) >= v_p - bound_p > U >= phi(y_j), so phi, being convex, is at
     least phi(y_p) at every y_i <= y_p, and there
     v_i >= phi(y_i) - B >= v_p - bound_p - B > U >= v_j >= v_m, the least v.
     No such i is an argmin of v or ties one.  The coarse q > j are the
     mirror image.  lo is one past the last such p and hi the first such q:
-    (0, len(ys)) if there is none.  The two float roundings of the test add
-    under 3 u |v_p| + u B, inside the slack of _GRID_REL.
+    (0, the grid size) if there is none.  The two float roundings of the
+    test add under 3 u |v_p| + u B, inside the slack of _GRID_REL.  The
+    tests run from j outward on a list of v_p - bound_p - B and stop at the
+    first point that passes, the only one that sets lo (or hi).
     """
-    n = len(ys)
-    coarse = np.append(np.arange(0, n - 1, _COARSE), n - 1)
-    v, bound = _grid_screen(problem, ys[coarse])
+    idx = _COARSE_INDEX if r > l else _GRID_INDEX[:1]
+    v, bound = _grid_screen(problem, _grid_points(l, r, idx))
     upper = v + bound
     j = int(np.argmin(upper))
-    out = np.flatnonzero(v - bound - np.max(bound) > upper[j])
-    left, right = out[out < j], out[out > j]
-    lo = int(coarse[left[-1]]) + 1 if len(left) else 0
-    hi = int(coarse[right[0]]) if len(right) else n
+    cut = float(upper[j])
+    low = (v - bound - np.max(bound)).tolist()
+    coarse = idx.tolist()
+    lo = next((coarse[p] + 1 for p in range(j - 1, -1, -1) if low[p] > cut), 0)
+    hi = next((coarse[q] for q in range(j + 1, len(low)) if low[q] > cut), coarse[-1] + 1)
     return lo, hi
 
 
-def _grid_argmin(problem, ys, screened):
-    """int(np.argmin(crossing_time(problem, ys))), evaluating crossing_time only where needed.
+def _grid_argmin(problem, l, r, screened):
+    """int(np.argmin(crossing_time(problem, ys))) on the grid ys of [l, r], evaluating
+    crossing_time only where needed.
 
-    With screened, crossing_time runs only on the open window ys[lo:hi]
-    (see _open_window), usually two coarse cells.  Its rows are bit-equal to
-    the full call's, and every point outside the window has a value above
-    the least one, so the window's first argmin is the grid's.
+    With screened, crossing_time runs only on the open window lo:hi (see
+    _open_window), usually two coarse cells.  Its rows are bit-equal to the
+    full call's, and every point outside the window has a value above the
+    least one, so the window's first argmin is the grid's.
     """
     if not screened:
-        return int(np.argmin(crossing_time(problem, ys)))
-    lo, hi = _open_window(problem, ys)
-    return lo + int(np.argmin(crossing_time(problem, ys[lo:hi])))
+        return int(np.argmin(crossing_time(problem, _grid_points(l, r, _grid_index(l, r)))))
+    lo, hi = _open_window(problem, l, r)
+    return lo + int(np.argmin(crossing_time(problem, _grid_points(l, r, _GRID_INDEX[lo:hi]))))
 
 
 def _side_screen(vset, vy, live):
@@ -439,9 +458,35 @@ def _step_screen(problem, sides):
 
 
 def _grid(problem):
-    """GRID_POINTS evenly spaced points of the expanded bracket (one if it is a point)."""
+    """The ends (l, r) of the expanded bracket, as floats: the grid scan's bracket."""
     l, r, _ = expand_bracket(problem)
-    return np.linspace(l, r, GRID_POINTS if r > l else 1)
+    return float(l), float(r)
+
+
+def _grid_index(l, r):
+    """The indices of every point of the grid of [l, r]: GRID_POINTS, or one if it is a point."""
+    return _GRID_INDEX if r > l else _GRID_INDEX[:1]
+
+
+def _grid_points(l, r, idx):
+    """np.linspace(l, r, n)[idx], n = len(_grid_index(l, r)), with linspace's own operations.
+
+    idx is an int or an int array.  linspace forms point i as i*step + l with
+    step = (r - l)/(n - 1), as (i/(n - 1))*(r - l) + l where step is 0
+    (a subnormal width), and sets the last point to r; its one-point grid is
+    0*(r - l) + l.  Each point takes the same IEEE operations here, so it has
+    linspace's bits, and only the points asked for are formed.
+    """
+    if not r > l:
+        return idx * (r - l) + l
+    last = GRID_POINTS - 1
+    step = (r - l) / last
+    ys = idx * step if step != 0.0 else idx / last * (r - l)
+    if not isinstance(idx, np.ndarray):
+        return r if idx == last else ys + l
+    ys += l
+    ys[idx == last] = r
+    return ys
 
 
 def _round(n, prec=_PREC):
@@ -573,11 +618,12 @@ def minimize_objective(problem, cfg=None):
     values give throughout (see _grid_argmin and _refine).
     """
     cfg = cfg or OracleConfig()
-    ys = _grid(problem)
-    screened = _well_scaled(problem, ys, cfg.golden_tol)
-    i = _grid_argmin(problem, ys, screened)
-    a = float(ys[max(i - 1, 0)])
-    b = float(ys[min(i + 1, len(ys) - 1)])
+    l, r = _grid(problem)
+    screened = _well_scaled(problem, (l, r), cfg.golden_tol)
+    i = _grid_argmin(problem, l, r, screened)
+    n = len(_grid_index(l, r))
+    a = _grid_points(l, r, max(i - 1, 0))
+    b = _grid_points(l, r, min(i + 1, n - 1))
     sides = _sides(problem, a, b)
     screen = _step_screen(problem, sides) if screened else None
     y_star = _refine(a, b, cfg.golden_tol,
@@ -591,7 +637,8 @@ def flat_minimum_interval(problem, cfg=None):
     Returns (lo, hi); a positive width flags a non-strictly-convex (non-unique)
     minimum at grid resolution.  The grid does not depend on cfg.
     """
-    ys = _grid(problem)
+    l, r = _grid(problem)
+    ys = _grid_points(l, r, _grid_index(l, r))
     vals = crossing_time(problem, ys)
     vmin = float(np.min(vals))
     flat = ys[vals <= vmin + 1e-12 * max(1.0, abs(vmin))]

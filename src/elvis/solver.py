@@ -181,14 +181,17 @@ def crossing_time(problem, y):
     """The objective phi(y): total traversal time through crossing point (y, 0).
 
     y is a number (the result is a float) or a 1-D array (the result is an
-    array of phi at every entry).  Both go through the shapes' `gauge` on
-    rows, which is bit-equal row by row to `gauge` on one vector, so an array
-    gives exactly the values of the per-point calls.
+    array of phi at every entry).  A number goes through the shapes' `gauge`
+    on one vector and an array through `gauge` on rows, which is bit-equal
+    row by row to `gauge` on one vector, so an array gives exactly the
+    values of the per-point calls.
     """
     ys = np.asarray(y, dtype=float)
+    if ys.ndim == 0:
+        pt = np.array((float(ys), 0.0))
+        return float(problem.F0.gauge(pt - problem.x0) + problem.F1.gauge(problem.x1 - pt))
     pts = np.column_stack((ys.ravel(), np.zeros(ys.size)))
-    times = problem.F0.gauge(pts - problem.x0) + problem.F1.gauge(problem.x1 - pts)
-    return float(times[0]) if ys.ndim == 0 else times
+    return problem.F0.gauge(pts - problem.x0) + problem.F1.gauge(problem.x1 - pts)
 
 
 def _residual_faces(problem, y):

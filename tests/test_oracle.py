@@ -191,6 +191,55 @@ class TestContains:
         assert contains(Ball(1.0), (0.6, 0.6))
         assert not contains(Ellipse(2.0, 1.0), (0.0, 1.1))
 
+    # The tests below compare the defining inequality without a square, which
+    # leaves the float range at these scales.
+    def test_large_ball(self):
+        assert not contains(Ball(1e200), (3e200, 0.0))
+        assert contains(Ball(1e200), (0.6e200, 0.6e200))
+
+    def test_small_ball(self):
+        assert not contains(Ball(1e-200), (3e-200, 0.0))
+        assert contains(Ball(1e-200), (0.6e-200, 0.6e-200))
+
+    def test_gauge_of_small_ball(self):
+        assert gauge_by_membership(Ball(1e-200), (1.0, 0.0)) == pytest.approx(1e200, rel=1e-12)
+
+    def test_far_point_of_ellipse(self):
+        # (w/a)**2 overflowed here, a RuntimeWarning.
+        assert not contains(Ellipse(1.0, 2.0, 0.3), (1e200, 0.0))
+        assert contains(Ellipse(1e200, 2e200, 0.3), (0.5e200, 0.0))
+
+
+class TestLazyImport:
+    def test_cli_does_not_load_the_oracle(self):
+        code = ("import sys\n"
+                "import elvis.cli\n"
+                "print(sorted(m for m in ('mpmath', 'elvis.oracle') if m in sys.modules))\n")
+        proc = run_child(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
+    def test_names_load_on_first_use(self):
+        code = ("import sys\n"
+                "import elvis\n"
+                "before = dir(elvis)\n"
+                "print('elvis.oracle' in sys.modules)\n"
+                "print(elvis.minimize_objective is sys.modules['elvis.oracle'].minimize_objective)\n"
+                "print(dir(elvis) == before)\n")
+        proc = run_child(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
+
+    def test_public_names(self):
+        names = dir(elvis)
+        for name in elvis.__all__:
+            assert name in names
+            assert getattr(elvis, name) is not None
+        assert "oracle" in names
+        assert elvis.OracleConfig is oracle.OracleConfig
+        with pytest.raises(AttributeError):
+            elvis.no_such_name  # noqa: B018
+
 
 def reference_minimize(problem, cfg):
     """minimize_objective with its refine on plain mpf objects: the form the raw refine replaced.
@@ -343,7 +392,7 @@ class TestFloatScreen:
         rng = np.random.default_rng([25, k0, k1])
         for _ in range(3):
             p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
-            ys = oracle._grid(p)
+            ys = linspace_grid(*oracle._grid(p))
             _, bound = oracle._grid_screen(p, ys)
             vals = crossing_time(p, ys)
             # bound holds against the exact phi, here at 60 digits.
@@ -395,6 +444,128 @@ class TestFloatScreen:
         assert screened == exact
 
 
+def linspace_grid(l, r):
+    """The oracle's grid of the bracket [l, r] as np.linspace builds it: every point."""
+    return np.linspace(l, r, oracle.GRID_POINTS if r > l else 1)
+
+
+class TestGridPoints:
+    """_grid_points forms the points of np.linspace over the grid, byte for byte."""
+
+    @staticmethod
+    def check(l, r, idx):
+        ys = linspace_grid(l, r)
+        assert oracle._grid_points(l, r, idx).tobytes() == ys[idx].tobytes()
+        for i in idx[:5].tolist():
+            y = oracle._grid_points(l, r, i)
+            assert type(y) is float
+            assert np.float64(y).tobytes() == ys[i].tobytes()
+
+    def brackets(self, rng):
+        out = [tuple(sorted(rng.uniform(-10.0, 10.0, 2).tolist())) for _ in range(40)]
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-300, 300)
+            out.append(tuple(sorted((scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)))))
+        return out + [(-1e300, 1e300), (1e300, 1.5e300), (-1e300, -1e299), (0.0, 1.0)]
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(34)
+        for l, r in self.brackets(rng):
+            assert r > l
+            self.check(l, r, np.arange(oracle.GRID_POINTS))
+            self.check(l, r, oracle._COARSE_INDEX)
+            self.check(l, r, np.sort(rng.choice(oracle.GRID_POINTS, 50, replace=False)))
+            self.check(l, r, np.array([oracle.GRID_POINTS - 1, 0, 1, oracle.GRID_POINTS - 2]))
+
+    def test_subnormal_width(self):
+        for l, r in ((0.0, 1e-321), (-1e-321, 1e-321), (1e-320, 1.2e-320)):
+            assert (r - l) / (oracle.GRID_POINTS - 1) == 0.0  # linspace's step == 0 case
+            self.check(l, r, np.arange(oracle.GRID_POINTS))
+            self.check(l, r, np.array([oracle.GRID_POINTS - 1, 7, 4000]))
+
+    def test_one_point_grid(self):
+        for l, r in ((0.25, 0.25), (-3.0, -3.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+            assert len(oracle._grid_index(l, r)) == 1
+            self.check(l, r, np.array([0]))
+
+
+def numpy_live_facets(vset, vy, vx_ends):
+    """_live_facets on numpy arrays: the form the loop on Python floats replaced."""
+    if not isinstance(vset, Polygon):
+        return None
+    ends = np.array(vx_ends)
+    terms = (vset.normals[:, :1] * ends + vset.normals[:, 1:] * vy) / vset.offsets[:, None]
+    j = np.argmax(terms.sum(axis=1))
+    margin = 1e-9 * (np.max(np.abs(ends)) + abs(vy)) / np.min(vset.offsets)
+    live = np.flatnonzero(np.any(terms[j] - terms <= margin, axis=1))
+    return [(nx, ny, h)
+            for (nx, ny), h in zip(vset.normals[live].tolist(), vset.offsets[live].tolist())]
+
+
+class TestLiveFacets:
+    """_live_facets keeps the facets its numpy form keeps."""
+
+    @staticmethod
+    def check(vset, vy, ends):
+        got = oracle._live_facets(vset, vy, ends)
+        assert got == numpy_live_facets(vset, vy, ends)
+        assert [tuple(map(type, f)) for f in got] == [(float, float, float)] * len(got)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_pool(self, seed):
+        rng = np.random.default_rng([35, seed])
+        for text in pool_problems(seed):
+            p = parse_problem(text)
+            l, r = oracle._grid(p)
+            brackets = [(l, r)] + [tuple(sorted(rng.uniform(l, r, 2).tolist())) for _ in range(3)]
+            x0x, x0y = p.x0.tolist()
+            x1x, x1y = p.x1.tolist()
+            for a, b in brackets:
+                if isinstance(p.F0, Polygon):
+                    self.check(p.F0, -x0y, (a - x0x, b - x0x))
+                if isinstance(p.F1, Polygon):
+                    self.check(p.F1, x1y, (x1x - a, x1x - b))
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            try:
+                vset = validate(random_polygon(rng))
+            except ValidationError:
+                continue
+            vy = float(rng.uniform(-3, 3))
+            mid, half = rng.uniform(-5, 5), 10.0 ** rng.uniform(-12, 1)
+            self.check(vset, vy, (float(mid - half), float(mid + half)))
+
+    def test_ties(self, square0):
+        # Every facet of the square has end sum 0 here: the first one is j.
+        for t in (0.0, 0.5, 1.0, 3.0):
+            self.check(square0, 0.0, (-t, t))
+            self.check(square0, 0.0, (t, -t))
+        # Two facets tie at the vertex (1, 1) of the square.
+        self.check(square0, 1.0, (1.0, 1.0))
+        self.check(square0, -1.0, (-1.0, -1.0))
+        diamond = validate(Polygon([(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]))
+        for vy in (0.0, 1.0, -2.0):
+            for t in (0.0, 1.0, 2.0):
+                self.check(diamond, vy, (-t, t))
+                self.check(diamond, vy, (t, t))
+
+
+def numpy_open_window(problem, ys):
+    """_open_window on the full numpy grid ys: the form the loop on Python floats replaced."""
+    n = len(ys)
+    coarse = np.append(np.arange(0, n - 1, oracle._COARSE), n - 1)
+    v, bound = oracle._grid_screen(problem, ys[coarse])
+    upper = v + bound
+    j = int(np.argmin(upper))
+    out = np.flatnonzero(v - bound - np.max(bound) > upper[j])
+    left, right = out[out < j], out[out > j]
+    lo = int(coarse[left[-1]]) + 1 if len(left) else 0
+    hi = int(coarse[right[0]]) if len(right) else n
+    return lo, hi
+
+
 def full_scan_argmin(problem, ys):
     """The screened grid argmin without convexity pruning: every point screened."""
     approx, bound = oracle._grid_screen(problem, ys)
@@ -408,8 +579,10 @@ class TestPrunedScan:
     MAKERS = (random_ball, random_ellipse, random_polygon)
 
     @staticmethod
-    def check(problem, ys):
-        assert oracle._grid_argmin(problem, ys, True) == full_scan_argmin(problem, ys)
+    def check(problem, l, r):
+        ys = linspace_grid(l, r)
+        assert oracle._open_window(problem, l, r) == numpy_open_window(problem, ys)
+        assert oracle._grid_argmin(problem, l, r, True) == full_scan_argmin(problem, ys)
         assert full_scan_argmin(problem, ys) == int(np.argmin(crossing_time(problem, ys)))
 
     @pytest.mark.parametrize("k0", range(3))
@@ -420,21 +593,20 @@ class TestPrunedScan:
             base = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
             for shift in (0.0, 1e3, 1e6):
                 p = translated(base, shift)
-                ys = oracle._grid(p)
-                assert oracle._well_scaled(p, ys, OracleConfig().golden_tol)
-                self.check(p, ys)
+                l, r = oracle._grid(p)
+                assert oracle._well_scaled(p, (l, r), OracleConfig().golden_tol)
+                self.check(p, l, r)
 
     def test_flat_minimum(self, square0):
         # phi is 2 on the whole of [0, 0.5]: the argmin is its first grid point.
         p = make_problem((0.0, -1.0), (0.5, 1.0), square0, square0)
-        self.check(p, oracle._grid(p))
+        self.check(p, *oracle._grid(p))
 
     def test_minimum_at_grid_end(self, symmetric_ball_problem):
         p = symmetric_ball_problem  # least phi at y = 0
         for start, stop in ((0.0, 3.0), (-3.0, 0.0), (1.0, 4.0), (-4.0, -1.0)):
-            ys = np.linspace(start, stop, oracle.GRID_POINTS)
-            self.check(p, ys)
-            lo, hi = oracle._open_window(p, ys)
+            self.check(p, start, stop)
+            lo, hi = oracle._open_window(p, start, stop)
             assert hi - lo < oracle.GRID_POINTS
 
     def test_sound_at_the_bound(self, monkeypatch, symmetric_ball_problem):
@@ -455,30 +627,31 @@ class TestPrunedScan:
         monkeypatch.setattr(oracle, "_grid_screen", noisy_screen)
         for width in (1e-6, 3e-6, 1e-5, 3e-5, 1e-4):
             for _ in range(10):
-                ys = np.linspace(-width * rng.uniform(0.2, 1.0), width, oracle.GRID_POINTS)
-                assert oracle._grid_argmin(p, ys, True) == int(np.argmin(crossing_time(p, ys)))
+                start = -width * rng.uniform(0.2, 1.0)
+                ys = np.linspace(start, width, oracle.GRID_POINTS)
+                assert oracle._grid_argmin(p, start, width, True) == int(np.argmin(crossing_time(p, ys)))
 
     def test_one_point_grid(self, symmetric_ball_problem):
-        ys = np.array([0.25])
-        assert oracle._open_window(symmetric_ball_problem, ys) == (0, 1)
-        self.check(symmetric_ball_problem, ys)
+        assert oracle._open_window(symmetric_ball_problem, 0.25, 0.25) == (0, 1)
+        self.check(symmetric_ball_problem, 0.25, 0.25)
 
     def test_unscreened_problem(self):
         p = make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25))
-        ys = oracle._grid(p)
+        l, r = oracle._grid(p)
+        ys = linspace_grid(l, r)
         assert not oracle._well_scaled(p, ys, OracleConfig().golden_tol)
-        assert oracle._grid_argmin(p, ys, False) == int(np.argmin(crossing_time(p, ys)))
+        assert oracle._grid_argmin(p, l, r, False) == int(np.argmin(crossing_time(p, ys)))
         assert minimize_objective(p) == reference_minimize(p, OracleConfig())
 
     @pytest.mark.parametrize("seed", (1, 2))
     def test_window_is_pruned_on_pool(self, seed):
         for text in pool_problems(seed):
             p = parse_problem(text)
-            ys = oracle._grid(p)
-            lo, hi = oracle._open_window(p, ys)
-            assert 0 <= lo < hi <= len(ys)
+            l, r = oracle._grid(p)
+            lo, hi = oracle._open_window(p, l, r)
+            assert 0 <= lo < hi <= len(linspace_grid(l, r))
             assert hi - lo < oracle.GRID_POINTS
-            self.check(p, ys)
+            self.check(p, l, r)
 
 
 def libmp_refine(problem, a, b, cfg, screened):
@@ -528,7 +701,7 @@ def libmp_refine(problem, a, b, cfg, screened):
 
 def libmp_minimize(problem, cfg):
     """minimize_objective with libmp_refine: the reference for the integer points."""
-    ys = oracle._grid(problem)
+    ys = linspace_grid(*oracle._grid(problem))
     screened = oracle._well_scaled(problem, ys, cfg.golden_tol)
     i = full_scan_argmin(problem, ys) if screened else int(np.argmin(crossing_time(problem, ys)))
     a = float(ys[max(i - 1, 0)])

@@ -21,13 +21,14 @@ bit-identical (every float by its bytes, every value with its type name):
 - oracle_shifted: (y*, phi*) of `minimize_objective` on pool seeds 1-3,
   each problem moved by 1e3 and by 1e6 along the interface, where the grid
   screen's bound is widest relative to phi's variation;
+- flat_minimum: (lo, hi) of `flat_minimum_interval` on pool seeds 1-3;
 - polygon_constants: every constant a validated polygon derives from its
   vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
   the sweep files (the sweep 48-gon).
 
 The script reads only names that earlier checkouts have too (the oracle
-lines use the public `minimize_objective`, `OracleConfig` and
-`make_problem`), so one copy of it compares any two checkouts.
+lines use the public `minimize_objective`, `flat_minimum_interval`,
+`OracleConfig` and `make_problem`), so one copy of it compares any two checkouts.
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
 from a per-node `solve` in any field; it is 0 on a correct checkout.
@@ -44,7 +45,15 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
-from elvis import OracleConfig, Polygon, cli, make_problem, minimize_objective, solver  # noqa: E402
+from elvis import (  # noqa: E402
+    OracleConfig,
+    Polygon,
+    cli,
+    flat_minimum_interval,
+    make_problem,
+    minimize_objective,
+    solver,
+)
 from elvis.probfile import parse_problem, parse_sweep, sweep_grid  # noqa: E402
 from perfbench.inputs import problem_pool, sweep_specs  # noqa: E402
 
@@ -55,6 +64,7 @@ ORACLE_GATE_SEEDS = tuple(range(101, 111))
 ORACLE_GATE = OracleConfig(golden_tol=1e-14)
 ORACLE_SHIFTED_SEEDS = (1, 2, 3)
 ORACLE_SHIFTS = (1e3, 1e6)
+FLAT_MINIMUM_SEEDS = (1, 2, 3)
 SWEEP_SEEDS = tuple(range(1, 11))
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
                      "inner_radius", "kinks", "kink_flanks", "_line_table")
@@ -169,6 +179,16 @@ def oracle_digest(seeds, cfg=None, shifts=(0.0,)):
     return h
 
 
+def flat_minimum_digest(seeds):
+    """(lo, hi) of flat_minimum_interval on the pools of seeds."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for text in problem_pool(seed, POOL_SIZE):
+            for value in flat_minimum_interval(parse_problem(text)):
+                _feed(h, value)
+    return h
+
+
 def main():
     polygons = hashlib.sha256()
     digests = pool_digests(polygons)
@@ -177,6 +197,7 @@ def main():
     digests["oracle"] = oracle_digest(ORACLE_SEEDS)
     digests["oracle_gate"] = oracle_digest(ORACLE_GATE_SEEDS, ORACLE_GATE)
     digests["oracle_shifted"] = oracle_digest(ORACLE_SHIFTED_SEEDS, shifts=ORACLE_SHIFTS)
+    digests["flat_minimum"] = flat_minimum_digest(FLAT_MINIMUM_SEEDS)
     digests["polygon_constants"] = polygons
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
