@@ -4,8 +4,9 @@ A velocity set is a closed bounded convex subset of the plane containing the
 origin in its interior.  Three shapes are supported: balls, (rotated) ellipses
 and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
-functions of the same names dispatch to them.  Each also has `line_face`,
-the float form of its normal face that the solver decides by (see below).
+functions of the same names dispatch to them.  Each also has `line_form`,
+the float forms of its normal face along a line that the solver decides by
+(see below).
 
 There is one kernel per operation.  `gauge(v)` and `boundary_face(p)` take a
 vector of shape (2,) or rows of shape (N, 2), and row n of the result is bit
@@ -36,13 +37,14 @@ collinearity and orientation on the cross products of every vertex's
 incident edges, taken on the coordinates scaled by a power of two that
 brings the largest to [0.5, 1), so they neither overflow nor underflow.
 
-Line forms.  `line_face(vy)` restricts `normal_face` to the directions
-(vx, vy) with one float vy > 0 and returns a function of a float vx giving
-(lo, hi, err) on Python floats, or None where it cannot be sure.  A ball or
-an ellipse evaluates the kernel's formulas on Python floats; a polygon's
-answer depends on the direction alone, so its form looks the ratio vx/vy up
-in a sorted table of direction cuts that the polygon builds once, and
-returns the slot's entry of facet_points (see `Polygon.line_face`).  (lo_K, hi_K)
+Line forms.  `line_form(vy)` restricts `normal_face` to the directions
+(vx, vy) with one float vy > 0 and returns a `LineForm`, or None where it
+cannot be sure.  Its face is a function of a float vx giving (lo, hi, err)
+on Python floats, or None where it cannot be sure.  A ball or an ellipse
+evaluates the kernel's formulas on Python floats; a polygon's answer
+depends on the direction alone, so its face looks the ratio vx/vy up in a
+sorted table of direction cuts that the polygon builds once, and returns
+the slot's entry of facet_points (see `Polygon.line_form`).  (lo_K, hi_K)
 is the kernel's `normal_face(vset, (vx, vy)).x_range`; the guarantee is
 
     1.01 * (|lo - lo_K| + 2u m) <= err  and  1.01 * (|hi - hi_K| + 2u m) <= err,
@@ -51,9 +53,9 @@ m = max(|lo|, |hi|), so a value formed from two sides by one more rounded
 subtraction is within the rounded sum of their errs of the kernels' value.
 The solver decides its bisection steps by these values and calls the
 kernels only on close calls.  Every err and margin is a multiple of
-LINE_FACE_REL, which exceeds what the derivations need (in the line_face
+LINE_FACE_REL, which exceeds what the derivations need (in the line_form
 docstrings) several times over; 0 leaves the answers unproven and inf
-makes every function give up.  The derivations use the standard model
+makes every form give up.  The derivations use the standard model
 fl(x op y) = (x op y)(1 + e), |e| <= u = 2**-53, for float +, -, *, /, an
 error under one ulp (so under 2u relative) for `math.hypot` and
 `np.hypot`, and for a 2-term dot product of `_matvec` only what every
@@ -66,20 +68,20 @@ There nothing overflows, and an operation that underflows errs by at most
 operations, whose factors stay below 2**300 here, that is under 2**-700,
 against err and margins above 2**-200, so the derivations' slack covers it.
 
-Thresholds.  `threshold_face(vy)` gives the solver's threshold locator
-(face, E, K, reach): a line form whose answers bound the kernel along the
-line wherever |vx| <= reach, a bound E and the sorted kinks K (`kinks`,
-none for a smooth set, whose reach is inf).
+The other fields serve the solver's threshold locator: strict, a face
+whose answers bound the kernel along the line wherever |vx| <= reach, a
+bound E, and the sorted kinks K (`kinks`) with their `kink_flanks`, none
+for a smooth set, whose strict is its face and whose reach is inf.
 For a smooth set let X(vx) be the x-component of the exact gradient of the
 gauge the kernel rounds (the constants as stored); the gauge is convex, so X
 is nondecreasing in vx.  E bounds both |zeta_x - X| for the kernel's zeta_x
-and |lo - X| for the form's lo = hi, uniformly over every vx at which the
+and |lo - X| for the face's lo = hi, uniformly over every vx at which the
 kernel runs without overflow (the solver's `_offset_guard`), with 1 % to
-spare.  So if the form gives (lo, hi, err) at vx_a, the kernel's x-range is
+spare.  So if the face gives (lo, hi, err) at vx_a, the kernel's x-range is
 at most hi + 2E at every vx <= vx_a and at least lo - 2E at every
-vx >= vx_a, and err still covers the caller's rounding.  A polygon's form
-gives E = 0: its answers are the kernel's own values, and they bound the
-kernel's exactly within its reach (see `Polygon.threshold_face`).
+vx >= vx_a, and err still covers the caller's rounding.  A polygon's strict
+form gives E = 0: its answers are the kernel's own values, and they bound
+the kernel's exactly within its reach (see `Polygon.line_form`).
 """
 
 import math
@@ -88,6 +90,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +113,8 @@ LINE_FACE_REL = 2.0**-47
 # aspect ratios up to _ASPECT_MAX.
 _SCALE_MIN, _SCALE_MAX = 2.0**-64, 2.0**64
 _ASPECT_MAX = 2.0**16
+# Radii and semi-axes in this range have normal-float squares, which the kernels divide by.
+_RADIUS_MIN, _RADIUS_MAX = 2.0**-511, 2.0**511
 # Polygon coordinates up to this magnitude keep every edge length, radius and
 # offset finite (each is at most 2**1.5 times it).
 _COORD_MAX = sys.float_info.max / 4.0
@@ -117,6 +122,17 @@ _COORD_MAX = sys.float_info.max / 4.0
 
 def _in_scale(*scales):
     return all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
+
+
+class LineForm(NamedTuple):
+    """What `line_form(vy)` knows of a set's normal face along the directions (vx, vy)."""
+
+    face: object  # vx -> (lo, hi, err) or None
+    strict: object  # the threshold locator's face: answers that bound the kernel within reach
+    bound: float  # E
+    kinks: tuple  # K
+    flanks: tuple  # kink_flanks
+    reach: float
 
 
 @dataclass(frozen=True)
@@ -215,8 +231,8 @@ class Ball:
         return self.r
 
     def validate(self):
-        if not 0 < self.r < math.inf:
-            raise DegenerateDimensionsError(f"ball radius must be finite and positive, got {self.r}")
+        if not _RADIUS_MIN <= self.r <= _RADIUS_MAX:
+            raise DegenerateDimensionsError(f"ball radius must lie in [2**-511, 2**511], got {self.r}")
         return self
 
     def gauge(self, v):
@@ -234,16 +250,19 @@ class Ball:
         zeta = p / (self.r * self.r)
         return zeta, zeta
 
-    def line_face(self, vy):
-        """Line form of the normal face's x-range (see the module notes).
+    def line_form(self, vy):
+        """Line form along vy (see the module notes): strict is face, with no kinks.
 
         The kernel computes g = hypot(vx, vy)/r, p_x = vx/g, zeta_x = p_x/rr
-        with rr = r*r; this does the same operations on Python floats, so
+        with rr = r*r; face does the same operations on Python floats, so
         only the two hypots differ, each within 2u of H = |(vx, vy)|.  Both
         results are Z*phi with Z = vx*r/(H*rr) and |phi - 1| <= 5.01u (the
         hypot and three roundings), so |lo - lo_K| <= 10.03u |Z|, and
         |Z| <= r/rr <= (1 + 1.01u)/r.  Then 1.01(|lo - lo_K| + 2u m) is
         under 12.2u/r, and err = LINE_FACE_REL/r.
+        X = vx r/(|v| rr) is nondecreasing in vx, and both zeta_x are X phi
+        at every vx, so both lie within 5.02u/r of X; E = LINE_FACE_REL/(8 r)
+        = 8u/r.
         """
         r = self.r
         if not _in_scale(r, vy):
@@ -257,18 +276,7 @@ class Ball:
             zx = vx / (math.hypot(vx, vy) / r) / rr
             return zx, zx, err
 
-        return face
-
-    def threshold_face(self, vy):
-        """(line_face(vy), E, no kinks, inf) for the threshold locator (see the module
-        notes), or None where line_face gives up.
-
-        X = vx r/(|v| rr) is nondecreasing in vx, and the kernel's and the form's
-        zeta_x are X phi with |phi - 1| <= 5.01u at every vx (line_face), so
-        both lie within 5.02u/r of X; E = LINE_FACE_REL/(8 r) = 8u/r.
-        """
-        face = self.line_face(vy)
-        return None if face is None else (face, LINE_FACE_REL / (8.0 * self.r), (), math.inf)
+        return LineForm(face, face, LINE_FACE_REL / (8.0 * r), (), (), math.inf)
 
 
 @dataclass(frozen=True)
@@ -280,9 +288,11 @@ class Ellipse:
     rot: float = 0.0
 
     def validate(self):
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf and math.isfinite(self.rot)):
+        if not (_RADIUS_MIN <= self.a <= _RADIUS_MAX and _RADIUS_MIN <= self.b <= _RADIUS_MAX
+                and math.isfinite(self.rot)):
             raise DegenerateDimensionsError(
-                f"ellipse needs finite a, b > 0 and rot, got a={self.a}, b={self.b}, rot={self.rot}"
+                f"ellipse needs a, b in [2**-511, 2**511] and a finite rot, "
+                f"got a={self.a}, b={self.b}, rot={self.rot}"
             )
         return self
 
@@ -322,8 +332,8 @@ class Ellipse:
         zeta = _matvec(self._from_axes, _matvec(self._to_axes, p) / self._axes_squared)
         return zeta, zeta
 
-    def line_face(self, vy):
-        """Line form of the normal face's x-range (see the module notes).
+    def line_form(self, vy):
+        """Line form along vy (see the module notes): strict is face, with no kinks.
 
         The kernel computes w = T v (T = _to_axes), g = hypot(w_0/a, w_1/b),
         p = v/g, s_i = (T p)_i/a2_i with (a2_0, a2_1) = (a*a, b*b), and
@@ -341,6 +351,16 @@ class Ellipse:
         formed here are within 2**-30 of S/G and C/G; hence 1.01(|lo - lo_K|
         + 2u m) <= (18.4u + 6.2u S/G) C/G, under
         err = LINE_FACE_REL (1 + S/g)(C/g + 1/min(a, b)).
+        X is the x-component of the gradient of |L T v|, L = diag(1/a, 1/b).
+        Both zeta_x lie within (8.05u + 3.02u S/G) C/G of the kernel's
+        formula evaluated exactly, which differs from X only by the roundings
+        of a*a and b*b and of F against T^T (an ulp each), under 5.5u k/m
+        with k = max(a, b)/min(a, b) and, from here on, m = min(a, b).  T's
+        rows are unit vectors up to u, so A_i <= (1 + 2u)|v| and
+        G >= (1 - u)|v|/max(a, b); hence S/G <= (1 + 3u)(1 + k),
+        C/G <= 1.415 k/m, and each value lies within (21.2k + 4.3k**2) u/m
+        of X, under E/1.01 for E = LINE_FACE_REL k (1 + k)/(2 m)
+        = 32u k (1 + k)/m.
         """
         a, b = self.a, self.b
         if not (_in_scale(a, b, vy) and self.circumradius <= _ASPECT_MAX * self.inner_radius):
@@ -351,7 +371,9 @@ class Ellipse:
         t01_vy, t11_vy = t01 * vy, t11 * vy
         abs_t01_vy, abs_t11_vy = abs(t01_vy), abs(t11_vy)
         c0, c1 = abs(f00) / a2, abs(f01) / b2
-        floor = 1.0 / self.inner_radius
+        m = self.inner_radius
+        k = self.circumradius / m
+        floor = 1.0 / m
         scale_max, hypot = _SCALE_MAX, math.hypot
 
         def face(vx):
@@ -365,29 +387,7 @@ class Ellipse:
             err = LINE_FACE_REL * (1.0 + (s0 / a + s1 / b) / g) * ((s0 * c0 + s1 * c1) / g + floor)
             return zx, zx, err
 
-        return face
-
-    def threshold_face(self, vy):
-        """(line_face(vy), E, no kinks, inf) for the threshold locator (see the module
-        notes), or None where line_face gives up.
-
-        X is the x-component of the gradient of |L T v|, L = diag(1/a, 1/b).
-        The kernel's and the form's zeta_x lie within (8.05u + 3.02u S/G) C/G
-        of the kernel's formula evaluated exactly (line_face), which differs
-        from X only by the roundings of a*a and b*b and of F against T^T (an
-        ulp each), under 5.5u k/m with k = max(a, b)/min(a, b) and
-        m = min(a, b).  T's rows are unit vectors up to u, so
-        A_i <= (1 + 2u)|v| and G >= (1 - u)|v|/max(a, b); hence
-        S/G <= (1 + 3u)(1 + k), C/G <= 1.415 k/m, and each value lies within
-        (21.2k + 4.3k**2) u/m of X, under E/1.01 for
-        E = LINE_FACE_REL k (1 + k)/(2 m) = 32u k (1 + k)/m.
-        """
-        face = self.line_face(vy)
-        if face is None:
-            return None
-        m = self.inner_radius
-        k = self.circumradius / m
-        return face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), math.inf
+        return LineForm(face, face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), (), math.inf)
 
 
 class _Derived:
@@ -433,23 +433,22 @@ class Polygon:
     The line-form constants, which only the solver reads, come from the
     shape constants on the first read of one of them (`_derive_line_table`):
 
-    - `kinks` = (K, facet_at): K is the sorted V_x/V_y over the vertices
-      with V_y > 0, and facet_at[m] is the facet a direction (vx, vy),
-      vy > 0, with K[m-1] < vx/vy <= K[m] meets: U[m] for m < len(K), where
-      U lists those vertices in K's order, and U[-1] - 1 (mod n) past the
-      last kink.  The vertices with V_y > 0 run contiguously, clockwise in
-      K's order, so facet_at[m + 1] = facet_at[m] - 1;
+    - `kinks` = K, the sorted V_x/V_y over the vertices with V_y > 0: a
+      direction (vx, vy), vy > 0, with K[m-1] < vx/vy <= K[m] meets facet
+      U[m] for m < len(K), where U lists those vertices in K's order, and
+      facet U[-1] - 1 (mod n) past the last kink.  The vertices with
+      V_y > 0 run contiguously, clockwise in K's order;
     - `kink_flanks`: for each kink K[m], the V_x/V_y of one point on each
       facet of its vertex W at 1.25 times the distance from W at which the
       other facet's tau falls below 1 by band/h_min: on facet j at distance
       s from W, 1 - tau_o = s |(fp_j - fp_o) . e| for the other facet o at
       W and the unit edge vector e from W along j.  None for a point past
       the middle of its facet or not above the x-axis;
-    - `_line_table` = (cuts, line, threshold), the answers of `line_face`
-      and `threshold_face` by direction: cuts is a sorted tuple of ratios
-      vx/vy, and a direction with cuts[k-1] < vx/vy <= cuts[k] gets line[k]
-      and threshold[k] (see `line_face`); None outside the line forms' scale
-      and aspect limits.
+    - `_line_table` = (cuts, line, strict), the answers of `line_form`'s
+      face and strict by direction: cuts is a sorted tuple of ratios vx/vy,
+      and a direction with cuts[k-1] < vx/vy <= cuts[k] gets line[k] and
+      strict[k] (see `line_form`); None outside the line forms' scale and
+      aspect limits.
     """
 
     vertices: np.ndarray
@@ -511,10 +510,10 @@ class Polygon:
         and Z1 = U[-1] - 1; facet_at[m] joins the chain's m-th and (m+1)-th
         vertices.  Each side of a chain vertex W (facet W toward smaller
         ratios, facet W - 1 toward larger) gets the distances and checks of
-        `line_face`, and the slots of an answered upper vertex W, in the
-        order of the ratios, are: its left gap (fp[W] in both forms), fp[W]
-        in line_face only, None, the snap face, None, fp[W - 1] in line_face
-        only, then its right gap.  A run of vertices that are not answered,
+        `line_form`, and the slots of an answered upper vertex W, in the
+        order of the ratios, are: its left gap (fp[W] in both faces), fp[W]
+        in face only, None, the snap face, None, fp[W - 1] in face only,
+        then its right gap.  A run of vertices that are not answered,
         with the failed gaps between them, is one slot of None.
         """
         flat = self.vertices.ravel().tolist()
@@ -529,7 +528,7 @@ class Polygon:
         band = VERTEX_FACE_TOL * radius
         r_h = radius / h_min
         flank = 1.25 * VERTEX_FACE_TOL * radius / h_min
-        slack = LINE_FACE_REL * radius * (1.0 + r_h)  # S of line_face
+        slack = LINE_FACE_REL * radius * (1.0 + r_h)  # S of line_form
         split = 1.01 * LINE_FACE_REL * r_h
         drop = 1.0001 * (band + LINE_FACE_REL * radius) / h_min  # 1.0001 D
         corner = 0.25 * LINE_FACE_REL
@@ -591,35 +590,35 @@ class Polygon:
         gaps = [left[10] + right[5] + 2.0 * (left[0] + right[0]) < right[6]
                 for left, right in zip(zones, zones[1:])]
         err = LINE_FACE_REL * max(map(abs, fx))
-        # The slot that ends at cuts[k] answers line[k] and threshold[k].
-        cuts, line, threshold = [], [], []
+        # The slot that ends at cuts[k] answers line[k] and strict[k].
+        cuts, line, strict = [], [], []
         for m, sound in enumerate(gaps):
             if not sound:
                 continue
             if m == 0 or not gaps[m - 1]:  # the None over chain vertex m's zone ends here
                 cuts.append(zones[m][9])
                 line.append(None)
-                threshold.append(None)
+                strict.append(None)
             zone, x = zones[m + 1], fx[facet_at[m]]
             f = x, x, err
             cuts.append(zone[4])
             line.append(f)
-            threshold.append(f)
+            strict.append(f)
             if m + 1 < last and gaps[m + 1]:
                 snap, y = None, fx[facet_at[m + 1]]  # the facets of W are facet_at[m] and [m + 1]
                 if zone[1]:
                     snap = (y, x, err) if y <= x else (x, y, err)
                 cuts += zone[3], zone[2], zone[7], zone[8], zone[9]
                 line += f, None, snap, None, (y, y, err)
-                threshold += None, None, snap, None, None
+                strict += None, None, snap, None, None
         line.append(None)
-        threshold.append(None)
+        strict.append(None)
         table = None
         if (_in_scale(h_min, radius) and radius <= _ASPECT_MAX * h_min
                 and all(map(operator.le, cuts, cuts[1:]))):
-            table = (tuple(cuts), tuple(line), tuple(threshold))
-        self.__dict__.update(kinks=(tuple(q for q, _ in upper), facet_at),
-                             kink_flanks=tuple(flanks), _line_table=table)
+            table = (tuple(cuts), tuple(line), tuple(strict))
+        self.__dict__.update(kinks=tuple(q for q, _ in upper), kink_flanks=tuple(flanks),
+                             _line_table=table)
 
     def validate(self):
         verts = self.vertices
@@ -687,13 +686,14 @@ class Polygon:
         k = j + (i - j) * snap
         return self.facet_points[k - snap], self.facet_points[k]
 
-    def line_face(self, vy):
-        """Line form of the normal face's x-range (see the module notes): the answer
-        `_line_table` holds for the slot of the ratio vx/vy.
+    def line_form(self, vy):
+        """Line form along vy (see the module notes): face and strict give the answers
+        `_line_table` holds for the slot of the ratio vx/vy, E = 0, the kinks are
+        `kinks`, the flanks `kink_flanks` and reach = 2**17 vy h_min/R.
 
-        The kernel takes g = max_i T_i, T_i = (n_i . v)/h_i, and p = v/g; p
-        snaps to its nearest vertex W when that np.hypot distance is at most
-        band = VERTEX_FACE_TOL * circumradius, giving the face
+        Face.  The kernel takes g = max_i T_i, T_i = (n_i . v)/h_i, and
+        p = v/g; p snaps to its nearest vertex W when that np.hypot distance
+        is at most band = VERTEX_FACE_TOL * circumradius, giving the face
         (fp[w-1], fp[w]) of facet_points fp, and otherwise the face is fp[j]
         for the facet j with the largest (n_j . p)/h_j.  The answers are
         entries of fp, exact where the table is right, so err = LINE_FACE_REL
@@ -775,17 +775,11 @@ class Polygon:
         outside the scale and aspect limits of the module notes, and where
         its cuts come out unsorted.  As S and omega are far below band, an
         answer lacks only on slivers about 2 mu wide at the band's edge.
-        """
-        return self._line_form(vy, 1)
 
-    def threshold_face(self, vy):
-        """(form, 0.0, K, reach) for the threshold locator (see the module notes), or None
-        where line_face gives up; form is line_face(vy) without its answers of slot (c),
-        the facet near a vertex but outside its band, which it gives up on, K is
-        `kinks`' K and reach = 2**17 vy h_min/R.
-
-        The form's answer (lo, hi) at vx_a bounds the kernel's x-range at every
-        |vx| <= reach: at most hi for vx < vx_a, at least lo for vx > vx_a.
+        Strict.  strict is face without its answers of slot (c), the facet
+        near a vertex but outside its band, which it gives up on.  Its answer
+        (lo, hi) at vx_a bounds the kernel's x-range at every |vx| <= reach:
+        at most hi for vx < vx_a, at least lo for vx > vx_a.
         Take vx < vx_a (the other side is the mirror image), q_i = n_i/h_i
         exactly, so fx_i rounds q_ix and keeps the order of the q_ix, and the
         exact gauge G(v) = max_i q_i . v of the stored half-planes, convex
@@ -795,9 +789,9 @@ class Polygon:
         x = 31u R/h_min (each kernel value within 7.4u nu/g of t_i/g, t_i
         within 3.02u nu of q_i . v, nu/g <= 1.42 R/h_min, nu = (|vx| + vy)/h_min),
         and snaps only to a vertex whose two facets both have
-        q . v >= (1 - x') G(v), x' = (band + 13.2u R)/h_min by line_face's (k5).
+        q . v >= (1 - x') G(v), x' = (band + 13.2u R)/h_min by (k5).
         (2) At v_a, in a gap (d) every facet but j, and in a core (a) every
-        facet but o and j, has tau <= 1 - D (line_face's (z) and (d)):
+        facet but o and j, has tau <= 1 - D ((z) and (d)):
         q_k . v_a < (1 - M) G(v_a) with M = (band + 57u R)/h_min <= D, and
         q_j . v_a = G(v_a).
         (3) A facet with fx_i > hi has q_ix > q_jx, so (q_i - q_j) . v grows
@@ -814,34 +808,32 @@ class Polygon:
         of the chord, 1 at the origin, and the arc lies beyond the chord from
         the origin); it passes P_a, against (2) as M > x'.  So the facets of
         a snap are met at or before P_a, and their fx are at most hi.
-        Slot (c) has no margin like (2), so its value need not carry; this
-        form gives up there instead.
+        Slot (c) has no margin like (2), so its value need not carry; strict
+        gives up there instead.
         """
-        face = self._line_form(vy, 2)
-        if face is None:
-            return None
-        return face, 0.0, self.kinks[0], 2.0**17 * vy * self.inner_radius / self.circumradius
-
-    def _line_form(self, vy, slot):
-        """The form `_line_table[slot]` gives along vy: line_face at 1, threshold_face at 2."""
         table = self._line_table
         if table is None or not _in_scale(vy):
             return None
-        cuts, answers = table[0], table[slot]
+        cuts, line, strict = table
         scale_max, place = _SCALE_MAX, bisect_left
 
-        def face(vx):
-            if not -scale_max <= vx <= scale_max:
-                return None
-            return answers[place(cuts, vx / vy)]
+        def lookup(answers):
+            def face(vx):
+                if not -scale_max <= vx <= scale_max:
+                    return None
+                return answers[place(cuts, vx / vy)]
 
-        return face
+            return face
+
+        return LineForm(lookup(line), lookup(strict), 0.0, self.kinks, self.kink_flanks,
+                        2.0**17 * vy * self.inner_radius / self.circumradius)
 
 
 def validate(vset):
     """Check the set invariants; return a validated (possibly rebuilt) set.
 
-    Every parameter must be finite, radii and semi-axes positive.  Polygons
+    Every parameter must be finite, radii and semi-axes in [2**-511, 2**511]
+    (their squares are normal floats).  Polygons
     come back with collinear vertices removed.  Raises
     DegenerateDimensionsError, NonConvexError or OriginNotInteriorError.
     """

@@ -7,7 +7,7 @@ the resulting interval is a subgradient of phi at y, so bisection on the
 interval's position relative to [-eps, eps] converges linearly.
 
 The bisection only needs that position, one of three answers per step.
-`solve` and `expand_bracket` settle it by a screen: each set's `line_face`
+`solve` and `expand_bracket` settle it by a screen: each set's `line_form`
 gives the face's x-range along the problem's line on Python floats with a
 proven error bound (see `geometry`), and a step whose screened interval
 lies within that bound of a threshold asks the 2-D kernels through `delta`,
@@ -17,10 +17,13 @@ probes the line forms a few times (a bisection over the polygons' kinks,
 then a safeguarded secant or the probes around a kink's snap band) and
 certifies points a <= c <= d <= b of the bracket where the kernels decide
 -1 at every y <= a, 1 at every y >= b and 0 on [c, d], so the loop decides
-those midpoints by one comparison.  The answer at the final y comes from
-one `_residual_faces` call, and the trace keeps each step's (k, l, r, y, d)
-and fills in delta_lo and delta_hi by one `delta_rows` call, bit-equal to
-`delta` row by row, when its rows are first read.
+those midpoints by one comparison.  At the final y `solve` takes each
+side's gauge once, and the boundary points it gives are both the result's
+velocities and where the faces are taken, so the interval, status,
+multipliers and time come from that one evaluation.  The trace keeps each
+step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
+`delta_rows` call, bit-equal to `delta` row by row, when its rows are
+first read.
 
 `solve_batch` runs the same loop, `_bisect`, for each of many targets x1
 that share x0, F0 and F1, then makes one row-kernel call at the abscissae
@@ -48,6 +51,10 @@ from .geometry import (
 )
 
 MAX_BRACKET_DOUBLINGS = 64
+
+# An offset's gauge is at least |offset_y|/circumradius, and the kernels divide by gauges,
+# so make_problem and solve_batch keep that bound at least this, above the least normal float.
+_GAUGE_FLOOR = 2.0**-1020
 
 # The threshold locator's safeguarded secant stops after this many probes.
 _SECANT_PROBES = 8
@@ -79,7 +86,9 @@ def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
     x0 and x1 must be finite, x0 strictly below the interface (x-axis) and
     x1 strictly above; epsilon must be finite and positive, max_iter a whole
     number >= 1.  A set that fails validation raises with its side ("F0: " or
-    "F1: ") prefixed to the message.
+    "F1: ") prefixed to the message.  |x0_y|/F0.circumradius and
+    x1_y/F1.circumradius, lower bounds on the offsets' gauges, must be at
+    least 2**-1020, so that no gauge underflows.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
@@ -95,9 +104,11 @@ def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
         raise ValidationError("epsilon must be positive and finite")
     if not (max_iter >= 1 and max_iter % 1 == 0):
         raise ValidationError("max_iter must be a positive integer")
-    return ElvisProblem(
-        x0, x1, _validate_side(F0, "F0"), _validate_side(F1, "F1"), float(epsilon), int(max_iter)
-    )
+    F0, F1 = _validate_side(F0, "F0"), _validate_side(F1, "F1")
+    if not (-float(x0[1]) / F0.circumradius >= _GAUGE_FLOOR
+            and float(x1[1]) / F1.circumradius >= _GAUGE_FLOOR):
+        raise ValidationError("|x0_y|/F0.circumradius and x1_y/F1.circumradius must be at least 2**-1020")
+    return ElvisProblem(x0, x1, F0, F1, float(epsilon), int(max_iter))
 
 
 def _validate_side(vset, name):
@@ -190,8 +201,22 @@ def crossing_time(problem, y):
     if ys.ndim == 0:
         pt = np.array((float(ys), 0.0))
         return float(problem.F0.gauge(pt - problem.x0) + problem.F1.gauge(problem.x1 - pt))
-    pts = np.column_stack((ys.ravel(), np.zeros(ys.size)))
-    return problem.F0.gauge(pts - problem.x0) + problem.F1.gauge(problem.x1 - pts)
+    w0, w1 = _offset_rows(problem, ys.ravel(), problem.x1)
+    return problem.F0.gauge(w0) + problem.F1.gauge(w1)
+
+
+def _offset_rows(problem, ys, x1s):
+    """The rows w0 = (y, 0) - x0 and w1 = x1s[n] - (y, 0) at every ys[n] (x1s may be one
+    shared point), entry by entry as those subtractions round them."""
+    x0x, x0y = problem.x0
+    x1x, x1y = x1s.T
+    w0 = np.empty((len(ys), 2))
+    w0[:, 0] = ys - x0x
+    w0[:, 1] = 0.0 - x0y
+    w1 = np.empty((len(ys), 2))
+    w1[:, 0] = x1x - ys
+    w1[:, 1] = x1y
+    return w0, w1
 
 
 def _residual_faces(problem, y):
@@ -229,17 +254,9 @@ def _residual_rows(problem, ys, x1s):
     w1 = x1 - (y, 0) (F1), and the boundary points v = w/g the faces are
     taken at.
     """
-    # The rows (y, 0) - x0 and x1 - (y, 0), entry by entry as those subtractions round them.
-    x0x, x0y = problem.x0
-    x1x, x1y = x1s.T
-    v0 = np.empty((len(ys), 2))
-    v0[:, 0] = ys - x0x
-    v0[:, 1] = 0.0 - x0y
-    v1 = np.empty((len(ys), 2))
-    v1[:, 0] = x1x - ys
-    v1[:, 1] = x1y
-    face0, at0 = _face_rows(problem.F0, v0)
-    neg_face1, at1 = _face_rows(problem.F1, v1)
+    w0, w1 = _offset_rows(problem, ys, x1s)
+    face0, at0 = _face_rows(problem.F0, w0)
+    neg_face1, at1 = _face_rows(problem.F1, w1)
     a0, b0 = _x_range_rows(*face0)
     a1m, b1m = _x_range_rows(*neg_face1)
     return a0 - b1m, b0 - a1m, face0, neg_face1, at0, at1
@@ -263,16 +280,18 @@ def _select_multipliers(interval, face0, neg_face1):
     return zeta0, zeta1
 
 
-def _no_line_face(vx):
+def _no_face(vx):
     return None
 
 
-def _line_face0(problem):
-    """F0's line form along the problem's line: it depends on x0 and F0 alone."""
-    return problem.F0.line_face(0.0 - float(problem.x0[1]))
+def _line_forms(problem):
+    """The sets' line forms along the problem's line: F0's depends on x0 and F0 alone,
+    F1's on x1_y and F1."""
+    return (problem.F0.line_form(0.0 - float(problem.x0[1])),
+            problem.F1.line_form(float(problem.x1[1])))
 
 
-def _residual_side(problem, face0=None, face1=None):
+def _residual_side(problem, line0, line1):
     """The bisection's decision at y, as a function side(y) of a Python float.
 
     side(y) is 1 when delta(y).lo > eps, -1 when delta(y).hi < -eps and 0
@@ -284,20 +303,17 @@ def _residual_side(problem, face0=None, face1=None):
     +-eps holds only if the same strict comparison holds unrounded, so
     lo - err > eps proves 1, hi + err < -eps proves -1, and lo + err < eps
     with hi - err > -eps proves 0.  Otherwise, or where a line form gives
-    up, `delta` decides.  face0, F0's line form `_line_face0(problem)`, and
-    face1, F1's `line_face(x1_y)`, may be passed in by a caller that shares
-    them between targets.
+    up, `delta` decides.  line0 and line1 are the sets' `_line_forms(problem)`,
+    which a caller may share between targets.
     """
     eps = problem.epsilon
     x0x, _ = problem.x0.tolist()
-    x1x, x1y = problem.x1.tolist()
+    x1x, _ = problem.x1.tolist()
     # The kernels' directions are (y - x0_x, 0 - x0_y) and (x1_x - y, x1_y - 0).
-    if face0 is None:
-        face0 = _line_face0(problem)
-    if face1 is None:
-        face1 = problem.F1.line_face(x1y)
-    if face0 is None or face1 is None:
-        face0 = face1 = _no_line_face
+    if line0 is None or line1 is None:
+        face0 = face1 = _no_face
+    else:
+        face0, face1 = line0.face, line1.face
 
     def side(y):
         fast0, fast1 = face0(y - x0x), face1(x1x - y)
@@ -328,7 +344,7 @@ def expand_bracket(problem):
     could overflow a kernel (checked before each residual; see
     `_offset_guard`).
     """
-    l, r, expanded = _expand(problem, _residual_side(problem))
+    l, r, expanded = _expand(problem, _residual_side(problem, *_line_forms(problem)))
     return np.float64(l), np.float64(r), expanded
 
 
@@ -410,47 +426,40 @@ def _stop_status(lo, hi, eps):
     return None
 
 
-def _level0(problem):
-    """F0's threshold form along the problem's line: it depends on x0 and F0 alone."""
-    return problem.F0.threshold_face(0.0 - float(problem.x0[1]))
-
-
-def _thresholds(problem, l, r, level0, level1=None):
+def _thresholds(problem, l, r, line0, line1):
     """Certified thresholds (a, c, d, b) of the kernels' decision on [l, r]; see `_bisect`.
 
     The decision at y is -1 iff the kernels' hi_K(y) < -eps and 1 iff their
-    lo_K(y) > eps.  A probe at t forms lo and hi from both sets'
-    `threshold_face` forms as `_residual_side` does, and m = err0 + err1 +
-    2 (E0 + E1).  The offsets y - x0_x and x1_x - y round monotonically, and
-    F1's face enters with a minus; every offset over [l, r] lies within the
-    forms' reach, or no threshold is located.  So by the threshold notes in
-    `geometry` hi_K(y) and lo_K(y) are at most hi and lo plus 2 (E0 + E1) at
-    every y <= t in [l, r], and at least hi and lo minus it at every y >= t;
-    err covers the rounding of lo and hi.  A rounded comparison with +-eps holds only if
+    lo_K(y) > eps.  A probe at t forms lo and hi from both sets' strict
+    faces (line0 and line1 are `_line_forms(problem)`) as `_residual_side`
+    does, and m = err0 + err1 + 2 (E0 + E1).  The offsets y - x0_x and
+    x1_x - y round monotonically, and F1's face enters with a minus; every
+    offset over [l, r] lies within the forms' reach, or no threshold is
+    located.  So by the line-form notes in `geometry` hi_K(y) and lo_K(y)
+    are at most hi and lo plus 2 (E0 + E1) at every y <= t in [l, r], and
+    at least hi and lo minus it at every y >= t; err covers the rounding of
+    lo and hi.  A rounded comparison with +-eps holds only if
     the unrounded one does, so hi + m < -eps proves -1 on y <= t (a = t),
     lo - m > eps proves 1 on y >= t (b = t), and hi - m > -eps and lo + m < eps
     prove hi_K > -eps on y >= t (c = t) and lo_K < eps on y <= t (d = t),
     hence 0 on [c, d].  Any probe point gives sound thresholds, so the search
     only has to place them well: a bisection over the gaps between the
-    polygons' kinks, then the flanks of the kink left between (`kink_flanks`),
+    polygons' kinks, then the flanks of the kink left between (the forms' flanks),
     which hold the crossings when the zero lies in its snap band, or else a
     safeguarded (Illinois) secant inside a gap and one probe aimed just
     outside each crossing.  The search stops where a form gives up.  Absent
-    thresholds are -inf (a, d) and inf (c, b).  level0 is `_level0(problem)`
-    and level1 F1's `threshold_face(x1_y)`, built here unless passed in.
+    thresholds are -inf (a, d) and inf (c, b).
     """
     eps = problem.epsilon
     x0x, x0y = problem.x0.tolist()
     x1x, x1y = problem.x1.tolist()
     a, c, d, b = -math.inf, math.inf, -math.inf, math.inf
-    if level1 is None:
-        level1 = problem.F1.threshold_face(x1y)
-    if level0 is None or level1 is None:
+    if line0 is None or line1 is None:
         return a, c, d, b
-    (form0, e0, kinks0, reach0), (form1, e1, kinks1, reach1) = level0, level1
-    if not (max(abs(l - x0x), abs(r - x0x)) <= reach0 and max(abs(x1x - l), abs(x1x - r)) <= reach1):
+    if not (max(abs(l - x0x), abs(r - x0x)) <= line0.reach
+            and max(abs(x1x - l), abs(x1x - r)) <= line1.reach):
         return a, c, d, b
-    bound = 2.0 * (e0 + e1)
+    form0, form1, bound = line0.strict, line1.strict, 2.0 * (line0.bound + line1.bound)
     # The window (p, q) holds both crossings; pv and qv are the residual just inside it
     # (hi at p, lo at q: at a kink the interval spans the jump), None until probed.
     p, q, pv, qv = l, r, None, None
@@ -485,7 +494,8 @@ def _thresholds(problem, l, r, level0, level1=None):
         return 0
 
     # The kink K of F0 lies at y = x0_x - x0_y K, and that of F1 at y = x1_x - x1_y K.
-    for shape, kinks, base, slope in ((problem.F0, kinks0, x0x, -x0y), (problem.F1, kinks1, x1x, -x1y)):
+    for line, base, slope in ((line0, x0x, -x0y), (line1, x1x, -x1y)):
+        kinks = line.kinks
         k_p, k_q = sorted(((p - base) / slope, (q - base) / slope))
         i, j = bisect_right(kinks, k_p), bisect_left(kinks, k_q)
         if i == j:
@@ -514,8 +524,7 @@ def _thresholds(problem, l, r, level0, level1=None):
             # where the polygon's form certifies (or the kink, where a flank is missing),
             # in the order of y: a 1 leaves the crossings left of that point and a -1
             # right of it, and -1 then 1 holds them around the kink.
-            flanks = [base + slope * ratio for ratio in shape.kink_flanks[i + g_lo - 1]
-                      if ratio is not None]
+            flanks = [base + slope * ratio for ratio in line.flanks[i + g_lo - 1] if ratio is not None]
             points = sorted(flanks) if len(flanks) == 2 else [base + slope * ends[g_lo]]
             for t in points:
                 sign = probe(t) if p < t < q else None
@@ -569,22 +578,23 @@ def _thresholds(problem, l, r, level0, level1=None):
     return a, c, d, b
 
 
-def _bisect(problem, side, level0, level1=None):
-    """The bracket and bisection of `solve`, deciding by side: (steps, y, expanded).
+def _bisect(problem, line0, line1):
+    """The bracket and bisection of `solve`: (steps, y, expanded).
 
     steps holds each step's (k, l, r, y, d) on Python floats, y is where the
     bisection stopped and expanded whether the bracket was widened.  A
-    midpoint that overflows raises BracketExpansionFailedError before side
-    sees it.  Between the expansion and the loop, `_thresholds` locates
-    a <= c <= d <= b in [l, r] with the kernels' decision -1 at every
-    y <= a, 1 at every y >= b and 0 on [c, d], each possibly absent; the
-    loop takes such a midpoint's decision by comparison and asks side only
-    for the others, so its steps are those of side at every midpoint.
-    level0 is F0's threshold form, `_level0(problem)`, and level1 F1's (see
-    `_thresholds`), which a caller may share between targets.
+    midpoint that overflows raises BracketExpansionFailedError before it is
+    decided.  Each decision is side(y), `_residual_side` on the line forms
+    line0 and line1 (`_line_forms(problem)`, which a caller may share
+    between targets).  Between the expansion and the loop, `_thresholds`
+    locates a <= c <= d <= b in [l, r] with the kernels' decision -1 at
+    every y <= a, 1 at every y >= b and 0 on [c, d], each possibly absent;
+    the loop takes such a midpoint's decision by comparison and asks side
+    only for the others, so its steps are those of side at every midpoint.
     """
+    side = _residual_side(problem, line0, line1)
     l, r, expanded = _expand(problem, side)
-    a, c, d, b = _thresholds(problem, l, r, level0, level1)
+    a, c, d, b = _thresholds(problem, l, r, line0, line1)
     max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
     d_k = r - l
     steps = []
@@ -621,7 +631,7 @@ def solve(problem):
     interval, status, multipliers and time come from that one evaluation;
     y, l, r and d are reported as np.float64.
     """
-    steps, y, expanded = _bisect(problem, _residual_side(problem), _level0(problem))
+    steps, y, expanded = _bisect(problem, *_line_forms(problem))
     y = np.float64(y)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
@@ -661,7 +671,8 @@ def solve_batch(problem, x1s):
     those abscissae gives every node its last interval, faces and gauges,
     bit-equal to solve's, so its status, multipliers, time and velocities,
     and result n equals solve(problem with x1 = x1s[n])[0] field by field.
-    Result n is None where solve raises BracketExpansionFailedError.
+    Result n is None where solve raises BracketExpansionFailedError.  Every
+    x1 must be finite, with x1_y > 0 and x1_y/F1.circumradius >= 2**-1020.
     """
     x1s = np.asarray(x1s, dtype=float)
     if x1s.shape == (2,):
@@ -670,17 +681,19 @@ def solve_batch(problem, x1s):
         raise ValidationError(f"x1s must be an (N, 2) array or one point, got shape {x1s.shape}")
     if not (np.all(np.isfinite(x1s)) and np.all(x1s[:, 1] > 0)):
         raise ValidationError("every x1 must be finite and satisfy x1_y > 0")
+    if not float(x1s[:, 1].min(initial=math.inf)) / problem.F1.circumradius >= _GAUGE_FLOOR:
+        raise ValidationError("every x1_y/F1.circumradius must be at least 2**-1020")
     eps, F1 = problem.epsilon, problem.F1
-    face0, level0 = _line_face0(problem), _level0(problem)
+    line0 = problem.F0.line_form(0.0 - float(problem.x0[1]))  # F0's form of `_line_forms`
     solved, y_end, iterations, expanded = [], [], [], []
     forms_y = None
     for n, (x1, x1y) in enumerate(zip(x1s, x1s[:, 1].tolist())):
-        # F1's forms depend on x1_y alone, so a run of nodes with equal x1_y (a grid row) shares them.
+        # F1's form depends on x1_y alone, so a run of nodes with equal x1_y (a grid row) shares it.
         if x1y != forms_y:
-            forms_y, face1, level1 = x1y, F1.line_face(x1y), F1.threshold_face(x1y)
+            forms_y, line1 = x1y, F1.line_form(x1y)
         node = ElvisProblem(problem.x0, x1, problem.F0, F1, eps, problem.max_iter)
         try:
-            steps, y, grown = _bisect(node, _residual_side(node, face0, face1), level0, level1)
+            steps, y, grown = _bisect(node, line0, line1)
         except BracketExpansionFailedError:
             continue
         solved.append(n)

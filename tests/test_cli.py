@@ -111,6 +111,19 @@ class TestSolve:
         assert code == 2
         assert "OriginNotInterior" in err
 
+    @pytest.mark.parametrize("x1, f1", [
+        ([0.5, 1], {"kind": "ball", "r": 1e200}),
+        ([0.5, 1], {"kind": "ellipse", "a": 1e-200, "b": 1e-201, "rot": 0.3}),
+        ([0, 1e-300], {"kind": "ball", "r": 1e100}),
+    ], ids=["ball_1e200", "ellipse_1e-200", "offset_gauge_underflow"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, x1, f1):
+        """A squared radius outside the normal floats, or an offset whose gauge underflows,
+        printed zero or NaN multipliers with exit 0; now validation refuses them."""
+        doc = {"x0": [0, -1], "x1": x1, "F0": {"kind": "ball", "r": 1}, "F1": f1}
+        code, out, err = run_main(["solve", write(tmp_path, "p.json", doc)], capsys)
+        assert (code, out) == (2, "")
+        assert "2**-" in err
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", dict(SYMMETRIC, eps=1e-9))
         code, _, err = run_main(["solve", path], capsys)

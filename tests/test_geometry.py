@@ -54,6 +54,21 @@ class TestValidate:
         with pytest.raises(DegenerateDimensionsError):
             validate(Ellipse(1.0, 0.0))
 
+    @pytest.mark.parametrize("r", [2.0**-511, 2.0**511])
+    def test_radius_range_ends(self, r):
+        """Radii and semi-axes from 2**-511 to 2**511 have normal-float squares."""
+        assert validate(Ball(r)) == Ball(r)
+        assert validate(Ellipse(r, 1.0, 0.3)) == Ellipse(r, 1.0, 0.3)
+        assert validate(Ellipse(1.0, r)) == Ellipse(1.0, r)
+
+    @pytest.mark.parametrize("r", [2.0**-512, 2.0**512, 1e-200, 1e200])
+    def test_radius_out_of_range(self, r):
+        """The kernels divide by r*r and by the squared semi-axes, which would leave the
+        normal floats: the multipliers came out zero or NaN."""
+        for vset in (Ball(r), Ellipse(r, 1.0, 0.3), Ellipse(1.0, r)):
+            with pytest.raises(DegenerateDimensionsError, match="2\\*\\*-511"):
+                validate(vset)
+
     def test_square_halfplane_form(self):
         sq = validate(Polygon(SQUARE0_VERTICES))
         expected_normals = [(0, 1), (-1, 0), (0, -1), (1, 0)]
@@ -145,7 +160,7 @@ class TestValidate:
         assert sq.offsets.tolist() == [s] * 4 and sq.inner_radius == s
         assert sq.facet_points.tolist() == (sq.normals / s).tolist()
         assert sq.circumradius == float(np.hypot(s, s))
-        assert sq.kinks == ((-1.0, 1.0), (1, 0, 3))
+        assert sq.kinks == (-1.0, 1.0)
 
     @pytest.mark.parametrize("s, match", [(1e308, "at most"), (5e307, "at most"),
                                           (1e-320, "facet points")])
@@ -191,7 +206,7 @@ def reference_constants(verts):
 
 
 def reference_line_table(points, normals, fp, radius, h_min):
-    """kinks, kink_flanks and _line_table from the rules of `Polygon.line_face`, vertex by
+    """kinks, kink_flanks and _line_table from the rules of `Polygon.line_form`, vertex by
     vertex: each chain vertex's two sides, the gap tests, then the slots in ratio order."""
     n = len(points)
     upper = sorted((x / y, i) for i, (x, y) in enumerate(points) if y > 0)
@@ -265,7 +280,7 @@ def reference_line_table(points, normals, fp, radius, h_min):
     if scales_ok and all(a <= b for a, b in zip(cuts, cuts[1:])):
         table = (tuple(cuts), tuple(a for _, a, _ in slots) + (None,),
                  tuple(b for _, _, b in slots) + (None,))
-    return (tuple(q for q, _ in upper), tuple(chain[1:])), flanks, table
+    return tuple(q for q, _ in upper), flanks, table
 
 
 def constants_of(polygon):
@@ -616,15 +631,15 @@ def scaled(vset, s):
     return validate(Polygon(vset.vertices * s))
 
 
-def check_line_face(vset, vy, vxs, face=None):
-    """Every answer of vset.line_face(vy), or of the form face along vy, on vxs against
-    normal_face's x-range.
+def check_line_form(vset, vy, vxs, face=None):
+    """Every answer of vset.line_form(vy)'s face, or of the form face along vy, on vxs
+    against normal_face's x-range.
 
     The answer keeps the guarantee of the module notes, and a polygon's face
     is the kernel's, bit for bit.  Returns the answered (lo, hi) pairs and
     the number of calls that gave up.
     """
-    face = face or vset.line_face(vy)
+    face = face or vset.line_form(vy).face
     answers, gave_up = [], 0
     for vx in vxs:
         got = face(vx)
@@ -659,7 +674,7 @@ class TestLineFace:
                 pts = np.vstack((snapped, apart))
                 pts = pts[pts[:, 1] > 0]
                 vxs += (vy * pts[:, 0] / pts[:, 1]).tolist()
-            answers, missed = check_line_face(vset, vy, vxs)
+            answers, missed = check_line_form(vset, vy, vxs)
             answered += len(answers)
             gave_up += missed
             segments += sum(lo != hi for lo, hi in answers)
@@ -691,7 +706,7 @@ class TestLineFace:
             pts = np.array(pts)
             pts = pts[pts[:, 1] > 0]
             for vy in 10.0 ** rng.uniform(-2, 2, 3):
-                answers, missed = check_line_face(vset, vy, (vy * pts[:, 0] / pts[:, 1]).tolist())
+                answers, missed = check_line_form(vset, vy, (vy * pts[:, 0] / pts[:, 1]).tolist())
                 answered += len(answers)
                 gave_up += missed
         assert answered > gave_up > 0  # the points at the band edge itself give up
@@ -703,9 +718,9 @@ class TestLineFace:
         offsets = [0.0] + [s * o for o in (1e-15, 1e-12, 1e-9, 1e-3) for s in (1.0, -1.0)]
         answered = gave_up = 0
         for vset in [random_row_set(rng, "polygon") for _ in range(20)] + [egg_polygon()]:
-            kinks, _ = vset.kinks
+            kinks = vset.kinks
             for vy in (0.37, 1.0, 12.5):
-                answers, missed = check_line_face(vset, vy, [vy * k * (1.0 + o) for k in kinks
+                answers, missed = check_line_form(vset, vy, [vy * k * (1.0 + o) for k in kinks
                                                              for o in offsets])
                 answered += len(answers)
                 gave_up += missed
@@ -728,7 +743,7 @@ class TestLineFace:
                 pts = apex + np.outer(short * np.array([0.5, 0.7, 1.0, 1.5, 2.0, 3.0]), right)
                 for vy in (0.5, 1.0, 3.0):
                     vxs = (vy * pts[:, 0] / pts[:, 1]).tolist()
-                    check_line_face(vset, vy, vxs)
+                    check_line_form(vset, vy, vxs)
                     fp = vset.facet_points[:, 0]
                     far_snaps += sum(normal_face(vset, (vx, vy)).x_range == (min(fp[1:3]), max(fp[1:3]))
                                      for vx in vxs)
@@ -765,8 +780,8 @@ class TestLineFace:
                     ratios += [up, down]
             for vy in (2.0**-20, 0.37, 1.0, 12.5, 2.0**20):
                 vxs = [vy * q for q in ratios]
-                for face in (vset.line_face(vy), vset.threshold_face(vy)[0]):
-                    answers, missed = check_line_face(vset, vy, vxs, face)
+                for face in vset.line_form(vy)[:2]:
+                    answers, missed = check_line_form(vset, vy, vxs, face)
                     answered += len(answers)
                     gave_up += missed
         # Every cut borders a slot that gives up, so about half the calls do.
@@ -807,27 +822,28 @@ class TestLineFace:
             (x0x, x0y), (x1x, x1y) = q.x0.tolist(), q.x1.tolist()
             for vset, vy, vxs in ((q.F0, -x0y, [y - x0x for y in ys]),
                                   (q.F1, x1y, [x1x - y for y in ys])):
-                answers, missed = check_line_face(vset, vy, vxs)
+                answers, missed = check_line_form(vset, vy, vxs)
                 answered += len(answers)
                 gave_up += missed
         assert gave_up <= 0.01 * answered
 
     def test_outside_the_error_model(self):
         """Scales outside [2**-64, 2**64], aspect ratios past 2**16 and |vx| > 2**64 give up."""
-        assert Ball(1e-30).line_face(1.0) is None
-        assert Ball(1.0).line_face(1e30) is None
-        assert Ellipse(1.0, 1e-6).line_face(1.0) is None
+        assert Ball(1e-30).line_form(1.0) is None
+        assert Ball(1.0).line_form(1e30) is None
+        assert Ellipse(1.0, 1e-6).line_form(1.0) is None
         assert validate(Polygon([(1e6, 1e-5), (-1e6, 1e-5), (-1e6, -1e-5), (1e6, -1e-5)])
-                        ).line_face(1.0) is None
+                        ).line_form(1.0) is None
         for vset in (Ball(1.0), Ellipse(2.0, 0.5, 0.3), validate(Polygon(SQUARE0_VERTICES))):
-            face = vset.line_face(1.0)
-            assert face(1e20) is None and face(-1e20) is None
-            assert face(1e18) is not None
+            for face in vset.line_form(1.0)[:2]:
+                assert face(1e20) is None and face(-1e20) is None
+                assert face(1e18) is not None
 
 
 class TestThresholdFace:
     """The threshold locator's forms: a smooth set's E bounds the kernel and the form
-    against the exact gradient, and a polygon's form is line_face without its tail answer."""
+    against the exact gradient, and a polygon's strict form is its face without its tail
+    answer."""
 
     @staticmethod
     def exact_x(vset, vx, vy):
@@ -851,8 +867,8 @@ class TestThresholdFace:
         for _ in range(40):
             vset = random_row_set(rng, kind)
             vy = float(10.0 ** rng.uniform(-2, 2))
-            face, bound, kinks, reach = vset.threshold_face(vy)
-            assert kinks == () and reach == math.inf
+            face, strict, bound, kinks, flanks, reach = vset.line_form(vy)
+            assert strict is face and kinks == flanks == () and reach == math.inf
             for vx in (rng.normal(size=25) * 10.0 ** rng.uniform(-3, 3, 25) * vy).tolist():
                 exact = self.exact_x(vset, vx, vy)
                 kernel = float(normal_face(vset, [vx, vy]).zeta_lo[0])
@@ -864,15 +880,15 @@ class TestThresholdFace:
         assert worst > 0.0
 
     def test_polygon_form_drops_the_tail_answer(self):
-        """Directions near every kink of the egg 48-gon: the threshold form answers as
-        line_face does or gives up, and it gives up on some tail answers; at every kink
-        flank it answers a single facet."""
+        """Directions near every kink of the egg 48-gon: the strict form answers as
+        face does or gives up, and it gives up on some tail answers; at every kink flank it
+        answers a single facet."""
         poly = egg_polygon()
         dropped = 0
         for vy in (0.3, 1.0, 2.5):
-            face = poly.line_face(vy)
-            strict, bound, kinks, reach = poly.threshold_face(vy)
-            assert bound == 0.0 and kinks == poly.kinks[0] and reach > 1000.0 * vy
+            face, strict, bound, kinks, flanks, reach = poly.line_form(vy)
+            assert bound == 0.0 and kinks == poly.kinks and reach > 1000.0 * vy
+            assert flanks == poly.kink_flanks
             for k in kinks:
                 for offset in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 3e-10, -3e-10, 1e-9, -1e-9, 1e-6, -1e-6):
                     vx = vy * k * (1.0 + offset) + vy * offset
@@ -881,7 +897,7 @@ class TestThresholdFace:
                         dropped += want is not None
                     else:
                         assert got == want
-            for flank in poly.kink_flanks:
+            for flank in flanks:
                 for ratio in flank:
                     if ratio is not None:
                         lo, hi, _ = strict(vy * ratio)

@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elvis import (
     Ball,
     BracketExpansionFailedError,
+    DegenerateDimensionsError,
     Ellipse,
+    ElvisError,
     NotIsotropicError,
     OracleConfig,
     Polygon,
@@ -84,6 +88,67 @@ class TestProblemValidation:
         args = dict(x0=(0, -1), x1=(1, 1), F0=Ball(1), F1=Ball(1))
         with pytest.raises(ValidationError):
             make_problem(**{**args, **override})
+
+    @pytest.mark.parametrize("f1", [Ball(1e200), Ellipse(1e-200, 1e-201, 0.3)],
+                             ids=["ball_1e200", "ellipse_1e-200"])
+    def test_squared_radius_out_of_range(self, f1):
+        """A radius whose square is not a normal float solved to zero or NaN multipliers."""
+        with pytest.raises(DegenerateDimensionsError):
+            make_problem((0, -1), (0.5, 1), Ball(1), f1)
+
+    def test_offset_gauge_underflow(self):
+        """x1_y/circumradius = 1e-400 underflows the gauge: v1 = [nan, inf] before."""
+        with pytest.raises(ValidationError, match="2\\*\\*-1020"):
+            make_problem((0, -1), (0, 1e-300), Ball(1), Ball(1e100))
+        with pytest.raises(ValidationError, match="2\\*\\*-1020"):
+            make_problem((0, -1e-300), (0, 1), Ball(1e100), Ball(1))
+        p = make_problem((0, -1), (0, 1), Ball(1), Ball(1e100))
+        with pytest.raises(ValidationError, match="2\\*\\*-1020"):
+            solve_batch(p, [[0.0, 1.0], [0.0, 1e-300]])
+
+
+FAMILY_PAIRS = list(itertools.product(("ball", "ellipse", "polygon"), repeat=2))
+
+
+@st.composite
+def extreme_sets(draw, kind):
+    """A ball, an ellipse or a polygon on an ellipse (maybe off-centre) at a scale 10**+-300."""
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    a, b = (scale * draw(st.floats(0.01, 3.0)) for _ in range(2))
+    if kind == "ball":
+        return Ball(a)
+    rot = draw(st.floats(0.0, math.pi))
+    if kind == "ellipse":
+        return Ellipse(a, b, rot)
+    n = draw(st.integers(3, 12))
+    shift = draw(st.floats(-0.5, 0.5))
+    t = rot + np.arange(n) * (2.0 * math.pi / n)
+    return Polygon(np.column_stack((a * (np.cos(t) + shift), b * np.sin(t))))
+
+
+@st.composite
+def extreme_problems(draw):
+    """A problem over any of the 9 family pairs with coordinates and sets at scales 10**+-300."""
+    def coordinate(low, high):
+        return draw(st.floats(low, high)) * 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    f0, f1 = (draw(extreme_sets(kind)) for kind in draw(st.sampled_from(FAMILY_PAIRS)))
+    x0 = coordinate(-3.0, 3.0), -coordinate(0.01, 3.0)
+    x1 = coordinate(-3.0, 3.0), coordinate(0.01, 3.0)
+    return x0, x1, f0, f1
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(extreme_problems())
+def test_extreme_scales_raise_or_stay_finite(problem):
+    """Every problem either raises an ElvisError or solves to finite fields (a RuntimeWarning
+    fails the test too)."""
+    try:
+        result, _ = solve(make_problem(*problem))
+    except ElvisError:
+        return
+    for name in ("y", "time", "v0", "v1", "zeta0", "zeta1"):
+        assert np.all(np.isfinite(getattr(result, name))), (name, result)
 
 
 class TestDelta:
@@ -428,7 +493,7 @@ class TestAnswer:
                 got = solve(p)[0]
             except BracketExpansionFailedError:
                 continue
-            steps, y, expanded = solver._bisect(p, solver._residual_side(p), solver._level0(p))
+            steps, y, expanded = solver._bisect(p, *solver._line_forms(p))
             assert field_bits(got) == field_bits(two_gauge_answer(p, steps, y, expanded))
             compared += 1
         assert compared > 250
@@ -559,8 +624,8 @@ class TestLookahead:
             counts["fallbacks"] += 1
             return kernels(problem, y)
 
-        def counted_side(problem):
-            side = screen(problem)
+        def counted_side(problem, line0, line1):
+            side = screen(problem, line0, line1)
 
             def counted(y):
                 counts["decisions"] += 1
@@ -592,8 +657,8 @@ class TestLookahead:
         against the kernels' 0; with the real bound the screen falls back and the probe
         places no b."""
         p = make_problem((-1.0, -1.0), (1.0, 1.0), Ellipse(1.0, 0.5, 0.3), Ellipse(2.0, 1.0, -1.1))
-        face0 = p.F0.line_face(-p.x0[1])
-        face1 = p.F1.line_face(p.x1[1])
+        face0 = p.F0.line_form(-p.x0[1]).face
+        face1 = p.F1.line_form(p.x1[1]).face
         for y in np.linspace(-3.0, 3.0, 4001).tolist():
             a0, _, _ = face0(y - p.x0[0])
             _, b1m, _ = face1(p.x1[0] - y)
@@ -605,14 +670,14 @@ class TestLookahead:
         # At eps = lo_kernel the kernels stop at y; the screen with no bound does not.
         q = dataclasses.replace(p, epsilon=lo_kernel)
         counts = self.count_fallbacks(monkeypatch)
-        assert solver._residual_side(q)(y) == 0
+        assert solver._residual_side(q, *solver._line_forms(q))(y) == 0
         assert counts == {"decisions": 1, "fallbacks": 1}
         # The window's left end is probed first, and its value ends the search here.
-        assert solver._thresholds(q, y, y + 1.0, solver._level0(q))[3] == math.inf
+        assert solver._thresholds(q, y, y + 1.0, *solver._line_forms(q))[3] == math.inf
         monkeypatch.setattr(geometry, "LINE_FACE_REL", 0.0)
-        assert solver._residual_side(q)(y) == 1
+        assert solver._residual_side(q, *solver._line_forms(q))(y) == 1
         assert counts == {"decisions": 2, "fallbacks": 1}
-        assert solver._thresholds(q, y, y + 1.0, solver._level0(q))[3] == y
+        assert solver._thresholds(q, y, y + 1.0, *solver._line_forms(q))[3] == y
 
     @pytest.mark.parametrize("verts, degenerate", [
         # Square with its top-right vertex replaced by two vertices 1e-9 apart.
@@ -645,8 +710,9 @@ def kernel_decision(problem, y):
 
 def located_thresholds(problem):
     """The expanded bracket (l, r) and the thresholds (a, c, d, b) _bisect locates in it."""
-    l, r, _ = solver._expand(problem, solver._residual_side(problem))
-    return (l, r), solver._thresholds(problem, l, r, solver._level0(problem))
+    line0, line1 = solver._line_forms(problem)
+    l, r, _ = solver._expand(problem, solver._residual_side(problem, line0, line1))
+    return (l, r), solver._thresholds(problem, l, r, line0, line1)
 
 
 class TestThresholds:
@@ -704,7 +770,7 @@ class TestThresholds:
         every threshold absent."""
         p = make_problem((0.0, -1e-6), (3.0, 1.0), egg_polygon(), Ellipse(2.0, 0.7, 1.1))
         (l, r), thresholds = located_thresholds(p)
-        assert max(abs(l), abs(r)) > p.F0.threshold_face(1e-6)[3]
+        assert max(abs(l), abs(r)) > p.F0.line_form(1e-6).reach
         assert thresholds == (-math.inf, math.inf, -math.inf, math.inf)
         self.check(p, np.random.default_rng(45))
 
@@ -983,23 +1049,18 @@ class TestSolveBatch:
             fallbacks.append(y)
             return kernels(problem, y)
 
-        def counting(method):
-            def wrapped(vset, vy):
-                got = method(vset, vy)
-                form = got if got is None or callable(got) else got[0]
-                if form is None:
-                    return got
+        def counting(face):
+            def counted(vx):
+                calls.append(vx)
+                return face(vx)
 
-                def counted(vx):
-                    calls.append(vx)
-                    return form(vx)
+            return counted
 
-                return counted if callable(got) else (counted, *got[1:])
+        def counted_line_form(vset, vy, line_form=Polygon.line_form):
+            got = line_form(vset, vy)
+            return got and got._replace(face=counting(got.face), strict=counting(got.strict))
 
-            return wrapped
-
-        monkeypatch.setattr(Polygon, "line_face", counting(Polygon.line_face))
-        monkeypatch.setattr(Polygon, "threshold_face", counting(Polygon.threshold_face))
+        monkeypatch.setattr(Polygon, "line_form", counted_line_form)
         monkeypatch.setattr(solver, "delta", counted_delta)
         p = make_problem((0.3, -1.0), (0.0, 1.0), Ellipse(2.0, 0.7, rot=1.1), egg_polygon())
         x1s = grid(np.linspace(-3, 3, 6), np.linspace(0.2, 2.5, 6))
