@@ -39,13 +39,15 @@ brings the largest to [0.5, 1), so they neither overflow nor underflow.
 
 Line forms.  `line_form(vy)` restricts `normal_face` to the directions
 (vx, vy) with one float vy > 0 and returns a `LineForm`, or None where it
-cannot be sure.  Its face is a function of a float vx giving (lo, hi, err)
-on Python floats, or None where it cannot be sure.  A ball or an ellipse
-evaluates the kernel's formulas on Python floats; a polygon's answer
+cannot be sure.  Its face is a function of a float vx giving (lo, hi) on
+Python floats, or None where it cannot be sure, and its err is one number
+for the whole form.  A ball or an ellipse evaluates the kernel's formulas
+on Python floats; a polygon's answer
 depends on the direction alone, so its face looks the ratio vx/vy up in a
 sorted table of direction cuts that the polygon builds once, and returns
 the slot's entry of facet_points (see `Polygon.line_form`).  (lo_K, hi_K)
-is the kernel's `normal_face(vset, (vx, vy)).x_range`; the guarantee is
+is the kernel's `normal_face(vset, (vx, vy)).x_range`; the guarantee, for
+every answer of the form, is
 
     1.01 * (|lo - lo_K| + 2u m) <= err  and  1.01 * (|hi - hi_K| + 2u m) <= err,
 
@@ -77,7 +79,7 @@ gauge the kernel rounds (the constants as stored); the gauge is convex, so X
 is nondecreasing in vx.  E bounds both |zeta_x - X| for the kernel's zeta_x
 and |lo - X| for the face's lo = hi, uniformly over every vx at which the
 kernel runs without overflow (the solver's `_offset_guard`), with 1 % to
-spare.  So if the face gives (lo, hi, err) at vx_a, the kernel's x-range is
+spare.  So if the face gives (lo, hi) at vx_a, the kernel's x-range is
 at most hi + 2E at every vx <= vx_a and at least lo - 2E at every
 vx >= vx_a, and err still covers the caller's rounding.  A polygon's strict
 form gives E = 0: its answers are the kernel's own values, and they bound
@@ -107,7 +109,7 @@ from .errors import (
 VERTEX_FACE_TOL = 1e-9
 
 # Scale of every bound the line forms use (see the module notes): 64 u, with
-# u = 2**-53; the derivations need at most 18.4 u.
+# u = 2**-53; the derivations need at most 22 u.
 LINE_FACE_REL = 2.0**-47
 # The line forms' error model holds for scales and |vx| in this range, and
 # aspect ratios up to _ASPECT_MAX.
@@ -127,8 +129,9 @@ def _in_scale(*scales):
 class LineForm(NamedTuple):
     """What `line_form(vy)` knows of a set's normal face along the directions (vx, vy)."""
 
-    face: object  # vx -> (lo, hi, err) or None
+    face: object  # vx -> (lo, hi) or None
     strict: object  # the threshold locator's face: answers that bound the kernel within reach
+    err: float  # bounds every answer of face and strict (see the module notes)
     bound: float  # E
     kinks: tuple  # K
     flanks: tuple  # kink_flanks
@@ -268,15 +271,14 @@ class Ball:
         if not _in_scale(r, vy):
             return None
         rr = r * r
-        err = LINE_FACE_REL / r
 
         def face(vx):
             if not -_SCALE_MAX <= vx <= _SCALE_MAX:
                 return None
             zx = vx / (math.hypot(vx, vy) / r) / rr
-            return zx, zx, err
+            return zx, zx
 
-        return LineForm(face, face, LINE_FACE_REL / (8.0 * r), (), (), math.inf)
+        return LineForm(face, face, LINE_FACE_REL / r, LINE_FACE_REL / (8.0 * r), (), (), math.inf)
 
 
 @dataclass(frozen=True)
@@ -340,27 +342,26 @@ class Ellipse:
         zeta_x = F_00 s_0 + F_01 s_1 (F = _from_axes), the products by
         BLAS; this evaluates the same formulas on Python floats.  Let
         A_i = |T_i0 vx| + |T_i1 vy|, S = A_0/a + A_1/b,
-        C = |F_00| A_0/a2_0 + |F_01| A_1/a2_1 and G the exact gauge of v.
+        C = |F_00| A_0/a2_0 + |F_01| A_1/a2_1, G the exact gauge of v,
+        k = max(a, b)/min(a, b) and m = min(a, b).  T's rows are unit
+        vectors up to u, so A_i <= (1 + 2u)|v| and G >= (1 - u)|v|/max(a, b);
+        hence S/G <= (1 + 3u)(1 + k), under 2**17 by the aspect bound, and
+        C/G <= 1.415 k/m.
         In either evaluation w_i errs by under 2.01u A_i and w_0/a by
         3.01u A_0/a (w_1/b alike), so g by under 2u G + 3.02u S, relatively
-        eta <= 2u + 3.02u S/G.  Then p errs relatively by eta + 1.01u,
+        eta <= 2u + 3.02u S/G < 2**-33.  Then p errs relatively by eta + 1.01u,
         (T p)_i by (eta + 3.02u) A_i/G, s_i by (eta + 4.03u) A_i/(G a2_i)
         and zeta_x by (eta + 6.05u) C/G.  So |lo - lo_K| <=
-        (16.1u + 6.04u S/G) C/G, and m <= (1 + 2**-30) C/G.  The aspect
-        bound gives S/G <= 2**17.5, so eta < 2**-33, and the S/g and C/g
-        formed here are within 2**-30 of S/G and C/G; hence 1.01(|lo - lo_K|
-        + 2u m) <= (18.4u + 6.2u S/G) C/G, under
-        err = LINE_FACE_REL (1 + S/g)(C/g + 1/min(a, b)).
+        (16.1u + 6.04u S/G) C/G and max(|lo|, |hi|) <= (1 + 2**-30) C/G,
+        hence 1.01(|lo - lo_K| + 2u max(|lo|, |hi|)) <= (18.4u + 6.2u S/G) C/G
+        <= (34.9k + 8.8k**2) u/m, under err = LINE_FACE_REL k (1 + k)/m
+        = 64u k (1 + k)/m.
         X is the x-component of the gradient of |L T v|, L = diag(1/a, 1/b).
         Both zeta_x lie within (8.05u + 3.02u S/G) C/G of the kernel's
         formula evaluated exactly, which differs from X only by the roundings
-        of a*a and b*b and of F against T^T (an ulp each), under 5.5u k/m
-        with k = max(a, b)/min(a, b) and, from here on, m = min(a, b).  T's
-        rows are unit vectors up to u, so A_i <= (1 + 2u)|v| and
-        G >= (1 - u)|v|/max(a, b); hence S/G <= (1 + 3u)(1 + k),
-        C/G <= 1.415 k/m, and each value lies within (21.2k + 4.3k**2) u/m
-        of X, under E/1.01 for E = LINE_FACE_REL k (1 + k)/(2 m)
-        = 32u k (1 + k)/m.
+        of a*a and b*b and of F against T^T (an ulp each), under 5.5u k/m.
+        So each value lies within (21.2k + 4.3k**2) u/m of X, under E/1.01
+        for E = err/2.
         """
         a, b = self.a, self.b
         if not (_in_scale(a, b, vy) and self.circumradius <= _ASPECT_MAX * self.inner_radius):
@@ -369,25 +370,20 @@ class Ellipse:
         (f00, f01), _ = self._from_axes.tolist()
         a2, b2 = self._axes_squared.tolist()
         t01_vy, t11_vy = t01 * vy, t11 * vy
-        abs_t01_vy, abs_t11_vy = abs(t01_vy), abs(t11_vy)
-        c0, c1 = abs(f00) / a2, abs(f01) / b2
         m = self.inner_radius
         k = self.circumradius / m
-        floor = 1.0 / m
+        err = LINE_FACE_REL * k * (1.0 + k) / m
         scale_max, hypot = _SCALE_MAX, math.hypot
 
         def face(vx):
             if not -scale_max <= vx <= scale_max:
                 return None
-            m0, m1 = t00 * vx, t10 * vx
-            g = hypot((m0 + t01_vy) / a, (m1 + t11_vy) / b)
+            g = hypot((t00 * vx + t01_vy) / a, (t10 * vx + t11_vy) / b)
             px, py = vx / g, vy / g
             zx = f00 * ((t00 * px + t01 * py) / a2) + f01 * ((t10 * px + t11 * py) / b2)
-            s0, s1 = abs(m0) + abs_t01_vy, abs(m1) + abs_t11_vy
-            err = LINE_FACE_REL * (1.0 + (s0 / a + s1 / b) / g) * ((s0 * c0 + s1 * c1) / g + floor)
-            return zx, zx, err
+            return zx, zx
 
-        return LineForm(face, face, LINE_FACE_REL * k * (1.0 + k) / (2.0 * m), (), (), math.inf)
+        return LineForm(face, face, err, 0.5 * err, (), (), math.inf)
 
 
 class _Derived:
@@ -444,11 +440,11 @@ class Polygon:
       s from W, 1 - tau_o = s |(fp_j - fp_o) . e| for the other facet o at
       W and the unit edge vector e from W along j.  None for a point past
       the middle of its facet or not above the x-axis;
-    - `_line_table` = (cuts, line, strict), the answers of `line_form`'s
-      face and strict by direction: cuts is a sorted tuple of ratios vx/vy,
-      and a direction with cuts[k-1] < vx/vy <= cuts[k] gets line[k] and
-      strict[k] (see `line_form`); None outside the line forms' scale and
-      aspect limits.
+    - `_line_table` = (cuts, line, strict, err), the answers of
+      `line_form`'s face and strict by direction and the form's err: cuts
+      is a sorted tuple of ratios vx/vy, and a direction with
+      cuts[k-1] < vx/vy <= cuts[k] gets line[k] and strict[k] (see
+      `line_form`); None outside the line forms' scale and aspect limits.
     """
 
     vertices: np.ndarray
@@ -589,7 +585,6 @@ class Polygon:
         facet_at = tuple(chain[1:])
         gaps = [left[10] + right[5] + 2.0 * (left[0] + right[0]) < right[6]
                 for left, right in zip(zones, zones[1:])]
-        err = LINE_FACE_REL * max(map(abs, fx))
         # The slot that ends at cuts[k] answers line[k] and strict[k].
         cuts, line, strict = [], [], []
         for m, sound in enumerate(gaps):
@@ -600,23 +595,23 @@ class Polygon:
                 line.append(None)
                 strict.append(None)
             zone, x = zones[m + 1], fx[facet_at[m]]
-            f = x, x, err
+            f = x, x
             cuts.append(zone[4])
             line.append(f)
             strict.append(f)
             if m + 1 < last and gaps[m + 1]:
                 snap, y = None, fx[facet_at[m + 1]]  # the facets of W are facet_at[m] and [m + 1]
                 if zone[1]:
-                    snap = (y, x, err) if y <= x else (x, y, err)
+                    snap = (y, x) if y <= x else (x, y)
                 cuts += zone[3], zone[2], zone[7], zone[8], zone[9]
-                line += f, None, snap, None, (y, y, err)
+                line += f, None, snap, None, (y, y)
                 strict += None, None, snap, None, None
         line.append(None)
         strict.append(None)
         table = None
         if (_in_scale(h_min, radius) and radius <= _ASPECT_MAX * h_min
                 and all(map(operator.le, cuts, cuts[1:]))):
-            table = (tuple(cuts), tuple(line), tuple(strict))
+            table = (tuple(cuts), tuple(line), tuple(strict), LINE_FACE_REL * max(map(abs, fx)))
         self.__dict__.update(kinks=tuple(q for q, _ in upper), kink_flanks=tuple(flanks),
                              _line_table=table)
 
@@ -814,7 +809,7 @@ class Polygon:
         table = self._line_table
         if table is None or not _in_scale(vy):
             return None
-        cuts, line, strict = table
+        cuts, line, strict, err = table
         scale_max, place = _SCALE_MAX, bisect_left
 
         def lookup(answers):
@@ -825,7 +820,7 @@ class Polygon:
 
             return face
 
-        return LineForm(lookup(line), lookup(strict), 0.0, self.kinks, self.kink_flanks,
+        return LineForm(lookup(line), lookup(strict), err, 0.0, self.kinks, self.kink_flanks,
                         2.0**17 * vy * self.inner_radius / self.circumradius)
 
 

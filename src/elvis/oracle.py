@@ -88,7 +88,7 @@ _GRID_INDEX = np.arange(GRID_POINTS)
 _COARSE_INDEX = np.append(_GRID_INDEX[:-1:_COARSE], GRID_POINTS - 1)
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
-# whose derivation needs less (see _grid_screen and _side_screen); math.inf
+# whose derivation needs less (see _grid_screen and _term); math.inf
 # sends every decision to the exact values.
 _GRID_REL = 1e-12  # about 9000 u; the derivation needs 13 u
 _STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
@@ -172,10 +172,8 @@ def _live_facets(vset, vy, vx_ends):
     ends lies below j on the whole interval.  The terms are compared in
     float with a margin about six orders of magnitude above their round-off,
     so the maximum over the kept facets is the maximum over all of them at
-    any precision.  A ball or an ellipse has no facets: None.
+    any precision.
     """
-    if not isinstance(vset, Polygon):
-        return None
     e0, e1 = vx_ends
     facets = [(nx, ny, h) for (nx, ny), h in zip(vset.normals.tolist(), vset.offsets.tolist())]
     terms = [((nx * e0 + ny * vy) / h, (nx * e1 + ny * vy) / h) for nx, ny, h in facets]
@@ -188,68 +186,153 @@ def _live_facets(vset, vy, vx_ends):
 
 
 def _sides(problem, a, b):
-    """phi's two gauge terms on the float bracket [a, b], as (vset, vy, live facets) each.
-
-    F0's term is gamma_F0(y - x0_x, -x0_y) and F1's is gamma_F1(x1_x - y, x1_y);
-    the live facets (see _live_facets) are found once here and serve both the
-    exact refine and the float screen.
-    """
+    """phi's two gauge terms on the float bracket [a, b], as `_term`'s (exact, point,
+    difference) each: F0's term is gamma_F0(y - x0_x, -x0_y) and F1's is
+    gamma_F1(x1_x - y, x1_y)."""
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
-    return ((problem.F0, -x0y, _live_facets(problem.F0, -x0y, (a - x0x, b - x0x))),
-            (problem.F1, x1y, _live_facets(problem.F1, x1y, (x1x - a, x1x - b))))
+    return (_term(problem.F0, -x0y, (a - x0x, b - x0x)),
+            _term(problem.F1, x1y, (x1x - a, x1x - b)))
 
 
-def _gauge_raw(vset, vy, live, prec, rnd):
-    """gamma_F(vx, vy) for one fixed float vy, as a function of raw libmp vx.
+def _term(vset, vy, vx_ends):
+    """One gauge term gamma(vx, vy) of phi, vy a fixed float and vx in the float interval
+    vx_ends, as (exact, point, difference).
 
-    vx stays within the float interval the live facets were found for.  The
-    terms that do not depend on vx are computed here, once, and a polygon
-    keeps only its live facets; each call does the arithmetic of the plain
-    mpf formulas
+    exact(prec, rnd) gives gamma as a function of raw libmp vx.  The terms
+    that do not depend on vx are computed there, once, and a polygon keeps
+    only the facets that can attain its maximum over vx_ends (see
+    _live_facets), found once here for the exact path and the float screen
+    both.  Each call does the arithmetic of the plain mpf formulas
     sqrt(vx*vx + vy*vy)/r, sqrt((wx/a)**2 + (wy/b)**2) with (wx, wy) the
     rotated vector, and max((nx*vx + ny*vy)/h, 0), in the same order.
+
+    point and difference are the term's float screen.  point(yf, vx) takes
+    yf, the float nearest a golden point y, and vx computed from it in
+    float, and returns the point's float data; its last entry is the scale
+    s = |yf| + |vx| + |vy|.  The float vx errs by under 1.01 u s (yf: under
+    u |y|; the subtraction: u |vx|), which the bounds below take as
+    2.01 u s.  difference(p, q, dx) takes two points and the float dx
+    nearest their exact vx_p - vx_q, relative error under u, which the
+    bounds take as 2.01 u, and returns (D, E): a float D and a bound
+    E >= |D - (g_p - g_q)| + e_p + e_q, where g is the exact gauge and e
+    bounds the error of this term's share of the 136-bit phi (its gauge, and
+    its part of the final sum): under 11 roundings of 2**-136 relative, so
+    under 2**-132 s/rho, which E takes as _MP_REL*s/rho.  With A = s_p + s_q:
+
+    Ball or ellipse (the ball's screen is an unrotated ellipse's with
+    a = b = r), w = M v = ((c*vx - s*vy)/a, (s*vx + c*vy)/b) and
+    m = M e_x = (c/a, s/b), |m| <= 1/rho.  As the points share vy,
+    g_p^2 - g_q^2 = (w_p - w_q).(w_p + w_q) = (vx_p - vx_q) m.(w_p + w_q),
+    so g_p - g_q = dx*h with h = m.(w_p + w_q)/G, G = g_p + g_q, |h| <= 1/rho.
+    The float w errs by under 13 u s/rho per point (so by eps < 13 u A/rho
+    over both), m by under 4.3 u/rho, G by under eps + 3 u G, m.(w_p + w_q)
+    by under 7.4 u G/rho + eps/rho, so h by under (11.5 u + 26 u A/(rho G))/rho
+    and D = dx*h by under 26 u |dx|/rho (1 + A/(rho G)).  E takes _STEP_REL
+    for 26 u; the slack covers terms of order u**2 and the roundings of the
+    sums that _step_screen forms.
+
+    Polygon, only the live facets (the maximum over them is the gauge on
+    vx_ends).  A facet term (n_x*vx + n_y*vy)/h errs by under 4.1 u s/rho,
+    so a facet that leads both points by more than 2 _STEP_REL s/rho is the
+    exact maximum at both, and g_p - g_q = dx*n_x/h, within 4.1 u |dx|/rho.
+    Otherwise D is the plain difference of the float maxima, within
+    5.2 u A/rho.
     """
-    vy_mp = from_float(vy)
+    inv_rho, avy, vy_mp = 1.0 / vset.inner_radius, abs(vy), from_float(vy)
+    rel, mp_rel = _STEP_REL, _MP_REL
+    if isinstance(vset, Polygon):
+        live = _live_facets(vset, vy, vx_ends)
+
+        def exact(prec, rnd):
+            facets = [(from_float(nx), mpf_mul(from_float(ny), vy_mp, prec, rnd), from_float(h))
+                      for nx, ny, h in live]
+
+            def polygon_gauge(vx):
+                best = fzero
+                for nx, ny_vy, h in facets:
+                    t = mpf_div(mpf_add(mpf_mul(nx, vx, prec, rnd), ny_vy, prec, rnd), h, prec, rnd)
+                    if mpf_gt(t, best):
+                        best = t
+                return best
+
+            return polygon_gauge
+
+        facets = [(nx, ny * vy, h) for nx, ny, h in live]
+        slopes = [nx / h for nx, _, h in facets]
+
+        def polygon_point(yf, vx):
+            """(leading facet, its term, its lead over the runner-up, s)."""
+            lead, top, gap = 0, -math.inf, math.inf
+            for j, (nx, ny_vy, h) in enumerate(facets):
+                t = (nx * vx + ny_vy) / h
+                if t > top:
+                    lead, top, gap = j, t, t - top
+                elif top - t < gap:
+                    gap = top - t
+            return lead, top, gap, abs(yf) + abs(vx) + avy
+
+        def polygon_difference(p, q, dx):
+            lead_p, top_p, gap_p, s_p = p
+            lead_q, top_q, gap_q, s_q = q
+            mp_err = mp_rel * (s_p + s_q) * inv_rho
+            margin = 2.0 * rel * inv_rho
+            if lead_p == lead_q and gap_p > margin * s_p and gap_q > margin * s_q:
+                return dx * slopes[lead_p], rel * abs(dx) * inv_rho + mp_err
+            return top_p - top_q, rel * (s_p + s_q) * inv_rho + mp_err
+
+        return exact, polygon_point, polygon_difference
+
     if isinstance(vset, Ball):
-        r = from_float(vset.r)
-        vy2 = mpf_mul(vy_mp, vy_mp, prec, rnd)
-        return lambda vx: mpf_div(
-            mpf_sqrt(mpf_add(mpf_mul(vx, vx, prec, rnd), vy2, prec, rnd), prec, rnd), r, prec, rnd
-        )
-    if isinstance(vset, Ellipse):
-        c = mpf_cos(from_float(-vset.rot), prec, rnd)
-        s = mpf_sin(from_float(-vset.rot), prec, rnd)
-        a, b = from_float(vset.a), from_float(vset.b)
-        s_vy, c_vy = mpf_mul(s, vy_mp, prec, rnd), mpf_mul(c, vy_mp, prec, rnd)
+        def exact(prec, rnd):
+            r = from_float(vset.r)
+            vy2 = mpf_mul(vy_mp, vy_mp, prec, rnd)
+            return lambda vx: mpf_div(
+                mpf_sqrt(mpf_add(mpf_mul(vx, vx, prec, rnd), vy2, prec, rnd), prec, rnd), r, prec, rnd
+            )
 
-        def ellipse_gauge(vx):
-            wx = mpf_sub(mpf_mul(c, vx, prec, rnd), s_vy, prec, rnd)
-            wy = mpf_add(mpf_mul(s, vx, prec, rnd), c_vy, prec, rnd)
-            wx2 = mpf_pow_int(mpf_div(wx, a, prec, rnd), 2, prec, rnd)
-            wy2 = mpf_pow_int(mpf_div(wy, b, prec, rnd), 2, prec, rnd)
-            return mpf_sqrt(mpf_add(wx2, wy2, prec, rnd), prec, rnd)
+        cos, sin, a, b = 1.0, 0.0, vset.r, vset.r
+    else:
+        def exact(prec, rnd):
+            c = mpf_cos(from_float(-vset.rot), prec, rnd)
+            s = mpf_sin(from_float(-vset.rot), prec, rnd)
+            a, b = from_float(vset.a), from_float(vset.b)
+            s_vy, c_vy = mpf_mul(s, vy_mp, prec, rnd), mpf_mul(c, vy_mp, prec, rnd)
 
-        return ellipse_gauge
-    facets = [(from_float(nx), mpf_mul(from_float(ny), vy_mp, prec, rnd), from_float(h))
-              for nx, ny, h in live]
+            def ellipse_gauge(vx):
+                wx = mpf_sub(mpf_mul(c, vx, prec, rnd), s_vy, prec, rnd)
+                wy = mpf_add(mpf_mul(s, vx, prec, rnd), c_vy, prec, rnd)
+                wx2 = mpf_pow_int(mpf_div(wx, a, prec, rnd), 2, prec, rnd)
+                wy2 = mpf_pow_int(mpf_div(wy, b, prec, rnd), 2, prec, rnd)
+                return mpf_sqrt(mpf_add(wx2, wy2, prec, rnd), prec, rnd)
 
-    def polygon_gauge(vx):
-        best = fzero
-        for nx, ny_vy, h in facets:
-            t = mpf_div(mpf_add(mpf_mul(nx, vx, prec, rnd), ny_vy, prec, rnd), h, prec, rnd)
-            if mpf_gt(t, best):
-                best = t
-        return best
+            return ellipse_gauge
 
-    return polygon_gauge
+        cos, sin, a, b = math.cos(-vset.rot), math.sin(-vset.rot), vset.a, vset.b
+    sin_vy, cos_vy = sin * vy, cos * vy
+    mx, my = cos / a, sin / b
+
+    def smooth_point(yf, vx):
+        """(w_x, w_y, gamma, s)."""
+        wx = (cos * vx - sin_vy) / a
+        wy = (sin * vx + cos_vy) / b
+        return wx, wy, math.hypot(wx, wy), abs(yf) + abs(vx) + avy
+
+    def smooth_difference(p, q, dx):
+        wx_p, wy_p, g_p, s_p = p
+        wx_q, wy_q, g_q, s_q = q
+        g = g_p + g_q
+        scale = (s_p + s_q) * inv_rho
+        return (dx * ((mx * (wx_p + wx_q) + my * (wy_p + wy_q)) / g),
+                rel * (1.0 + scale / g) * abs(dx) * inv_rho + mp_rel * scale)
+
+    return exact, smooth_point, smooth_difference
 
 
 def _objective_raw(problem, sides, prec, rnd):
-    """phi as a function of raw libmp y in the float bracket of sides (see _sides, _gauge_raw)."""
-    (vset0, vy0, live0), (vset1, vy1, live1) = sides
-    g0 = _gauge_raw(vset0, vy0, live0, prec, rnd)
-    g1 = _gauge_raw(vset1, vy1, live1, prec, rnd)
+    """phi as a function of raw libmp y in the float bracket of sides (see _sides, _term)."""
+    (exact0, _, _), (exact1, _, _) = sides
+    g0, g1 = exact0(prec, rnd), exact1(prec, rnd)
     x0x, x1x = from_float(float(problem.x0[0])), from_float(float(problem.x1[0]))
     return lambda y: mpf_add(
         g0(mpf_sub(y, x0x, prec, rnd)), g1(mpf_sub(x1x, y, prec, rnd)), prec, rnd
@@ -343,92 +426,6 @@ def _grid_argmin(problem, l, r, screened):
     return lo + int(np.argmin(crossing_time(problem, _grid_points(l, r, _GRID_INDEX[lo:hi]))))
 
 
-def _side_screen(vset, vy, live):
-    """Float screen for one gauge term gamma(vx, vy) of phi, vy fixed and vx in its bracket.
-
-    Returns (point, difference).  point(yf, vx) takes yf, the float nearest
-    a golden point y, and vx computed from it in float, and returns the
-    point's float data; its last entry is the scale s = |yf| + |vx| + |vy|.
-    The float vx errs by under 1.01 u s (yf: under u |y|; the subtraction:
-    u |vx|), which the bounds below take as 2.01 u s.  difference(p, q, dx)
-    takes two points and the float dx nearest their exact vx_p - vx_q,
-    relative error under u, which the bounds take as 2.01 u, and
-    returns (D, E): a float D and a bound E >= |D - (g_p - g_q)| + e_p + e_q,
-    where g is the exact gauge and e bounds the error of this side's share
-    of the 136-bit phi (its gauge, and its part of the final sum): under
-    11 roundings of 2**-136 relative, so under 2**-132 s/rho, which E takes
-    as _MP_REL*s/rho.  With A = s_p + s_q:
-
-    Ball or ellipse, w = M v = ((c*vx - s*vy)/a, (s*vx + c*vy)/b) and
-    m = M e_x = (c/a, s/b), |m| <= 1/rho.  As the points share vy,
-    g_p^2 - g_q^2 = (w_p - w_q).(w_p + w_q) = (vx_p - vx_q) m.(w_p + w_q),
-    so g_p - g_q = dx*h with h = m.(w_p + w_q)/G, G = g_p + g_q, |h| <= 1/rho.
-    The float w errs by under 13 u s/rho per point (so by eps < 13 u A/rho
-    over both), m by under 4.3 u/rho, G by under eps + 3 u G, m.(w_p + w_q)
-    by under 7.4 u G/rho + eps/rho, so h by under (11.5 u + 26 u A/(rho G))/rho
-    and D = dx*h by under 26 u |dx|/rho (1 + A/(rho G)).  E takes _STEP_REL
-    for 26 u; the slack covers terms of order u**2 and the roundings of the
-    sums that _step_screen forms.
-
-    Polygon, only the live facets (the maximum over them is the gauge on
-    the bracket, see _live_facets).  A facet term (n_x*vx + n_y*vy)/h errs by
-    under 4.1 u s/rho, so a facet that leads both points by more than
-    2 _STEP_REL s/rho is the exact maximum at both, and g_p - g_q =
-    dx*n_x/h, within 4.1 u |dx|/rho.  Otherwise D is the plain difference of
-    the float maxima, within 5.2 u A/rho.
-    """
-    inv_rho, avy = 1.0 / vset.inner_radius, abs(vy)
-    rel, mp_rel = _STEP_REL, _MP_REL
-    if isinstance(vset, Polygon):
-        facets = [(nx, ny * vy, h) for nx, ny, h in live]
-        slopes = [nx / h for nx, _, h in facets]
-
-        def polygon_point(yf, vx):
-            """(leading facet, its term, its lead over the runner-up, s)."""
-            lead, top, gap = 0, -math.inf, math.inf
-            for j, (nx, ny_vy, h) in enumerate(facets):
-                t = (nx * vx + ny_vy) / h
-                if t > top:
-                    lead, top, gap = j, t, t - top
-                elif top - t < gap:
-                    gap = top - t
-            return lead, top, gap, abs(yf) + abs(vx) + avy
-
-        def polygon_difference(p, q, dx):
-            lead_p, top_p, gap_p, s_p = p
-            lead_q, top_q, gap_q, s_q = q
-            mp_err = mp_rel * (s_p + s_q) * inv_rho
-            margin = 2.0 * rel * inv_rho
-            if lead_p == lead_q and gap_p > margin * s_p and gap_q > margin * s_q:
-                return dx * slopes[lead_p], rel * abs(dx) * inv_rho + mp_err
-            return top_p - top_q, rel * (s_p + s_q) * inv_rho + mp_err
-
-        return polygon_point, polygon_difference
-
-    if isinstance(vset, Ball):  # an unrotated ellipse with a = b = r
-        cos, sin, a, b = 1.0, 0.0, vset.r, vset.r
-    else:
-        cos, sin, a, b = math.cos(-vset.rot), math.sin(-vset.rot), vset.a, vset.b
-    sin_vy, cos_vy = sin * vy, cos * vy
-    mx, my = cos / a, sin / b
-
-    def smooth_point(yf, vx):
-        """(w_x, w_y, gamma, s)."""
-        wx = (cos * vx - sin_vy) / a
-        wy = (sin * vx + cos_vy) / b
-        return wx, wy, math.hypot(wx, wy), abs(yf) + abs(vx) + avy
-
-    def smooth_difference(p, q, dx):
-        wx_p, wy_p, g_p, s_p = p
-        wx_q, wy_q, g_q, s_q = q
-        g = g_p + g_q
-        scale = (s_p + s_q) * inv_rho
-        return (dx * ((mx * (wx_p + wx_q) + my * (wy_p + wy_q)) / g),
-                rel * (1.0 + scale / g) * abs(dx) * inv_rho + mp_rel * scale)
-
-    return smooth_point, smooth_difference
-
-
 def _step_screen(problem, sides):
     """Float screen for phi(c) - phi(d) at golden points of the float bracket of sides.
 
@@ -437,14 +434,13 @@ def _step_screen(problem, sides):
     such data and delta, the float nearest the exact y_p - y_q, and returns
     (D, E) with
     |D - (phi_p - phi_q)| <= E for the 136-bit values phi_p, phi_q that
-    _objective_raw gives.  Each side contributes its _side_screen pair (F0's
+    _objective_raw gives.  Each side contributes its `_term` screen (F0's
     vx is y - x0_x, moving by delta; F1's is x1_x - y, moving by -delta).
     Then D + E < 0 proves phi_p < phi_q and D - E > 0 proves phi_p > phi_q;
     float rounding keeps the sign of a sum, so these tests are exact.
     """
     x0x, x1x = float(problem.x0[0]), float(problem.x1[0])
-    point0, difference0 = _side_screen(*sides[0])
-    point1, difference1 = _side_screen(*sides[1])
+    (_, point0, difference0), (_, point1, difference1) = sides
 
     def point(yf):
         return point0(yf, yf - x0x), point1(yf, x1x - yf)

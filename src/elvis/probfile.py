@@ -1,9 +1,9 @@
 """Problem and sweep files: JSON documents with a fixed key set.
 
-Unknown keys are rejected so that typos fail loudly, and every number must be
-a finite JSON number (not a string, boolean, NaN or Infinity).  Parsing errors
-raise ProblemFormatError with the offending key named; semantic violations
-raise the usual ValidationError subclasses.
+Unknown and repeated keys are rejected so that typos fail loudly, and every
+number must be a finite JSON number (not a string, boolean, NaN or
+Infinity).  Parsing errors raise ProblemFormatError with the offending key
+named; semantic violations raise the usual ValidationError subclasses.
 """
 
 import dataclasses
@@ -104,10 +104,20 @@ def parse_set(obj, where):
     })
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a key given twice raises ProblemFormatError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ProblemFormatError(f"repeated key {repeated!r}")
+    return obj
+
+
 def _read_document(text, where, required, allowed):
     """JSON text -> its top-level object, checked by _object."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from None
     return _object(doc, where, required, allowed)

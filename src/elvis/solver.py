@@ -312,14 +312,15 @@ def _residual_side(problem, line0, line1):
     # The kernels' directions are (y - x0_x, 0 - x0_y) and (x1_x - y, x1_y - 0).
     if line0 is None or line1 is None:
         face0 = face1 = _no_face
+        err = math.inf
     else:
-        face0, face1 = line0.face, line1.face
+        face0, face1, err = line0.face, line1.face, line0.err + line1.err
 
     def side(y):
         fast0, fast1 = face0(y - x0x), face1(x1x - y)
         if fast0 is not None and fast1 is not None:
-            (a0, b0, err0), (a1m, b1m, err1) = fast0, fast1
-            lo, hi, err = a0 - b1m, b0 - a1m, err0 + err1
+            (a0, b0), (a1m, b1m) = fast0, fast1
+            lo, hi = a0 - b1m, b0 - a1m
             if lo - err > eps:
                 return 1
             if hi + err < -eps:
@@ -459,12 +460,13 @@ def _thresholds(problem, l, r, line0, line1):
     if not (max(abs(l - x0x), abs(r - x0x)) <= line0.reach
             and max(abs(x1x - l), abs(x1x - r)) <= line1.reach):
         return a, c, d, b
-    form0, form1, bound = line0.strict, line1.strict, 2.0 * (line0.bound + line1.bound)
+    form0, form1 = line0.strict, line1.strict
+    m = line0.err + line1.err + 2.0 * (line0.bound + line1.bound)
     # The window (p, q) holds both crossings; pv and qv are the residual just inside it
     # (hi at p, lo at q: at a kink the interval spans the jump), None until probed.
     p, q, pv, qv = l, r, None, None
     moves = []  # (t, residual) of every probe that moved the window
-    latest = None  # (t, residual, m) of the latest probe
+    latest = None  # (t, residual) of the latest probe
 
     def probe(t):
         """Probe at t, a point of [p, q]: tighten the thresholds and the window.  Returns
@@ -474,9 +476,9 @@ def _thresholds(problem, l, r, line0, line1):
         fast0, fast1 = form0(t - x0x), form1(x1x - t)
         if fast0 is None or fast1 is None:
             return None
-        (a0, b0, err0), (a1m, b1m, err1) = fast0, fast1
-        lo, hi, m = a0 - b1m, b0 - a1m, err0 + err1 + bound
-        latest = t, 0.5 * (lo + hi), m
+        (a0, b0), (a1m, b1m) = fast0, fast1
+        lo, hi = a0 - b1m, b0 - a1m
+        latest = t, 0.5 * (lo + hi)
         if hi - m > -eps and t < c:
             c = t
         if lo + m < eps and t > d:
@@ -551,7 +553,7 @@ def _thresholds(problem, l, r, line0, line1):
             sign = probe(t)
             if sign is None:
                 return a, c, d, b
-            if sign == 0 or abs(latest[1]) < _AIM_FROM * (eps + latest[2]):
+            if sign == 0 or abs(latest[1]) < _AIM_FROM * (eps + m):
                 break
             if sign < 0:
                 fp = pv
@@ -566,7 +568,7 @@ def _thresholds(problem, l, r, line0, line1):
             return a, c, d, b
     # The latest probe lies near a crossing: aim one probe just outside each crossing,
     # along the line through it and the last probe before it that moved the window.
-    t, f, m = latest
+    t, f = latest
     before = [move for move in moves if move[0] != t]
     if before:
         slope = (f - before[-1][1]) / (t - before[-1][0])

@@ -47,6 +47,11 @@ MALFORMED = {
     "rot_nan": (dict(ELLIPTIC, F0={"kind": "ellipse", "a": 1, "b": 0.5, "rot": float("nan")}), 1),
     "epsilon_inf": (dict(ELLIPTIC, epsilon=float("inf")), 1),
     "not_utf8": (NOT_UTF8, 1),
+    # A key given twice, at the top level and inside a set: json.loads alone keeps the last.
+    "repeated_x0": (b'{"x0": [0, -1], "x1": [1, 1], "x0": [5, -1], "F0": {"kind": "ball", "r": 1}, '
+                    b'"F1": {"kind": "ball", "r": 1}}', 1),
+    "repeated_r": (b'{"x0": [0, -1], "x1": [1, 1], "F0": {"kind": "ball", "r": 1, "r": 2}, '
+                   b'"F1": {"kind": "ball", "r": 1}}', 1),
 }
 BALL_SWEEP = {
     "x0": [0, -1],
@@ -244,6 +249,15 @@ class TestSweep:
                                  str(out_csv)], capsys)
         assert code == 1
         assert err.startswith("parse error: file is not UTF-8 text")
+        assert not out_csv.exists()
+
+    def test_repeated_key(self, tmp_path, capsys):
+        text = json.dumps(BALL_SWEEP)[:-1] + ', "x0": [5, -1]}'
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = run_main(["sweep", write(tmp_path, "s.json", text.encode()), "--out",
+                                 str(out_csv)], capsys)
+        assert code == 1
+        assert err.startswith("parse error: repeated key 'x0'")
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("key, value, expected", [

@@ -253,10 +253,8 @@ def reference_line_table(points, normals, fp, radius, h_min):
     sound = [a["right"]["far_s"] + b["left"]["far_s"] + 2.0 * (a["lam"] + b["lam"]) < b["left"]["length"]
              for a, b in zip(vertices, vertices[1:])]
 
-    err = rel * max(abs(p[0]) for p in fp)
-
     def facet(i):
-        return fp[i][0], fp[i][0], err
+        return fp[i][0], fp[i][0]
 
     slots = []  # (the ratio the slot ends at, line answer, threshold answer)
     for m in range(len(sound)):
@@ -269,7 +267,7 @@ def reference_line_table(points, normals, fp, radius, h_min):
         slots.append((v["left"]["far"], f, f))
         if m + 1 < len(sound) and sound[m + 1]:
             lo, hi = sorted((fp[v["w"] - 1][0], fp[v["w"]][0]))
-            snap = (lo, hi, err) if v["snaps"] else None
+            snap = (lo, hi) if v["snaps"] else None
             g = facet(v["w"] - 1)
             slots += [(v["left"]["near"], f, None), (v["left"]["core"], None, None),
                       (v["right"]["core"], snap, snap), (v["right"]["near"], None, None),
@@ -279,7 +277,7 @@ def reference_line_table(points, normals, fp, radius, h_min):
     scales_ok = all(2.0**-64 <= x <= 2.0**64 for x in (h_min, radius)) and radius <= 2.0**16 * h_min
     if scales_ok and all(a <= b for a, b in zip(cuts, cuts[1:])):
         table = (tuple(cuts), tuple(a for _, a, _ in slots) + (None,),
-                 tuple(b for _, _, b in slots) + (None,))
+                 tuple(b for _, _, b in slots) + (None,), rel * max(abs(p[0]) for p in fp))
     return tuple(q for q, _ in upper), flanks, table
 
 
@@ -635,18 +633,19 @@ def check_line_form(vset, vy, vxs, face=None):
     """Every answer of vset.line_form(vy)'s face, or of the form face along vy, on vxs
     against normal_face's x-range.
 
-    The answer keeps the guarantee of the module notes, and a polygon's face
-    is the kernel's, bit for bit.  Returns the answered (lo, hi) pairs and
-    the number of calls that gave up.
+    The answer keeps the guarantee of the module notes with the form's err,
+    and a polygon's face is the kernel's, bit for bit.  Returns the answered
+    (lo, hi) pairs and the number of calls that gave up.
     """
-    face = face or vset.line_form(vy).face
+    form = vset.line_form(vy)
+    face, err = face or form.face, form.err
     answers, gave_up = [], 0
     for vx in vxs:
         got = face(vx)
         if got is None:
             gave_up += 1
             continue
-        lo, hi, err = got
+        lo, hi = got
         lo_k, hi_k = (float(x) for x in normal_face(vset, (vx, vy)).x_range)
         m = max(abs(lo), abs(hi))
         assert 1.01 * (abs(lo - lo_k) + 2.0 * U * m) <= err, (vset, vy, vx)
@@ -827,6 +826,28 @@ class TestLineFace:
                 gave_up += missed
         assert gave_up <= 0.01 * answered
 
+    def test_ellipse_at_its_limits(self):
+        """Ellipses with aspect ratios up to the forms' 2**16, rotations 0, +-pi/2 and 1e-12,
+        and |vx|/vy up to 2**60: every answer lies within the form's err of the kernel and,
+        with the kernel's, within E of the exact gradient."""
+        rng = np.random.default_rng(48)
+        answered = 0
+        for rot in (0.0, 0.5 * math.pi, -0.5 * math.pi, 1e-12, float(rng.uniform(-math.pi, math.pi))):
+            for k in [2.0**16, 1.0] + (2.0 ** rng.uniform(0.0, 16.0, 8)).tolist():
+                m = 2.0 ** float(rng.uniform(-8.0, 8.0))
+                vset = validate(Ellipse(m, m * k, rot) if rng.integers(2) else Ellipse(m * k, m, rot))
+                vy = 2.0 ** float(rng.uniform(-2.0, 2.0))
+                vxs = (vy * rng.choice((-1.0, 1.0), 30) * 2.0 ** rng.uniform(-60.0, 60.0, 30)).tolist()
+                answers, missed = check_line_form(vset, vy, vxs)
+                assert missed == 0
+                bound = vset.line_form(vy).bound
+                for vx, (lo, _) in zip(vxs, answers):
+                    exact = TestThresholdFace.exact_x(vset, vx, vy)
+                    kernel = float(normal_face(vset, [vx, vy]).zeta_lo[0])
+                    assert max(abs(kernel - exact), abs(lo - exact)) <= bound, (vset, vy, vx)
+                answered += len(answers)
+        assert answered == 5 * 10 * 30
+
     def test_outside_the_error_model(self):
         """Scales outside [2**-64, 2**64], aspect ratios past 2**16 and |vx| > 2**64 give up."""
         assert Ball(1e-30).line_form(1.0) is None
@@ -867,12 +888,12 @@ class TestThresholdFace:
         for _ in range(40):
             vset = random_row_set(rng, kind)
             vy = float(10.0 ** rng.uniform(-2, 2))
-            face, strict, bound, kinks, flanks, reach = vset.line_form(vy)
+            face, strict, _, bound, kinks, flanks, reach = vset.line_form(vy)
             assert strict is face and kinks == flanks == () and reach == math.inf
             for vx in (rng.normal(size=25) * 10.0 ** rng.uniform(-3, 3, 25) * vy).tolist():
                 exact = self.exact_x(vset, vx, vy)
                 kernel = float(normal_face(vset, [vx, vy]).zeta_lo[0])
-                lo, hi, _ = face(vx)
+                lo, hi = face(vx)
                 assert lo == hi
                 gap = max(abs(kernel - exact), abs(lo - exact))
                 assert gap <= bound
@@ -886,7 +907,7 @@ class TestThresholdFace:
         poly = egg_polygon()
         dropped = 0
         for vy in (0.3, 1.0, 2.5):
-            face, strict, bound, kinks, flanks, reach = poly.line_form(vy)
+            face, strict, _, bound, kinks, flanks, reach = poly.line_form(vy)
             assert bound == 0.0 and kinks == poly.kinks and reach > 1000.0 * vy
             assert flanks == poly.kink_flanks
             for k in kinks:
@@ -900,7 +921,7 @@ class TestThresholdFace:
             for flank in flanks:
                 for ratio in flank:
                     if ratio is not None:
-                        lo, hi, _ = strict(vy * ratio)
+                        lo, hi = strict(vy * ratio)
                         assert lo == hi
         assert dropped > 0
 

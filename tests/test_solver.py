@@ -660,8 +660,8 @@ class TestLookahead:
         face0 = p.F0.line_form(-p.x0[1]).face
         face1 = p.F1.line_form(p.x1[1]).face
         for y in np.linspace(-3.0, 3.0, 4001).tolist():
-            a0, _, _ = face0(y - p.x0[0])
-            _, b1m, _ = face1(p.x1[0] - y)
+            a0, _ = face0(y - p.x0[0])
+            _, b1m = face1(p.x1[0] - y)
             lo, lo_kernel = a0 - b1m, delta(p, y).lo
             if lo > lo_kernel > 0.0:
                 break
