@@ -11,19 +11,21 @@ the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.
 Each question is first put to float values with a proven error bound, in
 the manner of adaptive-precision predicates (Shewchuk, Discrete Comput.
 Geom. 18, 1997).  Only what the bound leaves open is settled by the exact
-values.  The grid's float values are `crossing_time`'s own, with a bound on
-their distance to the exact phi.  They are taken at every 64th point
-first; since phi is convex, a point that is certainly above another rules
-out every grid point beyond it, so the rest of the grid is evaluated only
-in the coarse cells left open, usually two (the batched rows are bit-equal
-to the full call's).  Only the grid points that are read are formed: the
-coarse points, the open cells and the two neighbours of the least one, each
-with the bits np.linspace gives it (see _grid_points); the unscreened path
-and flat_minimum_interval form the whole grid the same way.  A golden step
-is screened by a float form of phi(c) - phi(d).  The golden points are the
-136-bit values libmp's operations give, kept as Python integers of one
-binary frame and rounded as libmp rounds, and the 136-bit phi of a point
-is computed on first need and kept.  That phi does mpmath arithmetic on
+values.  The grid's float values are `crossing_time`'s own, with one
+scalar bound on their distance to the exact phi over the whole grid.  They
+are taken at every 64th point first; since phi is convex, a point that is
+certainly above another rules out every grid point beyond it, so the rest
+of the grid is evaluated only in the coarse cells left open, usually two
+(the batched rows are bit-equal to the full call's).  Only the grid points
+that are read are formed: the coarse points, the open cells and the two
+neighbours of the least one, each with the bits np.linspace gives it (see
+_grid_points); the unscreened path and flat_minimum_interval form the whole
+grid the same way.  A golden step is screened by a float form of
+phi(c) - phi(d): the refine asks each gauge term's own float screen and
+sums the two answers.  The golden points are the 136-bit values libmp's
+operations give, kept as Python integers of one binary frame and rounded as
+libmp rounds, and the 136-bit phi of a point is computed on first need and
+kept.  That phi does mpmath arithmetic on
 raw libmp values, calling the functions mpf's operators call, in the same
 order: the gauge terms that do not depend on y are computed once per call,
 and a polygon keeps only the facets that can attain its maximum on the
@@ -66,7 +68,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import ValidationError, ZeroVectorError
+from .errors import ElvisError, ValidationError, ZeroVectorError
 from .geometry import _SCALE_MAX, _SCALE_MIN, Ball, Ellipse, Polygon, support
 from .solver import crossing_time, expand_bracket
 
@@ -88,7 +90,7 @@ _GRID_INDEX = np.arange(GRID_POINTS)
 _COARSE_INDEX = np.append(_GRID_INDEX[:-1:_COARSE], GRID_POINTS - 1)
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
-# whose derivation needs less (see _grid_screen and _term); math.inf
+# whose derivation needs less (see _open_window and _term); math.inf
 # sends every decision to the exact values.
 _GRID_REL = 1e-12  # about 9000 u; the derivation needs 13 u
 _STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
@@ -230,7 +232,7 @@ def _term(vset, vy, vx_ends):
     by under 7.4 u G/rho + eps/rho, so h by under (11.5 u + 26 u A/(rho G))/rho
     and D = dx*h by under 26 u |dx|/rho (1 + A/(rho G)).  E takes _STEP_REL
     for 26 u; the slack covers terms of order u**2 and the roundings of the
-    sums that _step_screen forms.
+    sums that _refine forms.
 
     Polygon, only the live facets (the maximum over them is the gauge on
     vx_ends).  A facet term (n_x*vx + n_y*vy)/h errs by under 4.1 u s/rho,
@@ -354,9 +356,25 @@ def _well_scaled(problem, ends, tol):
 
 
 def _grid_screen(problem, ys):
-    """(v, bound): v = crossing_time(problem, ys) and a bound on its distance to the exact phi.
+    """(v, bound): v = crossing_time(problem, ys) and one bound on its distance to the exact phi.
 
-    |v_i - phi(y_i)| <= bound_i, with phi the exact objective of the sets'
+    bound is _open_window's per-point bound at whichever end of ys gives the
+    larger value, formed on Python floats; it bounds |v_i - phi(y_i)| at
+    every point between the ends (see _open_window).
+    """
+    x0x, x0y = (float(u) for u in problem.x0)
+    x1x, x1y = (float(u) for u in problem.x1)
+    rho0, rho1 = problem.F0.inner_radius, problem.F1.inner_radius
+    bound = max(_GRID_REL * ((abs(y - x0x) + abs(x0y)) / rho0 + (abs(x1x - y) + abs(x1y)) / rho1)
+                for y in (float(ys[0]), float(ys[-1])))
+    return crossing_time(problem, ys), bound
+
+
+def _open_window(problem, l, r):
+    """(lo, hi): crossing_time at each grid point of [l, r] outside lo:hi is above its least value.
+
+    The bound: |v_i - phi(y_i)| <= bound_i at each grid point y_i, with
+    v = crossing_time(problem, ys), phi the exact objective of the sets'
     float constants (the one _objective_raw evaluates to 136 bits), and
     bound_i = _GRID_REL*(|v0|_1/rho0 + |v1|_1/rho1) for the vectors
     v0 = (y - x0_x, -x0_y), v1 = (x1_x - y, x1_y) that crossing_time forms,
@@ -371,43 +389,32 @@ def _grid_screen(problem, ys):
     a polygon each facet term errs by under 3.1 u |v|_1/rho (|n| <= 1 + 3u,
     the dot product, the quotient by h >= rho), and so does their max.  The
     final sum adds u (gamma_0 + gamma_1).  That is under 9.1 u in all, and
-    the roundings of bound and of v -+ bound add under 3 u, against
-    _GRID_REL of about 9000 u.
-    """
-    x0x, x0y = (float(u) for u in problem.x0)
-    x1x, x1y = (float(u) for u in problem.x1)
-    bound = _GRID_REL * ((np.abs(ys - x0x) + abs(x0y)) / problem.F0.inner_radius
-                         + (np.abs(x1x - ys) + abs(x1y)) / problem.F1.inner_radius)
-    return crossing_time(problem, ys), bound
+    the roundings of the bound add under 3 u, against _GRID_REL of about
+    9000 u.  bound_i is convex in y, so its largest value on the grid is at
+    a grid end: B, the larger of the two (see _grid_screen), bounds
+    |v_i - phi(y_i)| at every grid point.
 
-
-def _open_window(problem, l, r):
-    """(lo, hi): crossing_time at each grid point of [l, r] outside lo:hi is above its least value.
-
-    The screen (see _grid_screen) runs on the coarse points.  Let
-    U = min (v + bound) over them, reached first at coarse point j, and B the
-    largest coarse bound.  B bounds |v_i - phi(y_i)| at every grid point,
-    since |v|_1/rho is convex in y and so greatest at a grid end.
-    A coarse p < j with v_p - bound_p - B > U has
-    phi(y_p) >= v_p - bound_p > U >= phi(y_j), so phi, being convex, is at
-    least phi(y_p) at every y_i <= y_p, and there
-    v_i >= phi(y_i) - B >= v_p - bound_p - B > U >= v_j >= v_m, the least v.
+    The screen (see _grid_screen) runs on the coarse points, whose least v
+    is reached first at coarse point j.  A coarse p < j with
+    v_p > v_j + 3B has phi(y_p) >= v_p - B > v_j + 2B >= phi(y_j) + B, so
+    phi, being convex, is at least phi(y_p) at every y_i <= y_p, and there
+    v_i >= phi(y_i) - B >= v_p - 2B > v_j + B > v_j >= v_m, the least v.
     No such i is an argmin of v or ties one.  The coarse q > j are the
     mirror image.  lo is one past the last such p and hi the first such q:
-    (0, the grid size) if there is none.  The two float roundings of the
-    test add under 3 u |v_p| + u B, inside the slack of _GRID_REL.  The
-    tests run from j outward on a list of v_p - bound_p - B and stop at the
-    first point that passes, the only one that sets lo (or hi).
+    (0, the grid size) if there is none.  As phi >= 0,
+    |v_j| <= B (1 + 1/_GRID_REL), so the float roundings of the cut
+    v_j + 3B add under u |v_j| + 7 u B, about 1.2e-4 B, inside the slack
+    of _GRID_REL.  The tests run from j outward and stop at the first point
+    that passes, the only one that sets lo (or hi).
     """
     idx = _COARSE_INDEX if r > l else _GRID_INDEX[:1]
     v, bound = _grid_screen(problem, _grid_points(l, r, idx))
-    upper = v + bound
-    j = int(np.argmin(upper))
-    cut = float(upper[j])
-    low = (v - bound - np.max(bound)).tolist()
+    v = v.tolist()
+    j = v.index(min(v))
+    cut = v[j] + 3.0 * bound
     coarse = idx.tolist()
-    lo = next((coarse[p] + 1 for p in range(j - 1, -1, -1) if low[p] > cut), 0)
-    hi = next((coarse[q] for q in range(j + 1, len(low)) if low[q] > cut), coarse[-1] + 1)
+    lo = next((coarse[p] + 1 for p in range(j - 1, -1, -1) if v[p] > cut), 0)
+    hi = next((coarse[q] for q in range(j + 1, len(v)) if v[q] > cut), coarse[-1] + 1)
     return lo, hi
 
 
@@ -424,33 +431,6 @@ def _grid_argmin(problem, l, r, screened):
         return int(np.argmin(crossing_time(problem, _grid_points(l, r, _grid_index(l, r)))))
     lo, hi = _open_window(problem, l, r)
     return lo + int(np.argmin(crossing_time(problem, _grid_points(l, r, _GRID_INDEX[lo:hi]))))
-
-
-def _step_screen(problem, sides):
-    """Float screen for phi(c) - phi(d) at golden points of the float bracket of sides.
-
-    Returns (point, difference).  point(yf) gives the float data of a golden
-    point y from yf, the float nearest y; difference(p, q, delta) takes two
-    such data and delta, the float nearest the exact y_p - y_q, and returns
-    (D, E) with
-    |D - (phi_p - phi_q)| <= E for the 136-bit values phi_p, phi_q that
-    _objective_raw gives.  Each side contributes its `_term` screen (F0's
-    vx is y - x0_x, moving by delta; F1's is x1_x - y, moving by -delta).
-    Then D + E < 0 proves phi_p < phi_q and D - E > 0 proves phi_p > phi_q;
-    float rounding keeps the sign of a sum, so these tests are exact.
-    """
-    x0x, x1x = float(problem.x0[0]), float(problem.x1[0])
-    (_, point0, difference0), (_, point1, difference1) = sides
-
-    def point(yf):
-        return point0(yf, yf - x0x), point1(yf, x1x - yf)
-
-    def difference(p, q, delta):
-        d0, e0 = difference0(p[0], q[0], delta)
-        d1, e1 = difference1(p[1], q[1], -delta)
-        return d0 + d1, e0 + e1
-
-    return point, difference
 
 
 def _grid(problem):
@@ -530,8 +510,16 @@ def _refine(a, b, tol, objective, screen):
     The exact phi decides a step; objective() builds it, on first need (a
     screened call usually has none).  phi takes a raw mpf, from_man_exp(n,
     frame), and a point's value is computed on first need and kept.  With
-    screen, the (point, difference) pair of _step_screen, a step is first
-    put to the float screen, and phi settles only what its bound leaves open.
+    screen, (x0_x, x1_x, sides) of the problem (see _sides), a step is
+    first put to the float screens of both gauge terms (see _term).  A
+    point y keeps each side's point data, from yf, the float nearest y, and
+    the side's vx: F0's is yf - x0_x and F1's is x1_x - yf.  Each side's
+    difference takes dx, the float nearest the exact y_c - y_d, as F0's vx
+    moves by dx and F1's by -dx.  The sums D and E of the two sides' answers
+    give |D - (phi(c) - phi(d))| <= E for the 136-bit values, so D + E < 0
+    proves phi(c) < phi(d) and D - E > 0 proves phi(c) > phi(d); float
+    rounding keeps the sign of a sum, so these tests are exact.  phi
+    settles only what E leaves open.
     """
     (na, da), (nb, db), (nt, dt) = (x.as_integer_ratio() for x in (a, b, tol))
     frame = 1 - max(da, db).bit_length()
@@ -539,11 +527,12 @@ def _refine(a, b, tol, objective, screen):
     if tops:
         frame = min(frame, min(tops) + 1 - _PREC)
     a, b, tol_n = _scaled(na, da, frame), _scaled(nb, db, frame), _scaled(nt, dt, frame)
-    screen_point, screen_difference = screen or (None, None)
+    if screen:
+        x0x, x1x, ((_, point0, difference0), (_, point1, difference1)) = screen
     phi = None
 
     def golden_point(base, sign, keep):
-        """[n, float screen data, phi once needed] for base + sign*_INV_GOLDEN*w, rounded.
+        """[n, F0's and F1's screen data, phi once needed] for base + sign*_INV_GOLDEN*w, rounded.
 
         keep is the other live point, rescaled with a, b and w if the frame deepens.
         """
@@ -561,22 +550,10 @@ def _refine(a, b, tol, objective, screen):
             a, b, w, keep[0] = a << -k, b << -k, w << -k, keep[0] << -k
             frame += k
             tol_n = _scaled(nt, dt, frame)
-        return [y, screen_point(math.ldexp(float(y), frame)) if screen else None, None]
-
-    def less(p, q):
-        """phi(p) < phi(q): by the float screen when its bound settles it, else exactly."""
-        nonlocal phi
-        if screen:
-            diff, err = screen_difference(p[1], q[1], math.ldexp(float(p[0] - q[0]), frame))
-            if diff + err < 0:
-                return True
-            if diff - err > 0:
-                return False
-        phi = phi or objective()
-        for pt in (p, q):
-            if pt[2] is None:
-                pt[2] = phi(from_man_exp(pt[0], frame))
-        return mpf_lt(p[2], q[2])
+        if not screen:
+            return [y, None, None, None]
+        yf = math.ldexp(float(y), frame)
+        return [y, point0(yf, yf - x0x), point1(yf, x1x - yf), None]
 
     m, k = _round(b - a)
     w = m << k
@@ -584,7 +561,22 @@ def _refine(a, b, tol, objective, screen):
     d = golden_point(a, 1, c)
     while w > tol_n:
         w_last = w
-        lower = less(c, d)
+        lower = None
+        if screen:
+            dx = math.ldexp(float(c[0] - d[0]), frame)
+            diff0, err0 = difference0(c[1], d[1], dx)
+            diff1, err1 = difference1(c[2], d[2], -dx)
+            diff, err = diff0 + diff1, err0 + err1
+            if diff + err < 0:
+                lower = True
+            elif diff - err > 0:
+                lower = False
+        if lower is None:
+            phi = phi or objective()
+            for pt in (c, d):
+                if pt[3] is None:
+                    pt[3] = phi(from_man_exp(pt[0], frame))
+            lower = mpf_lt(c[3], d[3])
         if lower:
             b, d = d[0], c
         else:
@@ -621,7 +613,7 @@ def minimize_objective(problem, cfg=None):
     a = _grid_points(l, r, max(i - 1, 0))
     b = _grid_points(l, r, min(i + 1, n - 1))
     sides = _sides(problem, a, b)
-    screen = _step_screen(problem, sides) if screened else None
+    screen = (float(problem.x0[0]), float(problem.x1[0]), sides) if screened else None
     y_star = _refine(a, b, cfg.golden_tol,
                      lambda: _objective_raw(problem, sides, _PREC, round_nearest), screen)
     return y_star, crossing_time(problem, y_star)
@@ -642,7 +634,12 @@ def flat_minimum_interval(problem, cfg=None):
 
 
 def sample_interior(vset, n, rng):
-    """Uniform-ish samples from F by rejection inside its support bounding box."""
+    """Uniform-ish samples from F by rejection inside its support bounding box.
+
+    Raises ElvisError when MAX_REJECTIONS_PER_SAMPLE * n draws do not give n
+    samples, as on a valid set that fills under 1/MAX_REJECTIONS_PER_SAMPLE
+    of its box (a thin ellipse rotated by pi/4).
+    """
     xb = support(vset, np.array([1.0, 0.0]))
     xa = -support(vset, np.array([-1.0, 0.0]))
     yb = support(vset, np.array([0.0, 1.0]))
@@ -652,7 +649,7 @@ def sample_interior(vset, n, rng):
     while len(out) < n:
         tries += 1
         if tries > MAX_REJECTIONS_PER_SAMPLE * n:
-            raise RuntimeError("rejection sampling failed to fill the request")
+            raise ElvisError("rejection sampling failed to fill the request")
         p = np.array([rng.uniform(xa, xb), rng.uniform(ya, yb)])
         if contains(vset, p):
             out.append(p)

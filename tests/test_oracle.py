@@ -25,6 +25,7 @@ import elvis
 from elvis import (
     Ball,
     Ellipse,
+    ElvisError,
     OracleConfig,
     Polygon,
     ValidationError,
@@ -210,6 +211,13 @@ class TestContains:
         assert contains(Ellipse(1e200, 2e200, 0.3), (0.5e200, 0.0))
 
 
+def test_sample_interior_of_a_thin_set():
+    # A valid ellipse that fills under 1/1000 of its bounding box: rejection gives up, typed.
+    thin = validate(Ellipse(1.0, 1e-4, math.pi / 4))
+    with pytest.raises(ElvisError, match="rejection sampling"):
+        oracle.sample_interior(thin, 5, np.random.default_rng(37))
+
+
 class TestLazyImport:
     def test_cli_does_not_load_the_oracle(self):
         code = ("import sys\n"
@@ -375,6 +383,36 @@ class TestRawRefine:
             assert abs(phi_star - exact) <= 1e-13 * max(1.0, float(exact))
 
 
+def grid_bound(problem, ys):
+    """The per-point bound of _open_window's lemma on |crossing_time - phi| at the grid points ys."""
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    return oracle._GRID_REL * ((np.abs(ys - x0x) + abs(x0y)) / problem.F0.inner_radius
+                               + (np.abs(x1x - ys) + abs(x1y)) / problem.F1.inner_radius)
+
+
+def step_screen(problem, sides):
+    """(point, difference): the float screen of phi(c) - phi(d) that _refine forms from the
+    two sides' `_term` screens.
+
+    point(yf) gives a golden point's data from yf, the float nearest it;
+    difference(p, q, delta) takes two such data and delta, the float nearest
+    the exact y_p - y_q, and returns (D, E) with |D - (phi_p - phi_q)| <= E.
+    """
+    x0x, x1x = float(problem.x0[0]), float(problem.x1[0])
+    (_, point0, difference0), (_, point1, difference1) = sides
+
+    def point(yf):
+        return point0(yf, yf - x0x), point1(yf, x1x - yf)
+
+    def difference(p, q, delta):
+        d0, e0 = difference0(p[0], q[0], delta)
+        d1, e1 = difference1(p[1], q[1], -delta)
+        return d0 + d1, e0 + e1
+
+    return point, difference
+
+
 def translated(problem, shift):
     """The problem moved by shift along the interface."""
     x0, x1 = problem.x0, problem.x1
@@ -393,8 +431,11 @@ class TestFloatScreen:
         for _ in range(3):
             p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
             ys = linspace_grid(*oracle._grid(p))
-            _, bound = oracle._grid_screen(p, ys)
+            bound = grid_bound(p, ys)
             vals = crossing_time(p, ys)
+            # The screen's one bound B, taken on the coarse points, covers every grid point's.
+            _, b = oracle._grid_screen(p, ys[oracle._COARSE_INDEX])
+            assert np.all(bound <= b)
             # bound holds against the exact phi, here at 60 digits.
             with mp.workdps(60):
                 prec, rnd = mp.mp._prec_rounding
@@ -416,7 +457,7 @@ class TestFloatScreen:
                 prec, rnd = mp.mp._prec_rounding
                 sides = oracle._sides(p, a, b)
                 phi = oracle._objective_raw(p, sides, prec, rnd)
-                point, difference = oracle._step_screen(p, sides)
+                point, difference = step_screen(p, sides)
                 for gap in 10.0 ** -np.arange(3, 16):
                     c = mp.mpf(a) + mp.mpf(rng.uniform(0.1, 0.4)) * (mp.mpf(b) - mp.mpf(a))
                     d = c + mp.mpf(gap) * mp.mpf(rng.uniform(1.0, 2.0))
@@ -557,9 +598,8 @@ def numpy_open_window(problem, ys):
     n = len(ys)
     coarse = np.append(np.arange(0, n - 1, oracle._COARSE), n - 1)
     v, bound = oracle._grid_screen(problem, ys[coarse])
-    upper = v + bound
-    j = int(np.argmin(upper))
-    out = np.flatnonzero(v - bound - np.max(bound) > upper[j])
+    j = int(np.argmin(v))
+    out = np.flatnonzero(v > v[j] + 3.0 * bound)
     left, right = out[out < j], out[out > j]
     lo = int(coarse[left[-1]]) + 1 if len(left) else 0
     hi = int(coarse[right[0]]) if len(right) else n
@@ -567,9 +607,9 @@ def numpy_open_window(problem, ys):
 
 
 def full_scan_argmin(problem, ys):
-    """The screened grid argmin without convexity pruning: every point screened."""
+    """The screened grid argmin without convexity pruning: every point screened by the one bound."""
     approx, bound = oracle._grid_screen(problem, ys)
-    cand = np.flatnonzero(approx - bound <= np.min(approx + bound))
+    cand = np.flatnonzero(approx - bound <= np.min(approx) + bound)
     return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
 
 
@@ -610,7 +650,7 @@ class TestPrunedScan:
             assert hi - lo < oracle.GRID_POINTS
 
     def test_sound_at_the_bound(self, monkeypatch, symmetric_ball_problem):
-        """Float phi that errs by up to 0.99 bound still gives the true argmin.
+        """Coarse float phi that errs by up to 0.99 B still gives the true argmin.
 
         Near its minimum phi varies by a few bounds over these grids, so a
         pruning test that compared approx without its bounds would cut the
@@ -660,7 +700,7 @@ def libmp_refine(problem, a, b, cfg, screened):
         prec, rnd = mp.mp._prec_rounding
         sides = oracle._sides(problem, a, b)
         phi = oracle._objective_raw(problem, sides, prec, rnd)
-        screen_point, screen_difference = oracle._step_screen(problem, sides)
+        screen_point, screen_difference = step_screen(problem, sides)
         a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
         inv_golden = oracle._INV_GOLDEN
 
