@@ -13,10 +13,12 @@ vector of shape (2,) or rows of shape (N, 2), and row n of the result is bit
 for bit the result for the vector alone.  `boundary_face` returns the face as
 the pair (zeta_lo, zeta_hi), the same array twice for a point face;
 `normal_face` wraps one vector's pair in a `NormalFace` and `normal_face_rows`
-hands the rows' pair on.  Every matrix product goes through `_matvec`, the one
-place that knows the BLAS rounding rule: `m @ v` for a vector and, for rows,
-a stacked `np.matmul` that issues one matrix-vector product per row, so each
-row is rounded exactly as `m @ v` (BLAS may fuse multiply-adds, which
+hands the rows' pair on; the solver picks points of the faces from those end
+points by one answer rule (`solver._answer`).  Every matrix product goes
+through `_matvec`, the one place that knows the BLAS rounding rule: `m @ v`
+for a vector and, for rows, a stacked `np.matmul` that issues one
+matrix-vector product per row, so each row is rounded exactly as `m @ v`
+(BLAS may fuse multiply-adds, which
 `vs @ m.T`, `einsum` or an element-wise formula would round differently).
 Components are read from the transpose, `v.T[0]` and `v.T[1]`, which are
 scalars for a vector and columns for rows.  Every shape is a frozen value,
@@ -159,15 +161,6 @@ class NormalFace:
         a, b = self.zeta_lo[0], self.zeta_hi[0]
         return (a, b) if a <= b else (b, a)
 
-    def point_with_x(self, x):
-        """Point of the face whose x-component is x (clamped to the face)."""
-        a, b = self.zeta_lo[0], self.zeta_hi[0]
-        if a == b:
-            return 0.5 * (self.zeta_lo + self.zeta_hi)
-        t = (x - a) / (b - a)
-        t = min(max(t, 0.0), 1.0)
-        return (1.0 - t) * self.zeta_lo + t * self.zeta_hi
-
 
 def _rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
@@ -187,17 +180,6 @@ def _x_range_rows(zeta_lo, zeta_hi):
     a, b = zeta_lo[:, 0], zeta_hi[:, 0]
     ordered = a <= b
     return np.where(ordered, a, b), np.where(ordered, b, a)
-
-
-def _point_with_x_rows(zeta_lo, zeta_hi, x):
-    """NormalFace.point_with_x of every row, with the same operations and clamps."""
-    a, b = zeta_lo[:, 0], zeta_hi[:, 0]
-    flat = a == b
-    t = (x - a) / np.where(flat, 1.0, b - a)
-    t = np.where(0.0 > t, 0.0, t)
-    t = np.where(1.0 < t, 1.0, t)[:, None]
-    mixed = (1.0 - t) * zeta_lo + t * zeta_hi
-    return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
 
 
 def _read_only(a):
@@ -870,16 +852,8 @@ def normal_face_rows(vset, vs):
 
     Row n is bit-equal to normal_face(vset, vs[n]).zeta_lo and .zeta_hi.
     """
-    return _face_rows(vset, vs)[0]
-
-
-def _face_rows(vset, vs):
-    """normal_face_rows(vset, vs) and the pair (g, p): the rows' gauges g and the
-    boundary points p = vs/g the faces are taken at."""
     vs = np.asarray(vs, dtype=float)
     # A row is zero only if its y-component is, so one reduction clears the usual case.
     if not vs[:, 1].all() and ((vs[:, 0] == 0.0) & (vs[:, 1] == 0.0)).any():
         raise ZeroVectorError("normal_face needs a nonzero direction")
-    g = vset.gauge(vs)
-    p = vs / g[:, None]
-    return vset.boundary_face(p), (g, p)
+    return vset.boundary_face(vs / vset.gauge(vs)[:, None])

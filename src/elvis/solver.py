@@ -19,16 +19,17 @@ certifies points a <= c <= d <= b of the bracket where the kernels decide
 -1 at every y <= a, 1 at every y >= b and 0 on [c, d], so the loop decides
 those midpoints by one comparison.  At the final y `solve` takes each
 side's gauge once, and the boundary points it gives are both the result's
-velocities and where the faces are taken, so the interval, status,
-multipliers and time come from that one evaluation.  The trace keeps each
-step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
-`delta_rows` call, bit-equal to `delta` row by row, when its rows are
-first read.
+velocities and where the faces are taken; `_answer`, the one answer rule,
+forms the interval, status and multipliers from those faces' end points on
+Python floats.  The trace keeps each step's (k, l, r, y, d) and fills in
+delta_lo and delta_hi by one `delta_rows` call, bit-equal to `delta` row by
+row, when its rows are first read.
 
 `solve_batch` runs the same loop, `_bisect`, for each of many targets x1
-that share x0, F0 and F1, then makes one row-kernel call at the abscissae
-where the nodes stopped; every node's result is equal to `solve`'s field by
-field.
+that share x0, F0 and F1, then makes one row call of the same gauge and face
+kernels per side at the abscissae where the nodes stopped, each row
+bit-equal to the vector call, and `_answer` per node; every node's result is
+equal to `solve`'s field by field.
 """
 
 import math
@@ -40,15 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BracketExpansionFailedError, NotIsotropicError, ValidationError
-from .geometry import (
-    Ball,
-    NormalFace,
-    _face_rows,
-    _point_with_x_rows,
-    _x_range_rows,
-    normal_face,
-    validate,
-)
+from .geometry import Ball, _x_range_rows, normal_face, normal_face_rows, validate
 
 MAX_BRACKET_DOUBLINGS = 64
 
@@ -195,9 +188,11 @@ def crossing_time(problem, y):
     array of phi at every entry).  A number goes through the shapes' `gauge`
     on one vector and an array through `gauge` on rows, which is bit-equal
     row by row to `gauge` on one vector, so an array gives exactly the
-    values of the per-point calls.
+    values of the per-point calls.  A non-finite y raises ValidationError.
     """
     ys = np.asarray(y, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValidationError(f"y must be finite, got {y}")
     if ys.ndim == 0:
         pt = np.array((float(ys), 0.0))
         return float(problem.F0.gauge(pt - problem.x0) + problem.F1.gauge(problem.x1 - pt))
@@ -219,65 +214,64 @@ def _offset_rows(problem, ys, x1s):
     return w0, w1
 
 
-def _residual_faces(problem, y):
-    """Delta interval at y plus the two faces it came from.
-
-    face0 holds the admissible zeta0; neg_face1 holds the admissible -zeta1
-    (the face of F1 at its own boundary point), so zeta1 ranges over the
-    negation of neg_face1.
-    """
-    yv = np.array([y, 0.0])
-    face0 = normal_face(problem.F0, yv - problem.x0)
-    neg_face1 = normal_face(problem.F1, problem.x1 - yv)
-    return _interval(face0, neg_face1), face0, neg_face1
-
-
-def _interval(face0, neg_face1):
-    """The delta interval of the faces face0 and neg_face1 (see `_residual_faces`)."""
-    a0, b0 = face0.x_range
-    a1m, b1m = neg_face1.x_range
-    return DeltaInterval(a0 - b1m, b0 - a1m)
-
-
 def delta(problem, y):
     """Interval of subgradients of phi at y (x-component range of zeta0 + zeta1)."""
-    interval, _, _ = _residual_faces(problem, y)
-    return interval
-
-
-def _residual_rows(problem, ys, x1s):
-    """_residual_faces at every ys[n] for the target x1s[n] (x1s may be one shared point).
-
-    Returns the interval ends (lo, hi), the (zeta_lo, zeta_hi) rows of face0
-    and neg_face1, each row bit-equal to the scalar call's, and per side the
-    pair (g, v): the gauges g of the rows w0 = (y, 0) - x0 (F0) and
-    w1 = x1 - (y, 0) (F1), and the boundary points v = w/g the faces are
-    taken at.
-    """
-    w0, w1 = _offset_rows(problem, ys, x1s)
-    face0, at0 = _face_rows(problem.F0, w0)
-    neg_face1, at1 = _face_rows(problem.F1, w1)
-    a0, b0 = _x_range_rows(*face0)
-    a1m, b1m = _x_range_rows(*neg_face1)
-    return a0 - b1m, b0 - a1m, face0, neg_face1, at0, at1
+    if not math.isfinite(y):
+        raise ValidationError(f"y must be finite, got {y}")
+    yv = np.array([y, 0.0])
+    a0, b0 = normal_face(problem.F0, yv - problem.x0).x_range
+    a1m, b1m = normal_face(problem.F1, problem.x1 - yv).x_range
+    return DeltaInterval(a0 - b1m, b0 - a1m)
 
 
 def delta_rows(problem, ys):
     """delta at every entry of the 1-D array ys, as arrays (lo, hi), bit-equal entry by entry."""
-    return _residual_rows(problem, np.asarray(ys, dtype=float), problem.x1)[:2]
+    ys = np.asarray(ys, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValidationError("every y must be finite")
+    w0, w1 = _offset_rows(problem, ys, problem.x1)
+    a0, b0 = _x_range_rows(*normal_face_rows(problem.F0, w0))
+    a1m, b1m = _x_range_rows(*normal_face_rows(problem.F1, w1))
+    return a0 - b1m, b0 - a1m
 
 
-def _select_multipliers(interval, face0, neg_face1):
-    """Pick zeta0, zeta1 from the faces with (zeta0 + zeta1)_x as close to 0 as possible."""
-    target = min(max(0.0, interval.lo), interval.hi)
-    a0, b0 = face0.x_range
-    a1m, b1m = neg_face1.x_range
-    # zeta1 x-range is [-b1m, -a1m]; split the target between the two faces.
+def _x_range(face):
+    """The x-range (lo, hi) of a face given as its end points ((x, y), (x, y))."""
+    a, b = face[0][0], face[1][0]
+    return (a, b) if a <= b else (b, a)
+
+
+def _point_with_x(face, x):
+    """The point of a face (its end points as pairs) with x-component x, clamped to the
+    face; the midpoint where both ends have the same x."""
+    (ax, ay), (bx, by) = face
+    if ax == bx:
+        return 0.5 * (ax + bx), 0.5 * (ay + by)
+    t = min(max((x - ax) / (bx - ax), 0.0), 1.0)
+    return (1.0 - t) * ax + t * bx, (1.0 - t) * ay + t * by
+
+
+def _answer(eps, y, time, v0, v1, face0, neg_face1, iterations, expanded):
+    """The SolveResult of a bisection that stopped at y after iterations steps.
+
+    face0 is F0's normal face at v0 and neg_face1 F1's at v1, each as the
+    float pairs of its end points; neg_face1 holds the admissible -zeta1.
+    Their x-ranges give the residual interval and so the status (prefixed
+    when expanded).  The multipliers split the interval's point nearest 0
+    between the faces: zeta0_x is that point less the largest zeta1_x,
+    clamped to F0's x-range, and zeta1_x the rest; each is the face's point
+    with that x-component (clamped to the face).
+    """
+    (a0, b0), (a1m, b1m) = _x_range(face0), _x_range(neg_face1)
+    lo, hi = a0 - b1m, b0 - a1m
+    status = _stop_status(lo, hi, eps) or STATUS_MAX_ITERATIONS
+    if expanded:
+        status = BRACKET_EXPANDED_PREFIX + status
+    target = min(max(0.0, lo), hi)
     z0x = min(max(target + a1m, a0), b0)
-    z1x = target - z0x
-    zeta0 = face0.point_with_x(z0x)
-    zeta1 = -neg_face1.point_with_x(-z1x)
-    return zeta0, zeta1
+    z1x, z1y = _point_with_x(neg_face1, -(target - z0x))
+    zeta0, zeta1 = np.array(_point_with_x(face0, z0x)), np.array((-z1x, -z1y))
+    return SolveResult(y, time, v0, v1, zeta0, zeta1, iterations, status)
 
 
 def _no_face(vx):
@@ -629,8 +623,8 @@ def solve(problem):
     every midpoint.  The midpoints are formed on Python floats, and one that
     overflows raises BracketExpansionFailedError before it is evaluated.
     At the final y each side's gauge g is taken once: v = w/g is both the
-    result's v0 or v1 and the boundary point its face is taken at, so the
-    interval, status, multipliers and time come from that one evaluation;
+    result's v0 or v1 and the boundary point its face is taken at, and
+    `_answer` forms the interval, status and multipliers from those faces;
     y, l, r and d are reported as np.float64.
     """
     steps, y, expanded = _bisect(problem, *_line_forms(problem))
@@ -643,23 +637,10 @@ def solve(problem):
     v0, v1 = w0 / g0, w1 / g1
     # normal_face at w0 and w1, taken at the boundary points v0 and v1; its zero check
     # cannot fire, as w0_y = -x0_y and w1_y = x1_y are positive.
-    face0 = NormalFace(*problem.F0.boundary_face(v0))
-    neg_face1 = NormalFace(*problem.F1.boundary_face(v1))
-    interval = _interval(face0, neg_face1)
-    status = _stop_status(interval.lo, interval.hi, problem.epsilon) or STATUS_MAX_ITERATIONS
-    if expanded:
-        status = BRACKET_EXPANDED_PREFIX + status
-    zeta0, zeta1 = _select_multipliers(interval, face0, neg_face1)
-    result = SolveResult(
-        y=y,
-        time=float(g0 + g1),
-        v0=v0,
-        v1=v1,
-        zeta0=zeta0,
-        zeta1=zeta1,
-        iterations=len(steps),
-        status=status,
-    )
+    face0 = [zeta.tolist() for zeta in problem.F0.boundary_face(v0)]
+    neg_face1 = [zeta.tolist() for zeta in problem.F1.boundary_face(v1)]
+    result = _answer(problem.epsilon, y, float(g0 + g1), v0, v1, face0, neg_face1, len(steps),
+                     expanded)
     return result, BisectionTrace(problem, steps)
 
 
@@ -669,10 +650,11 @@ def solve_batch(problem, x1s):
     problem is an ElvisProblem whose own x1 is not used (a SweepSpec is one).
     Each node runs solve's `_bisect` on its own problem, with F0's forms built
     once for all of them and F1's once per run of nodes with equal x1_y, and
-    keeps only its stopping abscissa and step count; one row-kernel call at
-    those abscissae gives every node its last interval, faces and gauges,
-    bit-equal to solve's, so its status, multipliers, time and velocities,
-    and result n equals solve(problem with x1 = x1s[n])[0] field by field.
+    keeps only its stopping abscissa and step count; one row call of the
+    gauge and face kernels per side at those abscissae gives every node its
+    gauges and faces, bit-equal to solve's vector calls, and solve's
+    `_answer` its result, so result n equals solve(problem with
+    x1 = x1s[n])[0] field by field.
     Result n is None where solve raises BracketExpansionFailedError.  Every
     x1 must be finite, with x1_y > 0 and x1_y/F1.circumradius >= 2**-1020.
     """
@@ -704,32 +686,15 @@ def solve_batch(problem, x1s):
         expanded.append(grown)
 
     y = np.array(y_end)
-    lo, hi, (zlo0, zhi0), (zlo1, zhi1), (g0, v0), (g1, v1) = _residual_rows(problem, y, x1s[solved])
-    # _select_multipliers, row by row.
-    target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
-    target = np.where(hi < target, hi, target)  # min(target, hi)
-    a0, b0 = _x_range_rows(zlo0, zhi0)
-    a1m, _ = _x_range_rows(zlo1, zhi1)
-    z0x = target + a1m
-    z0x = np.where(a0 > z0x, a0, z0x)
-    z0x = np.where(b0 < z0x, b0, z0x)
-    zeta0 = _point_with_x_rows(zlo0, zhi0, z0x)
-    zeta1 = -_point_with_x_rows(zlo1, zhi1, -(target - z0x))
-    times = (g0 + g1).tolist()
-
+    w0, w1 = _offset_rows(problem, y, x1s[solved])
+    g0, g1 = problem.F0.gauge(w0), F1.gauge(w1)
+    v0, v1 = w0 / g0[:, None], w1 / g1[:, None]
+    faces0 = zip(*(zeta.tolist() for zeta in problem.F0.boundary_face(v0)))
+    neg_faces1 = zip(*(zeta.tolist() for zeta in F1.boundary_face(v1)))
     results = [None] * len(x1s)
-    for m, (i, lo_m, hi_m) in enumerate(zip(solved, lo.tolist(), hi.tolist())):
-        status = _stop_status(lo_m, hi_m, eps) or STATUS_MAX_ITERATIONS
-        results[i] = SolveResult(
-            y=y[m],
-            time=times[m],
-            v0=v0[m],
-            v1=v1[m],
-            zeta0=zeta0[m],
-            zeta1=zeta1[m],
-            iterations=iterations[m],
-            status=BRACKET_EXPANDED_PREFIX + status if expanded[m] else status,
-        )
+    times = (g0 + g1).tolist()
+    for i, *node in zip(solved, y, times, v0, v1, faces0, neg_faces1, iterations, expanded):
+        results[i] = _answer(eps, *node)  # node holds _answer's arguments in order
     return results
 
 

@@ -198,6 +198,16 @@ class TestDelta:
             assert lo.tobytes() == np.array([iv.lo for iv in ivs]).tobytes()
             assert hi.tobytes() == np.array([iv.hi for iv in ivs]).tobytes()
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_y_raises(self, y):
+        """delta, delta_rows and crossing_time refuse a non-finite y with a ValidationError
+        naming y, not a NaN with a RuntimeWarning."""
+        p = make_problem((0.0, -1.0), (1.0, 1.0), Ball(1.0), Polygon(SQUARE0_VERTICES))
+        for call in (lambda: delta(p, y), lambda: delta_rows(p, np.array([0.0, y])),
+                     lambda: crossing_time(p, y), lambda: crossing_time(p, np.array([0.0, y]))):
+            with pytest.raises(ValidationError, match="y must be finite"):
+                call()
+
     def test_interval_monotone_over_bracket(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -402,8 +412,41 @@ def reference_expand(problem):
     return l, r, expanded
 
 
+def point_with_x(face, x):
+    """Point of the NormalFace face whose x-component is x (clamped to the face), on arrays;
+    the midpoint where both ends have the same x."""
+    a, b = face.zeta_lo[0], face.zeta_hi[0]
+    if a == b:
+        return 0.5 * (face.zeta_lo + face.zeta_hi)
+    t = (x - a) / (b - a)
+    t = min(max(t, 0.0), 1.0)
+    return (1.0 - t) * face.zeta_lo + t * face.zeta_hi
+
+
+def residual_faces(problem, y):
+    """delta at y plus the two NormalFaces it came from: face0 holds the admissible zeta0,
+    neg_face1 the admissible -zeta1 (the face of F1 at its own boundary point)."""
+    yv = np.array([y, 0.0])
+    face0 = geometry.normal_face(problem.F0, yv - problem.x0)
+    neg_face1 = geometry.normal_face(problem.F1, problem.x1 - yv)
+    (a0, b0), (a1m, b1m) = face0.x_range, neg_face1.x_range
+    return solver.DeltaInterval(a0 - b1m, b0 - a1m), face0, neg_face1
+
+
+def select_multipliers(interval, face0, neg_face1):
+    """zeta0, zeta1 from the faces with (zeta0 + zeta1)_x as close to 0 as possible, on
+    NormalFaces and np.float64: the reference for solve's multipliers."""
+    target = min(max(0.0, interval.lo), interval.hi)
+    a0, b0 = face0.x_range
+    a1m, b1m = neg_face1.x_range
+    # zeta1 x-range is [-b1m, -a1m]; split the target between the two faces.
+    z0x = min(max(target + a1m, a0), b0)
+    z1x = target - z0x
+    return point_with_x(face0, z0x), -point_with_x(neg_face1, -z1x)
+
+
 def one_level_solve(problem):
-    """solve as the plain loop: one _residual_faces call per bisection step.
+    """solve as the plain loop: one residual_faces call per bisection step.
 
     Returns the SolveResult and the list of TraceRows.
     """
@@ -414,7 +457,7 @@ def one_level_solve(problem):
     k = 0
     while True:
         y = 0.5 * (l + r)
-        interval, face0, neg_face1 = solver._residual_faces(problem, y)
+        interval, face0, neg_face1 = residual_faces(problem, y)
         rows.append(solver.TraceRow(k, l, r, y, d, interval.lo, interval.hi))
         if interval.lo <= eps and interval.hi >= -eps:
             if interval.lo < 0.0 < interval.hi:
@@ -434,7 +477,7 @@ def one_level_solve(problem):
     if expanded:
         status = solver.BRACKET_EXPANDED_PREFIX + status
 
-    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1)
+    zeta0, zeta1 = select_multipliers(interval, face0, neg_face1)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
@@ -467,13 +510,13 @@ def assert_same_solve(got, want):
 
 def two_gauge_answer(problem, steps, y, expanded):
     """solve's SolveResult at the bisection's final y formed as before each side's gauge was
-    taken once: one _residual_faces call, then both gauges again for time, v0 and v1."""
+    taken once: one residual_faces call, then both gauges again for time, v0 and v1."""
     y = np.float64(y)
-    interval, face0, neg_face1 = solver._residual_faces(problem, y)
+    interval, face0, neg_face1 = residual_faces(problem, y)
     status = solver._stop_status(interval.lo, interval.hi, problem.epsilon) or solver.STATUS_MAX_ITERATIONS
     if expanded:
         status = solver.BRACKET_EXPANDED_PREFIX + status
-    zeta0, zeta1 = solver._select_multipliers(interval, face0, neg_face1)
+    zeta0, zeta1 = select_multipliers(interval, face0, neg_face1)
     yv = np.array([y, 0.0])
     w0 = yv - problem.x0
     w1 = problem.x1 - yv
@@ -788,6 +831,29 @@ class TestThresholds:
             assert (self.check(make_problem(x0, x1, validate(f0), validate(f1)), rng) > 0) == decides
 
 
+def residual_rows(problem, ys, x1s):
+    """residual_faces at every ys[n] for the target x1s[n] (x1s may be one shared point),
+    on the row kernels: the interval ends (lo, hi) and the (zeta_lo, zeta_hi) rows of face0
+    and neg_face1, each row bit-equal to the scalar call's."""
+    w0, w1 = solver._offset_rows(problem, ys, x1s)
+    face0 = geometry.normal_face_rows(problem.F0, w0)
+    neg_face1 = geometry.normal_face_rows(problem.F1, w1)
+    a0, b0 = geometry._x_range_rows(*face0)
+    a1m, b1m = geometry._x_range_rows(*neg_face1)
+    return a0 - b1m, b0 - a1m, face0, neg_face1
+
+
+def point_with_x_rows(zeta_lo, zeta_hi, x):
+    """point_with_x of every row, with the same operations and clamps."""
+    a, b = zeta_lo[:, 0], zeta_hi[:, 0]
+    flat = a == b
+    t = (x - a) / np.where(flat, 1.0, b - a)
+    t = np.where(0.0 > t, 0.0, t)
+    t = np.where(1.0 < t, 1.0, t)[:, None]
+    mixed = (1.0 - t) * zeta_lo + t * zeta_hi
+    return np.where(flat[:, None], 0.5 * (zeta_lo + zeta_hi), mixed)
+
+
 def lockstep_expand_rows(problem, x1s):
     """expand_bracket for every target x1s[n] of an (N, 2) array, on rows.
 
@@ -807,7 +873,7 @@ def lockstep_expand_rows(problem, x1s):
         width = r[nodes] - l[nodes]
         step = np.where(1.0 > width, 1.0, width)  # max(width, 1.0)
         for tries in itertools.count():
-            lo, hi = solver._residual_rows(problem, end[nodes], x1s[nodes])[:2]
+            lo, hi = residual_rows(problem, end[nodes], x1s[nodes])[:2]
             outward = lo > eps if left else hi < -eps
             nodes, step = nodes[outward], step[outward]
             if nodes.size == 0 or tries >= solver.MAX_BRACKET_DOUBLINGS:
@@ -841,7 +907,7 @@ def lockstep_solve_batch(problem, x1s):
         if not finite.all():  # an overflowing midpoint fails its node unevaluated, as in solve
             failed[nodes[~finite]] = True
             nodes, y, l, r, d, x1_run = (a[finite] for a in (nodes, y, l, r, d, x1_run))
-        lo, hi = solver._residual_rows(problem, y, x1_run)[:2]
+        lo, hi = residual_rows(problem, y, x1_run)[:2]
         hit = (lo <= eps) & (hi >= -eps)
         stop = hit | (k + 1 >= max_iter) | (d <= 4.0 * np.spacing(np.abs(y)))
         if stop.any():
@@ -857,8 +923,8 @@ def lockstep_solve_batch(problem, x1s):
 
     solved = np.flatnonzero(~failed)
     y = y_end[solved]
-    lo, hi, (zlo0, zhi0), (zlo1, zhi1), _, _ = solver._residual_rows(problem, y, x1s[solved])
-    # _select_multipliers, row by row.
+    lo, hi, (zlo0, zhi0), (zlo1, zhi1) = residual_rows(problem, y, x1s[solved])
+    # select_multipliers, row by row.
     target = np.where(lo > 0.0, lo, 0.0)  # max(0.0, lo)
     target = np.where(hi < target, hi, target)  # min(target, hi)
     a0, b0 = geometry._x_range_rows(zlo0, zhi0)
@@ -866,8 +932,8 @@ def lockstep_solve_batch(problem, x1s):
     z0x = target + a1m
     z0x = np.where(a0 > z0x, a0, z0x)
     z0x = np.where(b0 < z0x, b0, z0x)
-    zeta0 = geometry._point_with_x_rows(zlo0, zhi0, z0x)
-    zeta1 = -geometry._point_with_x_rows(zlo1, zhi1, -(target - z0x))
+    zeta0 = point_with_x_rows(zlo0, zhi0, z0x)
+    zeta1 = -point_with_x_rows(zlo1, zhi1, -(target - z0x))
     pts = np.column_stack((y, np.zeros(len(y))))
     w0 = pts - problem.x0
     w1 = x1s[solved] - pts
@@ -924,6 +990,31 @@ def assert_batch_equals_references(problem, x1s):
     assert_same_results(results, solve_each(problem, np.asarray(x1s, dtype=float).reshape(-1, 2)))
     assert_same_results(results, lockstep_solve_batch(problem, x1s))
     return results
+
+
+@st.composite
+def batch_cases(draw, f0, f1):
+    """A problem with sets drawn by the makers f0 and f1, a max_iter and 1-8 targets, some
+    almost above x0, where anisotropic minimizers leave the first bracket."""
+    p = random_pair_problem(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), f0, f1)
+    p = dataclasses.replace(p, max_iter=draw(st.sampled_from((1, 4, 200))))
+    offsets = st.one_of(st.floats(-3.0, 3.0), st.floats(-0.05, 0.05))
+    targets = draw(st.lists(st.tuples(offsets, st.floats(0.05, 3.0)), min_size=1, max_size=8))
+    return p, np.array([(p.x0[0] + dx, x1y) for dx, x1y in targets])
+
+
+@pytest.mark.parametrize("f0", MAKERS)
+@pytest.mark.parametrize("f1", MAKERS)
+def test_solve_batch_is_per_node_solve(f0, f1):
+    """Property: solve_batch equals per-node solve field by field, bytes and types, on random
+    problems and targets over every family pair."""
+    @settings(max_examples=6, derandomize=True, database=None, deadline=None)
+    @given(batch_cases(f0, f1))
+    def check(case):
+        problem, x1s = case
+        assert_same_results(solve_batch(problem, x1s), solve_each(problem, x1s))
+
+    check()
 
 
 def grid(x, y):

@@ -21,6 +21,9 @@ bit-identical (every float by its bytes, every value with its type name):
 - oracle_shifted: (y*, phi*) of `minimize_objective` on pool seeds 1-3,
   each problem moved by 1e3 and by 1e6 along the interface, where the grid
   screen's bound is widest relative to phi's variation;
+- delta: (lo, hi) of scalar `delta` at every trace row's y of `solve` on
+  pool seeds 1-3, so `delta`'s bits are checked apart from the trace's
+  `delta_rows`;
 - flat_minimum: (lo, hi) of `flat_minimum_interval` on pool seeds 1-3;
 - polygon_constants: every constant a validated polygon derives from its
   vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
@@ -64,6 +67,7 @@ ORACLE_GATE_SEEDS = tuple(range(101, 111))
 ORACLE_GATE = OracleConfig(golden_tol=1e-14)
 ORACLE_SHIFTED_SEEDS = (1, 2, 3)
 ORACLE_SHIFTS = (1e3, 1e6)
+DELTA_SEEDS = (1, 2, 3)
 FLAT_MINIMUM_SEEDS = (1, 2, 3)
 SWEEP_SEEDS = tuple(range(1, 11))
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
@@ -179,6 +183,21 @@ def oracle_digest(seeds, cfg=None, shifts=(0.0,)):
     return h
 
 
+def delta_digest(seeds):
+    """(lo, hi) of delta at every trace row's y of solve on the pools of seeds."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for text in problem_pool(seed, POOL_SIZE):
+            problem = parse_problem(text)
+            try:
+                _, trace = solver.solve(problem)
+            except solver.BracketExpansionFailedError:
+                continue
+            for row in trace:
+                _feed_record(h, solver.delta(problem, row.y))
+    return h
+
+
 def flat_minimum_digest(seeds):
     """(lo, hi) of flat_minimum_interval on the pools of seeds."""
     h = hashlib.sha256()
@@ -197,6 +216,7 @@ def main():
     digests["oracle"] = oracle_digest(ORACLE_SEEDS)
     digests["oracle_gate"] = oracle_digest(ORACLE_GATE_SEEDS, ORACLE_GATE)
     digests["oracle_shifted"] = oracle_digest(ORACLE_SHIFTED_SEEDS, shifts=ORACLE_SHIFTS)
+    digests["delta"] = delta_digest(DELTA_SEEDS)
     digests["flat_minimum"] = flat_minimum_digest(FLAT_MINIMUM_SEEDS)
     digests["polygon_constants"] = polygons
     for name, h in digests.items():
