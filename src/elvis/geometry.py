@@ -206,6 +206,7 @@ class Ball:
     """Centered disk of radius r."""
 
     r: float
+    kinks = ()  # a smooth set has no kinks (see Polygon)
 
     @property
     def inner_radius(self):
@@ -270,6 +271,7 @@ class Ellipse:
     a: float
     b: float
     rot: float = 0.0
+    kinks = ()  # a smooth set has no kinks (see Polygon)
 
     def validate(self):
         if not (_RADIUS_MIN <= self.a <= _RADIUS_MAX and _RADIUS_MIN <= self.b <= _RADIUS_MAX

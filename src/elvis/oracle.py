@@ -1,46 +1,38 @@
 """Independent verification path for the geometry and the solver.
 
-Gauges are recovered by bisecting a membership predicate and the objective
-is minimized by a grid scan plus golden-section refinement, without normal
-faces or subgradients, except that the grid spans the solver's expanded
-bracket (`solver.expand_bracket` decides the residual's sign at its ends, by
-the shapes' line forms and, on close calls, by `delta`).
+minimize_objective minimizes phi(y) = gamma_F0((y, 0) - x0) +
+gamma_F1(x1 - (y, 0)) by golden section on the solver's expanded bracket,
+without normal faces or subgradients: only the bracket is the solver's
+(`solver.expand_bracket` decides the residual's sign at its ends, by the
+shapes' line forms and, on close calls, by `delta`).  phi is convex, a sum
+of gauges of convex sets, so golden section on a bracket that holds a
+minimizer closes in on one.  The refine's values of phi come from each
+gauge term's closed form (see _term), and phi_star is `crossing_time` at
+the y_star it finds.  gauge_by_membership recovers a gauge by bisecting a
+membership predicate alone, as an independent check of the shapes' gauges.
 
-Both stages only ask yes/no questions of their values: which grid point has
-the least `crossing_time`, and whether phi(c) < phi(d) at two golden points.
-Each question is first put to float values with a proven error bound, in
-the manner of adaptive-precision predicates (Shewchuk, Discrete Comput.
-Geom. 18, 1997).  Only what the bound leaves open is settled by the exact
-values.  The grid's float values are `crossing_time`'s own, with one
-scalar bound on their distance to the exact phi over the whole grid.  They
-are taken at every 64th point first; since phi is convex, a point that is
-certainly above another rules out every grid point beyond it, so the rest
-of the grid is evaluated only in the coarse cells left open, usually two
-(the batched rows are bit-equal to the full call's).  Only the grid points
-that are read are formed: the coarse points, the open cells and the two
-neighbours of the least one, each with the bits np.linspace gives it (see
-_grid_points); the unscreened path and flat_minimum_interval form the whole
-grid the same way.  A golden step is screened by a float form of
-phi(c) - phi(d): the refine asks each gauge term's own float screen and
-sums the two answers.  The golden points are the 136-bit values libmp's
-operations give, kept as Python integers of one binary frame and rounded as
-libmp rounds, and the 136-bit phi of a point is computed on first need and
-kept.  That phi does mpmath arithmetic on
-raw libmp values, calling the functions mpf's operators call, in the same
-order: the gauge terms that do not depend on y are computed once per call,
-and a polygon keeps only the facets that can attain its maximum on the
-refine bracket.  Every answer is the one the exact values give, so
-(y*, phi*) keep their bits.
+A golden step only asks a yes/no question of its values: whether
+phi(c) < phi(d) at two golden points.  It is first put to a float form of
+phi(c) - phi(d) with a proven error bound, in the manner of
+adaptive-precision predicates (Shewchuk, Discrete Comput. Geom. 18, 1997):
+the refine asks each gauge term's own float screen and sums the two
+answers.  Only what the bound leaves open is settled by the exact values.
+The golden points are the 136-bit values libmp's operations give, kept as
+Python integers of one binary frame and rounded as libmp rounds, and the
+136-bit phi of a point is computed on first need and kept.  That phi does
+mpmath arithmetic on raw libmp values, calling the functions mpf's
+operators call, in the same order: the gauge terms that do not depend on y
+are computed once per call, and a polygon keeps only the facets that can
+attain its maximum on the bracket.  Every answer is the one the exact
+values give, so (y*, phi*) keep their bits.
 
 The bounds use the standard model fl(x op y) = (x op y)(1 + e), |e| <= u =
 2**-53, for float +, -, *, /, an error under one ulp for `math.hypot`,
-`math.cos`, `math.sin` and their numpy forms, the nearest float for an
-integer's `float()`, and for a 2-term
-dot product of the gauge kernels (BLAS, fused or not) an error under
-2.01 u (|m_0 v_0| + |m_1 v_1|).  Underflow breaks the model only by an
-absolute 2**-1075 per operation, so the screens run only on problems whose
-scales (|x0_y|, |x1_y|, the inner and outer radii of both sets, golden_tol)
-lie in [2**-64, 2**64] and whose abscissae (x0_x, x1_x, the grid ends) are
+`math.cos` and `math.sin`, and the nearest float for an integer's
+`float()`.  Underflow breaks the model only by an absolute 2**-1075 per
+operation, so the screens run only on problems whose scales (|x0_y|,
+|x1_y|, the inner and outer radii of both sets, the refine's tolerance) lie
+in [2**-64, 2**64] and whose abscissae (x0_x, x1_x, the bracket ends) are
 at most 2**64 in size.  There every bound term exceeds 2**-250, underflow
 adds under 2**-700 to any result even after the later operations amplify
 it, and nothing overflows; other problems take the exact path throughout.
@@ -81,18 +73,12 @@ _GOLDEN_MAN, _GOLDEN_EXP = _INV_GOLDEN[1], _INV_GOLDEN[2]
 _PREC = mp.libmp.dps_to_prec(40)
 # sample_interior gives up after this many rejected draws per requested sample.
 MAX_REJECTIONS_PER_SAMPLE = 1000
-# Points of minimize_objective's grid scan over the expanded bracket, and
-# the stride of the coarse points its convexity pruning screens first.
+# Points of flat_minimum_interval's grid; minimize_objective refines to its cells' width or less.
 GRID_POINTS = 4096
-_COARSE = 64
-_GRID_INDEX = np.arange(GRID_POINTS)
-# The coarse points: every _COARSE-th grid point and the last.
-_COARSE_INDEX = np.append(_GRID_INDEX[:-1:_COARSE], GRID_POINTS - 1)
 
 # Float screen constants, with u = 2**-53.  Each is the factor of a bound
-# whose derivation needs less (see _open_window and _term); math.inf
-# sends every decision to the exact values.
-_GRID_REL = 1e-12  # about 9000 u; the derivation needs 13 u
+# whose derivation needs less (see _term); math.inf sends every decision to
+# the exact values.
 _STEP_REL = 2.0**-47  # 64 u; the derivation needs 27 u
 _MP_REL = 2.0**-120  # the derivation needs 2**-132
 
@@ -341,128 +327,22 @@ def _objective_raw(problem, sides, prec, rnd):
     )
 
 
-def _well_scaled(problem, ends, tol):
-    """Whether the float screens' error model holds for this problem (see the module notes).
-
-    ends holds the grid's ends first and last: the bracket (l, r), or the grid itself.
-    """
+def _well_scaled(problem, l, r, tol):
+    """Whether the float screens' error model holds for a refine of this problem on [l, r]
+    to width tol (see the module notes)."""
     x0x, x0y = (float(u) for u in problem.x0)
     x1x, x1y = (float(u) for u in problem.x1)
     scales = (abs(x0y), abs(x1y), tol, problem.F0.inner_radius, problem.F0.circumradius,
               problem.F1.inner_radius, problem.F1.circumradius)
-    positions = (x0x, x1x, float(ends[0]), float(ends[-1]))
+    positions = (x0x, x1x, l, r)
     return (all(_SCALE_MIN <= s <= _SCALE_MAX for s in scales)
             and all(abs(p) <= _SCALE_MAX for p in positions))
 
 
-def _grid_screen(problem, ys):
-    """(v, bound): v = crossing_time(problem, ys) and one bound on its distance to the exact phi.
-
-    bound is _open_window's per-point bound at whichever end of ys gives the
-    larger value, formed on Python floats; it bounds |v_i - phi(y_i)| at
-    every point between the ends (see _open_window).
-    """
-    x0x, x0y = (float(u) for u in problem.x0)
-    x1x, x1y = (float(u) for u in problem.x1)
-    rho0, rho1 = problem.F0.inner_radius, problem.F1.inner_radius
-    bound = max(_GRID_REL * ((abs(y - x0x) + abs(x0y)) / rho0 + (abs(x1x - y) + abs(x1y)) / rho1)
-                for y in (float(ys[0]), float(ys[-1])))
-    return crossing_time(problem, ys), bound
-
-
-def _open_window(problem, l, r):
-    """(lo, hi): crossing_time at each grid point of [l, r] outside lo:hi is above its least value.
-
-    The bound: |v_i - phi(y_i)| <= bound_i at each grid point y_i, with
-    v = crossing_time(problem, ys), phi the exact objective of the sets'
-    float constants (the one _objective_raw evaluates to 136 bits), and
-    bound_i = _GRID_REL*(|v0|_1/rho0 + |v1|_1/rho1) for the vectors
-    v0 = (y - x0_x, -x0_y), v1 = (x1_x - y, x1_y) that crossing_time forms,
-    rho the inner radius, so that gamma(v) <= |v|/rho.  Proof, per side:
-    the float offset y - x0_x (or x1_x - y) is within u |vx| of the exact
-    one, and gamma is 1/rho-Lipschitz, which adds u |v|_1/rho.  The kernel's
-    gauge of the float v errs by under 3.01 u |v|_1/rho for a ball (hypot,
-    quotient).  For an ellipse, rotated component i errs by under 4.02 u A_i
-    (cosine and sine within 2 u, the dot product), A_i = |c vx| + |s vy| or
-    |s vx| + |c vy|, and by 5.03 u A_i/rho after the quotient; as
-    A_0^2 + A_1^2 <= |v|_1^2, the hypot errs by under 7.05 u |v|_1/rho.  For
-    a polygon each facet term errs by under 3.1 u |v|_1/rho (|n| <= 1 + 3u,
-    the dot product, the quotient by h >= rho), and so does their max.  The
-    final sum adds u (gamma_0 + gamma_1).  That is under 9.1 u in all, and
-    the roundings of the bound add under 3 u, against _GRID_REL of about
-    9000 u.  bound_i is convex in y, so its largest value on the grid is at
-    a grid end: B, the larger of the two (see _grid_screen), bounds
-    |v_i - phi(y_i)| at every grid point.
-
-    The screen (see _grid_screen) runs on the coarse points, whose least v
-    is reached first at coarse point j.  A coarse p < j with
-    v_p > v_j + 3B has phi(y_p) >= v_p - B > v_j + 2B >= phi(y_j) + B, so
-    phi, being convex, is at least phi(y_p) at every y_i <= y_p, and there
-    v_i >= phi(y_i) - B >= v_p - 2B > v_j + B > v_j >= v_m, the least v.
-    No such i is an argmin of v or ties one.  The coarse q > j are the
-    mirror image.  lo is one past the last such p and hi the first such q:
-    (0, the grid size) if there is none.  As phi >= 0,
-    |v_j| <= B (1 + 1/_GRID_REL), so the float roundings of the cut
-    v_j + 3B add under u |v_j| + 7 u B, about 1.2e-4 B, inside the slack
-    of _GRID_REL.  The tests run from j outward and stop at the first point
-    that passes, the only one that sets lo (or hi).
-    """
-    idx = _COARSE_INDEX if r > l else _GRID_INDEX[:1]
-    v, bound = _grid_screen(problem, _grid_points(l, r, idx))
-    v = v.tolist()
-    j = v.index(min(v))
-    cut = v[j] + 3.0 * bound
-    coarse = idx.tolist()
-    lo = next((coarse[p] + 1 for p in range(j - 1, -1, -1) if v[p] > cut), 0)
-    hi = next((coarse[q] for q in range(j + 1, len(v)) if v[q] > cut), coarse[-1] + 1)
-    return lo, hi
-
-
-def _grid_argmin(problem, l, r, screened):
-    """int(np.argmin(crossing_time(problem, ys))) on the grid ys of [l, r], evaluating
-    crossing_time only where needed.
-
-    With screened, crossing_time runs only on the open window lo:hi (see
-    _open_window), usually two coarse cells.  Its rows are bit-equal to the
-    full call's, and every point outside the window has a value above the
-    least one, so the window's first argmin is the grid's.
-    """
-    if not screened:
-        return int(np.argmin(crossing_time(problem, _grid_points(l, r, _grid_index(l, r)))))
-    lo, hi = _open_window(problem, l, r)
-    return lo + int(np.argmin(crossing_time(problem, _grid_points(l, r, _GRID_INDEX[lo:hi]))))
-
-
-def _grid(problem):
-    """The ends (l, r) of the expanded bracket, as floats: the grid scan's bracket."""
+def _bracket(problem):
+    """The ends (l, r) of the expanded bracket, as floats: the refine's bracket."""
     l, r, _ = expand_bracket(problem)
     return float(l), float(r)
-
-
-def _grid_index(l, r):
-    """The indices of every point of the grid of [l, r]: GRID_POINTS, or one if it is a point."""
-    return _GRID_INDEX if r > l else _GRID_INDEX[:1]
-
-
-def _grid_points(l, r, idx):
-    """np.linspace(l, r, n)[idx], n = len(_grid_index(l, r)), with linspace's own operations.
-
-    idx is an int or an int array.  linspace forms point i as i*step + l with
-    step = (r - l)/(n - 1), as (i/(n - 1))*(r - l) + l where step is 0
-    (a subnormal width), and sets the last point to r; its one-point grid is
-    0*(r - l) + l.  Each point takes the same IEEE operations here, so it has
-    linspace's bits, and only the points asked for are formed.
-    """
-    if not r > l:
-        return idx * (r - l) + l
-    last = GRID_POINTS - 1
-    step = (r - l) / last
-    ys = idx * step if step != 0.0 else idx / last * (r - l)
-    if not isinstance(idx, np.ndarray):
-        return r if idx == last else ys + l
-    ys += l
-    ys[idx == last] = r
-    return ys
 
 
 def _round(n, prec=_PREC):
@@ -595,38 +475,39 @@ def _refine(a, b, tol, objective, screen):
 
 
 def minimize_objective(problem, cfg=None):
-    """Brute-force minimizer of the crossing-time objective.
+    """Minimizer of the crossing-time objective by golden section: (y_star, phi_star).
 
-    A grid scan over the (expanded) bracket locates the minimal cell, and a
-    golden-section search with _PREC-bit points and values refines it to
-    cfg.golden_tol, or until a step no longer narrows the bracket, which
-    happens when golden_tol is below the _PREC-bit spacing of y.  Returns
-    (y_star, phi_star).  Both stages decide by the float screens where their
-    bounds allow and by exact values elsewhere, with the answers the exact
-    values give throughout (see _grid_argmin and _refine).
+    phi is convex, so a golden-section search with _PREC-bit points and
+    values on the expanded bracket [l, r] closes in on a minimizer.  It runs
+    to width tol = min(cfg.golden_tol, (r - l)/(GRID_POINTS - 1)), so a
+    bracket narrower than about GRID_POINTS*golden_tol is still resolved, or
+    until a step no longer narrows the bracket, which happens when tol is
+    below the _PREC-bit spacing of y.  Each step decides by the float
+    screens where their bounds allow (on a problem _well_scaled at tol) and
+    by exact values elsewhere, with the answers the exact values give (see
+    _refine).  phi_star is crossing_time at y_star.
     """
     cfg = cfg or OracleConfig()
-    l, r = _grid(problem)
-    screened = _well_scaled(problem, (l, r), cfg.golden_tol)
-    i = _grid_argmin(problem, l, r, screened)
-    n = len(_grid_index(l, r))
-    a = _grid_points(l, r, max(i - 1, 0))
-    b = _grid_points(l, r, min(i + 1, n - 1))
-    sides = _sides(problem, a, b)
+    l, r = _bracket(problem)
+    tol = min(cfg.golden_tol, (r - l) / (GRID_POINTS - 1))
+    screened = _well_scaled(problem, l, r, tol)
+    sides = _sides(problem, l, r)
     screen = (float(problem.x0[0]), float(problem.x1[0]), sides) if screened else None
-    y_star = _refine(a, b, cfg.golden_tol,
-                     lambda: _objective_raw(problem, sides, _PREC, round_nearest), screen)
+    y_star = _refine(l, r, tol, lambda: _objective_raw(problem, sides, _PREC, round_nearest),
+                     screen)
     return y_star, crossing_time(problem, y_star)
 
 
 def flat_minimum_interval(problem, cfg=None):
     """Grid-detected interval of near-minimal objective values.
 
-    Returns (lo, hi); a positive width flags a non-strictly-convex (non-unique)
-    minimum at grid resolution.  The grid does not depend on cfg.
+    The grid is np.linspace over the expanded bracket, GRID_POINTS points
+    (one if the bracket is a point).  Returns (lo, hi); a positive width
+    flags a non-strictly-convex (non-unique) minimum at grid resolution.
+    The grid does not depend on cfg.
     """
-    l, r = _grid(problem)
-    ys = _grid_points(l, r, _grid_index(l, r))
+    l, r = _bracket(problem)
+    ys = np.linspace(l, r, GRID_POINTS if r > l else 1)
     vals = crossing_time(problem, ys)
     vmin = float(np.min(vals))
     flat = ys[vals <= vmin + 1e-12 * max(1.0, abs(vmin))]

@@ -17,13 +17,15 @@ probes the line forms a few times (a bisection over the polygons' kinks,
 then a safeguarded secant or the probes around a kink's snap band) and
 certifies points a <= c <= d <= b of the bracket where the kernels decide
 -1 at every y <= a, 1 at every y >= b and 0 on [c, d], so the loop decides
-those midpoints by one comparison.  At the final y `solve` takes each
-side's gauge once, and the boundary points it gives are both the result's
-velocities and where the faces are taken; `_answer`, the one answer rule,
-forms the interval, status and multipliers from those faces' end points on
-Python floats.  The trace keeps each step's (k, l, r, y, d) and fills in
-delta_lo and delta_hi by one `delta_rows` call, bit-equal to `delta` row by
-row, when its rows are first read.
+those midpoints by one comparison.  A loop that stops on a decision 0
+ends on a nearby polygon kink that decides 0 too (see `_kink_stop`).  At
+the final y `solve` takes each side's gauge once, and the boundary points
+it gives are both the result's velocities and where the faces are taken;
+`_answer`, the one answer rule, forms the interval, status and multipliers
+from those faces' end points on Python floats.  The trace keeps each
+step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
+`delta_rows` call, bit-equal to `delta` row by row, when its rows are
+first read.
 
 `solve_batch` runs the same loop, `_bisect`, for each of many targets x1
 that share x0, F0 and F1, then makes one row call of the same gauge and face
@@ -578,7 +580,8 @@ def _bisect(problem, line0, line1):
     """The bracket and bisection of `solve`: (steps, y, expanded).
 
     steps holds each step's (k, l, r, y, d) on Python floats, y is where the
-    bisection stopped and expanded whether the bracket was widened.  A
+    bisection stopped, moved onto a polygon kink by `_kink_stop` when its
+    last decision is 0, and expanded whether the bracket was widened.  A
     midpoint that overflows raises BracketExpansionFailedError before it is
     decided.  Each decision is side(y), `_residual_side` on the line forms
     line0 and line1 (`_line_forms(problem)`, which a caller may share
@@ -601,7 +604,10 @@ def _bisect(problem, line0, line1):
             raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
         steps.append((k, l, r, y, d_k))
         sign = -1 if y <= a else 1 if y >= b else 0 if c <= y <= d else side(y)
-        if sign == 0 or k + 1 >= max_iter or d_k <= 4.0 * ulp(abs(y)):
+        if sign == 0:
+            return steps, _kink_stop(problem, l, r, y, lambda t: (
+                -1 if t <= a else 1 if t >= b else 0 if c <= t <= d else side(t))), expanded
+        if k + 1 >= max_iter or d_k <= 4.0 * ulp(abs(y)):
             return steps, y, expanded
         if sign > 0:
             r = y
@@ -609,6 +615,31 @@ def _bisect(problem, line0, line1):
             l = y
         d_k *= 0.5
         k += 1
+
+
+def _kink_stop(problem, l, r, y, decide):
+    """Where a bisection that stopped at y, decided 0 in its last bracket [l, r], ends.
+
+    F0's kink K lies at y = x0_x - x0_y K and F1's at y = x1_x - x1_y K, K
+    in the set's `kinks`.  Of each polygon's two kinks next to y, those in
+    [l, r] are tried nearest y first, and the first that decide(t), the
+    loop's decision, puts at 0 is returned, else y; the decision is
+    nondecreasing in y, so a kink beyond another on its side of y could
+    only pass if that one did.  The kernels give every point within
+    VERTEX_FACE_TOL*circumradius of a vertex its face, so the loop can stop
+    with decision 0 just off a kink, while that face is the kink's own.
+    """
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    near = []  # (distance to y, kink)
+    for kinks, base, slope in ((problem.F0.kinks, x0x, -x0y), (problem.F1.kinks, x1x, -x1y)):
+        if kinks:
+            i = bisect_left(kinks, (y - base) / slope)
+            for kink in kinks[max(i - 1, 0):i + 1]:
+                t = base + slope * kink
+                if l <= t <= r:
+                    near.append((abs(t - y), t))
+    return next((t for _, t in sorted(near) if decide(t) == 0), y) if near else y
 
 
 def solve(problem):
@@ -622,10 +653,12 @@ def solve(problem):
     decision, so the steps are those of the loop that evaluates `delta` at
     every midpoint.  The midpoints are formed on Python floats, and one that
     overflows raises BracketExpansionFailedError before it is evaluated.
-    At the final y each side's gauge g is taken once: v = w/g is both the
-    result's v0 or v1 and the boundary point its face is taken at, and
-    `_answer` forms the interval, status and multipliers from those faces;
-    y, l, r and d are reported as np.float64.
+    The final y is the last midpoint, or, where the loop stopped on a
+    decision 0, a polygon kink inside the last bracket that decides 0 too
+    (see `_kink_stop`).  There each side's gauge g is taken once: v = w/g is
+    both the result's v0 or v1 and the boundary point its face is taken at,
+    and `_answer` forms the interval, status and multipliers from those
+    faces; y, l, r and d are reported as np.float64.
     """
     steps, y, expanded = _bisect(problem, *_line_forms(problem))
     y = np.float64(y)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -123,3 +124,29 @@ def pool_problems(seed, n=270):
     from perfbench.inputs import problem_pool
 
     return problem_pool(seed, n)
+
+
+def exact_polygon_pair_minimum(problem):
+    """(min over y of phi, a y that attains it) for two polygons, in exact rational arithmetic.
+
+    phi is convex and piecewise linear, so its minimum lies at a kink: where
+    the crossing direction points at a vertex v with v_y > 0, at
+    y = x0_x - x0_y*v_x/v_y for F0 and y = x1_x - x1_y*v_x/v_y for F1.  Facet
+    (p, p + e) contributes the gauge term (e_y*v_x - e_x*v_y)/(e_y*p_x - e_x*p_y).
+    """
+    x0x, x0y = (Fraction(float(u)) for u in problem.x0)
+    x1x, x1y = (Fraction(float(u)) for u in problem.x1)
+
+    def exact(vset):
+        verts = [(Fraction(float(x)), Fraction(float(y))) for x, y in vset.vertices]
+        facets = []
+        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+            ex, ey = qx - px, qy - py
+            facets.append((ey, ex, ey * px - ex * py))
+        return verts, lambda vx, vy: max([(ey * vx - ex * vy) / h for ey, ex, h in facets] + [0])
+
+    verts0, g0 = exact(problem.F0)
+    verts1, g1 = exact(problem.F1)
+    kinks = [x0x - x0y * vx / vy for vx, vy in verts0 if vy > 0]
+    kinks += [x1x - x1y * vx / vy for vx, vy in verts1 if vy > 0]
+    return min((g0(y - x0x, -x0y) + g1(x1x - y, x1y), y) for y in kinks)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +45,7 @@ from elvis import (
 
 from conftest import (
     SQUARE0_VERTICES,
+    exact_polygon_pair_minimum,
     pool_problems,
     random_ball,
     random_ellipse,
@@ -249,18 +249,19 @@ class TestLazyImport:
             elvis.no_such_name  # noqa: B018
 
 
+def refine_bracket(problem, cfg):
+    """(l, r, tol): the expanded bracket as floats and the refine's width on it."""
+    l, r = oracle._bracket(problem)
+    return l, r, min(cfg.golden_tol, (r - l) / (oracle.GRID_POINTS - 1))
+
+
 def reference_minimize(problem, cfg):
     """minimize_objective with its refine on plain mpf objects: the form the raw refine replaced.
 
-    The same grid scan, then the golden section with every gauge term
-    recomputed at each y and every polygon facet evaluated.
+    The golden section on the expanded bracket, to the same width, with every
+    gauge term recomputed at each y and every polygon facet evaluated.
     """
-    l, r, _ = expand_bracket(problem)
-    ys = np.linspace(l, r, oracle.GRID_POINTS if r > l else 1)
-    vals = crossing_time(problem, ys)
-    i = int(np.argmin(vals))
-    a = ys[max(i - 1, 0)]
-    b = ys[min(i + 1, len(ys) - 1)]
+    a, b, tol = refine_bracket(problem, cfg)
 
     def gauge_mp(vset):
         if isinstance(vset, Ball):
@@ -293,7 +294,7 @@ def reference_minimize(problem, cfg):
         c = b - inv_golden * (b - a)
         d = a + inv_golden * (b - a)
         fc, fd = phi(c), phi(d)
-        while b - a > cfg.golden_tol:
+        while b - a > tol:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - inv_golden * (b - a)
@@ -315,32 +316,6 @@ def pair_problem(rng, make0, make1):
             return make_problem(x0, x1, make0(rng), make1(rng))
         except ValidationError:
             continue
-
-
-def exact_polygon_pair_minimum(problem):
-    """min over y of phi for two polygons, in exact rational arithmetic.
-
-    phi is convex and piecewise linear, so its minimum lies at a kink: where
-    the crossing direction points at a vertex v with v_y > 0, at
-    y = x0_x - x0_y*v_x/v_y for F0 and y = x1_x - x1_y*v_x/v_y for F1.  Facet
-    (p, p + e) contributes the gauge term (e_y*v_x - e_x*v_y)/(e_y*p_x - e_x*p_y).
-    """
-    x0x, x0y = (Fraction(float(u)) for u in problem.x0)
-    x1x, x1y = (Fraction(float(u)) for u in problem.x1)
-
-    def exact(vset):
-        verts = [(Fraction(float(x)), Fraction(float(y))) for x, y in vset.vertices]
-        facets = []
-        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
-            ex, ey = qx - px, qy - py
-            facets.append((ey, ex, ey * px - ex * py))
-        return verts, lambda vx, vy: max([(ey * vx - ex * vy) / h for ey, ex, h in facets] + [0])
-
-    verts0, g0 = exact(problem.F0)
-    verts1, g1 = exact(problem.F1)
-    kinks = [x0x - x0y * vx / vy for vx, vy in verts0 if vy > 0]
-    kinks += [x1x - x1y * vx / vy for vx, vy in verts1 if vy > 0]
-    return min(g0(y - x0x, -x0y) + g1(x1x - y, x1y) for y in kinks)
 
 
 class TestRawRefine:
@@ -373,22 +348,72 @@ class TestRawRefine:
         for cfg in self.CONFIGS:
             assert self.bits(minimize_objective(p, cfg)) == self.bits(reference_minimize(p, cfg))
 
+    def test_flat_minimum(self, square0):
+        # phi is 2 on the whole of [0, 0.5], so every golden step is a tie.
+        p = make_problem((0.0, -1.0), (0.5, 1.0), square0, square0)
+        for cfg in self.CONFIGS:
+            got = minimize_objective(p, cfg)
+            assert got[1] == 2.0
+            assert self.bits(got) == self.bits(reference_minimize(p, cfg))
+
+    def test_one_point_grid(self):
+        # x0_x = x1_x = 0 is the minimizer, so the bracket [0, 0] is never widened.
+        p = make_problem((0.0, -1.0), (0.0, 1.0), Ball(1.0), Ball(1.0))
+        assert oracle._bracket(p) == (0.0, 0.0)
+        assert flat_minimum_interval(p) == (0.0, 0.0)
+        for cfg in self.CONFIGS:
+            assert self.bits(minimize_objective(p, cfg)) == self.bits((0.0, 2.0))
+
+    def test_minimum_at_bracket_end(self, monkeypatch, symmetric_ball_problem):
+        p = symmetric_ball_problem  # least phi at y = 0
+        for start, stop in ((0.0, 3.0), (-3.0, 0.0), (1.0, 4.0), (-4.0, -1.0)):
+            monkeypatch.setattr(oracle, "expand_bracket", lambda _: (start, stop, False))
+            for cfg in self.CONFIGS:
+                got = minimize_objective(p, cfg)
+                end = min((start, stop), key=abs)
+                assert abs(got[0] - end) <= cfg.golden_tol
+                assert self.bits(got) == self.bits(reference_minimize(p, cfg))
+
+    def test_unscreened_problem(self):
+        p = make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25))
+        l, r = oracle._bracket(p)
+        assert not oracle._well_scaled(p, l, r, OracleConfig().golden_tol)
+        assert minimize_objective(p) == reference_minimize(p, OracleConfig())
+
+    def test_tiny_bracket_keeps_its_resolution(self):
+        """The bracket [0, 1e-30] is far below golden_tol: the refine still narrows it to
+        (r - l)/(GRID_POINTS - 1), as the grid's cells did, instead of stopping at once."""
+        p = make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25))
+        _, phi_star = minimize_objective(p)
+        assert phi_star <= 2.0000100000000747e-05  # the grid-and-refine oracle's value
+        assert phi_star < crossing_time(p, 0.5e-30)  # the bracket's midpoint
+
+    def test_narrow_bracket_is_not_screened(self, monkeypatch):
+        """A bracket narrower than (GRID_POINTS - 1)*2**-64 refines to a width below 2**-64, so
+        _well_scaled is asked at that width and keeps the screens off."""
+        p = make_problem((0.0, -1.0), (1e-18, 1.0), Ball(1.0), Ball(1.0))
+        asked = []
+        well_scaled = oracle._well_scaled
+
+        def spy(problem, l, r, tol):
+            asked.append((l, r, tol, well_scaled(problem, l, r, tol)))
+            return asked[-1][-1]
+
+        monkeypatch.setattr(oracle, "_well_scaled", spy)
+        for cfg in self.CONFIGS:
+            got = minimize_objective(p, cfg)
+            assert asked.pop() == (0.0, 1e-18, 1e-18 / (oracle.GRID_POINTS - 1), False)
+            assert self.bits(got) == self.bits(reference_minimize(p, cfg))
+            assert self.bits(got) == self.bits(libmp_minimize(p, cfg))
+
     def test_polygon_pairs_against_exact_minimum(self):
         rng = np.random.default_rng(24)
         cfg = OracleConfig(golden_tol=1e-14)
         for _ in range(30):
             p = pair_problem(rng, random_polygon, random_polygon)
-            exact = exact_polygon_pair_minimum(p)
+            exact, _ = exact_polygon_pair_minimum(p)
             _, phi_star = minimize_objective(p, cfg)
             assert abs(phi_star - exact) <= 1e-13 * max(1.0, float(exact))
-
-
-def grid_bound(problem, ys):
-    """The per-point bound of _open_window's lemma on |crossing_time - phi| at the grid points ys."""
-    x0x, x0y = problem.x0.tolist()
-    x1x, x1y = problem.x1.tolist()
-    return oracle._GRID_REL * ((np.abs(ys - x0x) + abs(x0y)) / problem.F0.inner_radius
-                               + (np.abs(x1x - ys) + abs(x1y)) / problem.F1.inner_radius)
 
 
 def step_screen(problem, sides):
@@ -426,26 +451,6 @@ class TestFloatScreen:
 
     @pytest.mark.parametrize("k0", range(3))
     @pytest.mark.parametrize("k1", range(3))
-    def test_grid_bound(self, k0, k1):
-        rng = np.random.default_rng([25, k0, k1])
-        for _ in range(3):
-            p = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
-            ys = linspace_grid(*oracle._grid(p))
-            bound = grid_bound(p, ys)
-            vals = crossing_time(p, ys)
-            # The screen's one bound B, taken on the coarse points, covers every grid point's.
-            _, b = oracle._grid_screen(p, ys[oracle._COARSE_INDEX])
-            assert np.all(bound <= b)
-            # bound holds against the exact phi, here at 60 digits.
-            with mp.workdps(60):
-                prec, rnd = mp.mp._prec_rounding
-                phi = oracle._objective_raw(p, oracle._sides(p, ys[0], ys[-1]), prec, rnd)
-                for i in rng.choice(len(ys), 40, replace=False):
-                    exact = mp.mpf(phi(from_float(float(ys[i]))))
-                    assert abs(mp.mpf(vals[i]) - exact) <= bound[i]
-
-    @pytest.mark.parametrize("k0", range(3))
-    @pytest.mark.parametrize("k1", range(3))
     def test_step_bound(self, k0, k1):
         rng = np.random.default_rng([26, k0, k1])
         for shift in (0.0, 1e3, 1e6):
@@ -479,55 +484,10 @@ class TestFloatScreen:
         problems.append(make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25)))
         configs = TestRawRefine.CONFIGS
         screened = [TestRawRefine.bits(minimize_objective(p, cfg)) for p in problems for cfg in configs]
-        for name in ("_GRID_REL", "_STEP_REL", "_MP_REL"):
+        for name in ("_STEP_REL", "_MP_REL"):
             monkeypatch.setattr(oracle, name, math.inf)  # every decision by exact values
         exact = [TestRawRefine.bits(minimize_objective(p, cfg)) for p in problems for cfg in configs]
         assert screened == exact
-
-
-def linspace_grid(l, r):
-    """The oracle's grid of the bracket [l, r] as np.linspace builds it: every point."""
-    return np.linspace(l, r, oracle.GRID_POINTS if r > l else 1)
-
-
-class TestGridPoints:
-    """_grid_points forms the points of np.linspace over the grid, byte for byte."""
-
-    @staticmethod
-    def check(l, r, idx):
-        ys = linspace_grid(l, r)
-        assert oracle._grid_points(l, r, idx).tobytes() == ys[idx].tobytes()
-        for i in idx[:5].tolist():
-            y = oracle._grid_points(l, r, i)
-            assert type(y) is float
-            assert np.float64(y).tobytes() == ys[i].tobytes()
-
-    def brackets(self, rng):
-        out = [tuple(sorted(rng.uniform(-10.0, 10.0, 2).tolist())) for _ in range(40)]
-        for _ in range(40):
-            scale = 10.0 ** rng.uniform(-300, 300)
-            out.append(tuple(sorted((scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)))))
-        return out + [(-1e300, 1e300), (1e300, 1.5e300), (-1e300, -1e299), (0.0, 1.0)]
-
-    def test_random_brackets(self):
-        rng = np.random.default_rng(34)
-        for l, r in self.brackets(rng):
-            assert r > l
-            self.check(l, r, np.arange(oracle.GRID_POINTS))
-            self.check(l, r, oracle._COARSE_INDEX)
-            self.check(l, r, np.sort(rng.choice(oracle.GRID_POINTS, 50, replace=False)))
-            self.check(l, r, np.array([oracle.GRID_POINTS - 1, 0, 1, oracle.GRID_POINTS - 2]))
-
-    def test_subnormal_width(self):
-        for l, r in ((0.0, 1e-321), (-1e-321, 1e-321), (1e-320, 1.2e-320)):
-            assert (r - l) / (oracle.GRID_POINTS - 1) == 0.0  # linspace's step == 0 case
-            self.check(l, r, np.arange(oracle.GRID_POINTS))
-            self.check(l, r, np.array([oracle.GRID_POINTS - 1, 7, 4000]))
-
-    def test_one_point_grid(self):
-        for l, r in ((0.25, 0.25), (-3.0, -3.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
-            assert len(oracle._grid_index(l, r)) == 1
-            self.check(l, r, np.array([0]))
 
 
 def numpy_live_facets(vset, vy, vx_ends):
@@ -557,7 +517,7 @@ class TestLiveFacets:
         rng = np.random.default_rng([35, seed])
         for text in pool_problems(seed):
             p = parse_problem(text)
-            l, r = oracle._grid(p)
+            l, r = oracle._bracket(p)
             brackets = [(l, r)] + [tuple(sorted(rng.uniform(l, r, 2).tolist())) for _ in range(3)]
             x0x, x0y = p.x0.tolist()
             x1x, x1y = p.x1.tolist()
@@ -593,115 +553,14 @@ class TestLiveFacets:
                 self.check(diamond, vy, (t, t))
 
 
-def numpy_open_window(problem, ys):
-    """_open_window on the full numpy grid ys: the form the loop on Python floats replaced."""
-    n = len(ys)
-    coarse = np.append(np.arange(0, n - 1, oracle._COARSE), n - 1)
-    v, bound = oracle._grid_screen(problem, ys[coarse])
-    j = int(np.argmin(v))
-    out = np.flatnonzero(v > v[j] + 3.0 * bound)
-    left, right = out[out < j], out[out > j]
-    lo = int(coarse[left[-1]]) + 1 if len(left) else 0
-    hi = int(coarse[right[0]]) if len(right) else n
-    return lo, hi
-
-
-def full_scan_argmin(problem, ys):
-    """The screened grid argmin without convexity pruning: every point screened by the one bound."""
-    approx, bound = oracle._grid_screen(problem, ys)
-    cand = np.flatnonzero(approx - bound <= np.min(approx) + bound)
-    return int(cand[np.argmin(crossing_time(problem, ys[cand]))])
-
-
-class TestPrunedScan:
-    """The convexity-pruned grid scan finds the full scan's argmin."""
-
-    MAKERS = (random_ball, random_ellipse, random_polygon)
-
-    @staticmethod
-    def check(problem, l, r):
-        ys = linspace_grid(l, r)
-        assert oracle._open_window(problem, l, r) == numpy_open_window(problem, ys)
-        assert oracle._grid_argmin(problem, l, r, True) == full_scan_argmin(problem, ys)
-        assert full_scan_argmin(problem, ys) == int(np.argmin(crossing_time(problem, ys)))
-
-    @pytest.mark.parametrize("k0", range(3))
-    @pytest.mark.parametrize("k1", range(3))
-    def test_equals_full_scan(self, k0, k1):
-        rng = np.random.default_rng([28, k0, k1])
-        for _ in range(4):
-            base = pair_problem(rng, self.MAKERS[k0], self.MAKERS[k1])
-            for shift in (0.0, 1e3, 1e6):
-                p = translated(base, shift)
-                l, r = oracle._grid(p)
-                assert oracle._well_scaled(p, (l, r), OracleConfig().golden_tol)
-                self.check(p, l, r)
-
-    def test_flat_minimum(self, square0):
-        # phi is 2 on the whole of [0, 0.5]: the argmin is its first grid point.
-        p = make_problem((0.0, -1.0), (0.5, 1.0), square0, square0)
-        self.check(p, *oracle._grid(p))
-
-    def test_minimum_at_grid_end(self, symmetric_ball_problem):
-        p = symmetric_ball_problem  # least phi at y = 0
-        for start, stop in ((0.0, 3.0), (-3.0, 0.0), (1.0, 4.0), (-4.0, -1.0)):
-            self.check(p, start, stop)
-            lo, hi = oracle._open_window(p, start, stop)
-            assert hi - lo < oracle.GRID_POINTS
-
-    def test_sound_at_the_bound(self, monkeypatch, symmetric_ball_problem):
-        """Coarse float phi that errs by up to 0.99 B still gives the true argmin.
-
-        Near its minimum phi varies by a few bounds over these grids, so a
-        pruning test that compared approx without its bounds would cut the
-        least value away.
-        """
-        p = symmetric_ball_problem  # phi(y) = 2*sqrt(2) + y**2/sqrt(2) + O(y**4)
-        rng = np.random.default_rng(32)
-        screen = oracle._grid_screen
-
-        def noisy_screen(problem, ys):
-            approx, bound = screen(problem, ys)
-            return approx + rng.choice((-0.99, 0.99), len(ys)) * bound, bound
-
-        monkeypatch.setattr(oracle, "_grid_screen", noisy_screen)
-        for width in (1e-6, 3e-6, 1e-5, 3e-5, 1e-4):
-            for _ in range(10):
-                start = -width * rng.uniform(0.2, 1.0)
-                ys = np.linspace(start, width, oracle.GRID_POINTS)
-                assert oracle._grid_argmin(p, start, width, True) == int(np.argmin(crossing_time(p, ys)))
-
-    def test_one_point_grid(self, symmetric_ball_problem):
-        assert oracle._open_window(symmetric_ball_problem, 0.25, 0.25) == (0, 1)
-        self.check(symmetric_ball_problem, 0.25, 0.25)
-
-    def test_unscreened_problem(self):
-        p = make_problem((0.0, -1e-30), (1e-30, 2e-30), Ball(1e-20), Ellipse(2.0, 1e-25))
-        l, r = oracle._grid(p)
-        ys = linspace_grid(l, r)
-        assert not oracle._well_scaled(p, ys, OracleConfig().golden_tol)
-        assert oracle._grid_argmin(p, l, r, False) == int(np.argmin(crossing_time(p, ys)))
-        assert minimize_objective(p) == reference_minimize(p, OracleConfig())
-
-    @pytest.mark.parametrize("seed", (1, 2))
-    def test_window_is_pruned_on_pool(self, seed):
-        for text in pool_problems(seed):
-            p = parse_problem(text)
-            l, r = oracle._grid(p)
-            lo, hi = oracle._open_window(p, l, r)
-            assert 0 <= lo < hi <= len(linspace_grid(l, r))
-            assert hi - lo < oracle.GRID_POINTS
-            self.check(p, l, r)
-
-
-def libmp_refine(problem, a, b, cfg, screened):
+def libmp_refine(problem, a, b, tol, screened):
     """The golden section with its points as raw libmp values: the loop the integer points replaced."""
     with mp.workdps(40):
         prec, rnd = mp.mp._prec_rounding
         sides = oracle._sides(problem, a, b)
         phi = oracle._objective_raw(problem, sides, prec, rnd)
         screen_point, screen_difference = step_screen(problem, sides)
-        a, b, tol = from_float(a), from_float(b), from_float(cfg.golden_tol)
+        a, b, tol = from_float(a), from_float(b), from_float(tol)
         inv_golden = oracle._INV_GOLDEN
 
         def point(y):
@@ -741,12 +600,8 @@ def libmp_refine(problem, a, b, cfg, screened):
 
 def libmp_minimize(problem, cfg):
     """minimize_objective with libmp_refine: the reference for the integer points."""
-    ys = linspace_grid(*oracle._grid(problem))
-    screened = oracle._well_scaled(problem, ys, cfg.golden_tol)
-    i = full_scan_argmin(problem, ys) if screened else int(np.argmin(crossing_time(problem, ys)))
-    a = float(ys[max(i - 1, 0)])
-    b = float(ys[min(i + 1, len(ys) - 1)])
-    y_star = libmp_refine(problem, a, b, cfg, screened)
+    l, r, tol = refine_bracket(problem, cfg)
+    y_star = libmp_refine(problem, l, r, tol, oracle._well_scaled(problem, l, r, tol))
     return y_star, crossing_time(problem, y_star)
 
 
@@ -827,7 +682,7 @@ class TestIntegerPoints:
     @pytest.mark.parametrize("k0", range(3))
     @pytest.mark.parametrize("k1", range(3))
     def test_random_problems_match_libmp_loop(self, k0, k1):
-        makers = TestPrunedScan.MAKERS
+        makers = TestRawRefine.MAKERS
         rng = np.random.default_rng([31, k0, k1])
         for _ in range(3):
             base = pair_problem(rng, makers[k0], makers[k1])

@@ -17,10 +17,10 @@ bit-identical (every float by its bytes, every value with its type name):
 - oracle: (y*, phi*) of `minimize_objective` on pool seeds 1-10;
 - oracle_gate: (y*, phi*) of `minimize_objective` at
   `OracleConfig(golden_tol=1e-14)`, the benchmark gate's configuration, on
-  pool seeds 101-110, where most golden steps are decided exactly;
+  pool seeds 101-110, where more golden steps are decided exactly;
 - oracle_shifted: (y*, phi*) of `minimize_objective` on pool seeds 1-3,
-  each problem moved by 1e3 and by 1e6 along the interface, where the grid
-  screen's bound is widest relative to phi's variation;
+  each problem moved by 1e3 and by 1e6 along the interface, where the golden
+  steps' float screen bounds are widest relative to phi's variation;
 - delta: (lo, hi) of scalar `delta` at every trace row's y of `solve` on
   pool seeds 1-3, so `delta`'s bits are checked apart from the trace's
   `delta_rows`;
