@@ -97,16 +97,16 @@ def contains(vset, point):
     """Membership test straight from the defining inequalities of the set.
 
     A ball or an ellipse compares a hypot with 1 (or r), so no square leaves
-    the float range.
+    the float range; every sum is formed on Python floats.
     """
     x, y = float(point[0]), float(point[1])
     if isinstance(vset, Ball):
         return math.hypot(x, y) <= vset.r
     if isinstance(vset, Ellipse):
-        w0, w1 = (vset._to_axes @ np.array([x, y])).tolist()
-        return math.hypot(w0 / vset.a, w1 / vset.b) <= 1.0
+        (t00, t01), (t10, t11) = vset._to_axes.tolist()
+        return math.hypot((t00 * x + t01 * y) / vset.a, (t10 * x + t11 * y) / vset.b) <= 1.0
     if isinstance(vset, Polygon):
-        return bool(np.all(vset.normals @ np.array([x, y]) <= vset.offsets))
+        return all(nx * x + ny * y <= h for (nx, ny), h in zip(vset.normals.tolist(), vset.offsets.tolist()))
     raise TypeError(f"not a velocity set: {vset!r}")
 
 
@@ -521,10 +521,8 @@ def sample_interior(vset, n, rng):
     samples, as on a valid set that fills under 1/MAX_REJECTIONS_PER_SAMPLE
     of its box (a thin ellipse rotated by pi/4).
     """
-    xb = support(vset, np.array([1.0, 0.0]))
-    xa = -support(vset, np.array([-1.0, 0.0]))
-    yb = support(vset, np.array([0.0, 1.0]))
-    ya = -support(vset, np.array([0.0, -1.0]))
+    xa, xb = -support(vset, (-1.0, 0.0)), support(vset, (1.0, 0.0))
+    ya, yb = -support(vset, (0.0, -1.0)), support(vset, (0.0, 1.0))
     out = []
     tries = 0
     while len(out) < n:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elvis import Ball, Ellipse, Polygon, make_problem, validate
+from elvis import Ball, Ellipse, Polygon, make_problem, parse_problem, solve, validate
+from elvis.solver import crossing_time, delta_rows
 
 # Documented test squares for the polyhedral (non-smooth) experiments:
 #   SQUARE0 is the axis-aligned unit square.
@@ -124,6 +127,22 @@ def pool_problems(seed, n=270):
     from perfbench.inputs import problem_pool
 
     return problem_pool(seed, n)
+
+
+def output_probe(seed=1, n=27):
+    """sha256 of every SolveResult field of `solve` on `pool_problems(seed, n)`, with
+    `delta_rows` and `crossing_time` on the array of y in [-4, 4] at step 1/4 for each
+    problem; floats and arrays by their bytes."""
+    h = hashlib.sha256()
+    ys = np.linspace(-4.0, 4.0, 33)
+    for text in pool_problems(seed, n):
+        problem = parse_problem(text)
+        result, _ = solve(problem)
+        for field in dataclasses.fields(result):
+            h.update(np.asarray(getattr(result, field.name)).tobytes())
+        for values in (*delta_rows(problem, ys), crossing_time(problem, ys)):
+            h.update(values.tobytes())
+    return h.hexdigest()
 
 
 def exact_polygon_pair_minimum(problem):

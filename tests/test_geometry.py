@@ -492,8 +492,9 @@ def random_row_set(rng, kind):
 
 
 class TestGaugeRows:
-    """gauge on rows must equal gauge on each row bit for bit; a numpy or BLAS
-    build that rounds the stacked matmul differently from m @ v fails here."""
+    """gauge on rows must equal gauge on each row bit for bit: `_matvec` forms a row by
+    the same element-wise products and sum as a single vector, so a change that gives
+    rows a different product (a matmul, einsum) fails here."""
 
     @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
     def test_bit_equal_to_gauge(self, kind):

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +44,7 @@ from conftest import (
     SQUARE0_VERTICES,
     egg_polygon,
     exact_polygon_pair_minimum,
+    output_probe,
     pool_problems,
     random_ball,
     random_ellipse,
@@ -1297,3 +1301,18 @@ def test_polygon_pairs_reach_the_exact_minimum():
         exact = float(exact)
         rounding = abs(crossing_time(p, float(y_exact)) - exact)
         assert abs(solve(p)[0].time - exact) <= 1e-14 * max(1.0, exact) + rounding
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel():
+    """`output_probe` gives the same bytes here and in a child process under
+    OPENBLAS_CORETYPE=Prescott, an OpenBLAS kernel without fused multiply-adds: no kernel
+    calls BLAS, so the kernel OpenBLAS selects for the CPU moves no output bit."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "from conftest import output_probe; print(output_probe())"],
+        cwd=tests, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Prescott"))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == output_probe()

@@ -1,11 +1,16 @@
 """Print one sha256 per output family of the library and the CLI.
 
-Run it from the repository root of two checkouts and diff the outputs:
+Run it from the repository root and compare its output with the pinned file:
 
-    PYTHONPATH=src python3 tools/digest.py > digest.txt
+    PYTHONPATH=src python3 tools/digest.py | diff tools/digest.expected -
 
-Two checkouts print the same lines exactly when these outputs are
-bit-identical (every float by its bytes, every value with its type name):
+The first line names the numpy and mpmath versions.  No kernel calls BLAS,
+so the output depends only on the source and those versions, not on the
+BLAS kernel the CPU selects.  `tools/digest.expected` is this checkout's
+output at the versions its first line names; a change that moves an output
+bit updates it.  Two checkouts print the same lines exactly when these
+outputs are bit-identical (every float by its bytes, every value with its
+type name):
 
 - solve_result: every SolveResult field of `solve` on `problem_pool` seeds
   1-10 and 101-110 (270 problems each), or the error a solve raised;
@@ -29,10 +34,6 @@ bit-identical (every float by its bytes, every value with its type name):
   vertices (`POLYGON_CONSTANTS`), for every polygon of those pools and of
   the sweep files (the sweep 48-gon).
 
-The script reads only names that earlier checkouts have too (the oracle
-lines use the public `minimize_objective`, `flat_minimum_interval`,
-`OracleConfig` and `make_problem`), so one copy of it compares any two checkouts.
-
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
 from a per-node `solve` in any field; it is 0 on a correct checkout.
 """
@@ -44,6 +45,7 @@ import os
 import sys
 import tempfile
 
+import mpmath
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
@@ -219,6 +221,7 @@ def main():
     digests["delta"] = delta_digest(DELTA_SEEDS)
     digests["flat_minimum"] = flat_minimum_digest(FLAT_MINIMUM_SEEDS)
     digests["polygon_constants"] = polygons
+    print(f"versions numpy {np.__version__} mpmath {mpmath.__version__}")
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()}")
     print(f"solve_batch_vs_solve {mismatches}")
