@@ -35,7 +35,8 @@ NUMERIC_SETS = {
 
 @dataclass(frozen=True, kw_only=True)
 class SweepSpec(ElvisProblem):
-    """A problem validated at x1 = (xmin, ymin) plus a grid of targets above the interface."""
+    """A problem validated at x1 = (xmin, min(ymin, ymax)) plus a grid of targets above the
+    interface."""
 
     xmin: float
     xmax: float
@@ -179,7 +180,8 @@ def dump_problem(problem):
 def parse_sweep(text, epsilon_override=None):
     """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface).
 
-    The grid's spans xmax - xmin and ymax - ymin must be finite.
+    The grid's spans xmax - xmin and ymax - ymin must be finite, and its lowest row,
+    min(ymin, ymax), must pass `make_problem`'s gauge floor.
     """
     doc = _read_document(text, "sweep", ("x0", "F0", "F1", "x1_grid"), SWEEP_KEYS)
     grid = _object(doc["x1_grid"], "x1_grid", GRID_KEYS, GRID_KEYS)
@@ -198,8 +200,9 @@ def parse_sweep(text, epsilon_override=None):
     xmin, xmax, ymin, ymax = float(xmin), float(xmax), float(ymin), float(ymax)
     if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
         raise ValidationError("x1_grid: xmax - xmin and ymax - ymin must be finite")
-    # Validate everything once up front with a representative target.
-    probe = make_problem(x0, np.array([xmin, ymin]), f0, f1, epsilon, max_iter)
+    # Validate everything once up front at the grid's lowest row: no node's x1_y is below
+    # it, so every node passes make_problem's gauge floor too.
+    probe = make_problem(x0, np.array([xmin, min(ymin, ymax)]), f0, f1, epsilon, max_iter)
     return SweepSpec(**vars(probe), xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
 
 

@@ -263,6 +263,7 @@ class TestSweep:
     @pytest.mark.parametrize("key, value, expected", [
         ("ymax", -1, 2), ("xmax", float("nan"), 1), ("nx", True, 1),
         ("nx", 10**20, 1), ("ny", 10**7 + 1, 1),  # above 10**7 points, not a linspace traceback
+        ("ymax", 1e-310, 2),  # the top row under the gauge floor fails before the CSV is opened
     ])
     def test_malformed_grid(self, tmp_path, capsys, key, value, expected):
         doc = dict(BALL_SWEEP, x1_grid=dict(BALL_SWEEP["x1_grid"], **{key: value}))

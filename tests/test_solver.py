@@ -1131,6 +1131,20 @@ class TestSolveBatch:
         assert json.loads(capsys.readouterr().out) == {"nodes": 2, "solved": 0}
         assert out_csv.read_text().count(",nan,nan,BracketExpansionFailed,0\n") == 2
 
+        # One batch with failures first, in the middle and last: nodes whose bracket fails,
+        # one that fails later, at an overflowing midpoint (test_overflow_fails'
+        # walked-midpoint target), and nodes that solve.
+        p = make_problem((0, -1), (0.1, 1), Ellipse(3.0, 1.0, rot=np.pi / 4), Ball(1))
+        x1s = [[0.1, 1.0], [3.0, 0.2], [1.7e308, 1.0], [6.0, 1.0], [-0.1, 1.0]]
+        walked = dataclasses.replace(p, x1=np.array(x1s[2]))
+        assert expand_bracket(walked)[1] == 1.7e308
+        with pytest.raises(BracketExpansionFailedError, match="midpoint"):
+            solve(walked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = assert_batch_equals_references(p, x1s)
+        assert [res is None for res in results] == [True, False, True, False, True]
+
     @pytest.mark.parametrize("doublings", [0, 1, 2])
     def test_few_doublings(self, monkeypatch, doublings):
         """With 0, 1 or 2 bracket doublings allowed, some nodes fail, and with 1 or 2 some expand."""

@@ -35,7 +35,11 @@ type name):
   the sweep files (the sweep 48-gon).
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
-from a per-node `solve` in any field; it is 0 on a correct checkout.
+from a per-node `solve` in any field; it is 0 on a correct checkout.  It
+covers the sweep grids, where every node solves, and, unhashed, five
+targets per problem of pool seeds 1-3 at max_iter 200, 3 and 1 (nodes that
+expand or stop at MaxIterations) and a batch with a node that fails at an
+overflowing midpoint and one that fails in the bracket.
 """
 
 import dataclasses
@@ -51,6 +55,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 
 from elvis import (  # noqa: E402
+    Ball,
     OracleConfig,
     Polygon,
     cli,
@@ -72,6 +77,8 @@ ORACLE_SHIFTS = (1e3, 1e6)
 DELTA_SEEDS = (1, 2, 3)
 FLAT_MINIMUM_SEEDS = (1, 2, 3)
 SWEEP_SEEDS = tuple(range(1, 11))
+BATCH_SEEDS = (1, 2, 3)
+BATCH_MAX_ITERS = (200, 3, 1)
 POLYGON_CONSTANTS = ("vertices", "normals", "offsets", "facet_points", "circumradius",
                      "inner_radius", "kinks", "kink_flanks", "_line_table")
 
@@ -138,6 +145,21 @@ def pool_digests(polygons):
     return {"solve_result": results, "trace_row": rows, "expand_bracket": brackets}
 
 
+def batch_mismatches(problem, targets):
+    """solve_batch's results on the targets, and how many differ from per-node solve."""
+    results = solver.solve_batch(problem, targets)
+    mismatches = 0
+    for x1, got in zip(np.asarray(targets, dtype=float), results):
+        node = solver.ElvisProblem(problem.x0, x1, problem.F0, problem.F1, problem.epsilon,
+                                   problem.max_iter)
+        try:
+            want = solver.solve(node)[0]
+        except solver.BracketExpansionFailedError:
+            want = None
+        mismatches += not _same(got, want)
+    return results, mismatches
+
+
 def sweep_digests(polygons):
     batch, csv = hashlib.sha256(), hashlib.sha256()
     mismatches = 0
@@ -149,15 +171,10 @@ def sweep_digests(polygons):
                 spec = parse_sweep(text)
                 _feed_polygons(polygons, spec)
                 xs, ys = sweep_grid(spec)
-                targets = np.array([[x, y] for y in ys for x in xs])
-                for x1, got in zip(targets, solver.solve_batch(spec, targets)):
+                results, count = batch_mismatches(spec, [[x, y] for y in ys for x in xs])
+                mismatches += count
+                for got in results:
                     _feed_record(batch, got)
-                    node = solver.ElvisProblem(spec.x0, x1, spec.F0, spec.F1, spec.epsilon, spec.max_iter)
-                    try:
-                        want = solver.solve(node)[0]
-                    except solver.BracketExpansionFailedError:
-                        want = None
-                    mismatches += not _same(got, want)
                 with open(spec_path, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 with open(os.devnull, "w") as quiet:
@@ -169,6 +186,25 @@ def sweep_digests(polygons):
                 with open(csv_path, "rb") as fh:
                     csv.update(fh.read())
     return {"solve_batch": batch, "sweep_csv": csv}, mismatches
+
+
+def pool_batch_mismatches():
+    """solve_batch against per-node solve, unhashed: five targets per problem of pool seeds
+    BATCH_SEEDS, two of them almost above x0, at every max_iter of BATCH_MAX_ITERS, and a
+    batch whose first node walks to an overflowing midpoint and whose third one fails in the
+    bracket (its offsets could overflow a kernel)."""
+    mismatches = 0
+    for seed in BATCH_SEEDS:
+        for text in problem_pool(seed, POOL_SIZE):
+            p = parse_problem(text)
+            (x0x, _), (x1x, x1y) = p.x0.tolist(), p.x1.tolist()
+            targets = [(x1x, x1y), (x0x, x1y), (x0x + 0.01, 2.0 * x1y), (x1x - 3.0, 0.5 * x1y),
+                       (x1x + 3.0, x1y)]
+            for max_iter in BATCH_MAX_ITERS:
+                mismatches += batch_mismatches(dataclasses.replace(p, max_iter=max_iter), targets)[1]
+    overflow = make_problem((0.0, -1.0), (1.7e308, 1.0), Ball(100.0), Ball(1.0))
+    targets = [(1.7e308, 1.0), (1.0, 1.0), (sys.float_info.max, 1.0), (-1.0, 2.0)]
+    return mismatches + batch_mismatches(overflow, targets)[1]
 
 
 def oracle_digest(seeds, cfg=None, shifts=(0.0,)):
@@ -214,6 +250,7 @@ def main():
     polygons = hashlib.sha256()
     digests = pool_digests(polygons)
     sweeps, mismatches = sweep_digests(polygons)
+    mismatches += pool_batch_mismatches()
     digests.update(sweeps)
     digests["oracle"] = oracle_digest(ORACLE_SEEDS)
     digests["oracle_gate"] = oracle_digest(ORACLE_GATE_SEEDS, ORACLE_GATE)
