@@ -4,14 +4,15 @@ A velocity set is a closed bounded convex subset of the plane containing the
 origin in its interior.  Three shapes are supported: balls, (rotated) ellipses
 and convex polygons.  Each shape class implements the same operations
 (`validate`, `gauge`, `support`, `polar`, `boundary_face`); the module-level
-functions of the same names dispatch to them.  Each also has `line_form`,
-the float forms of its normal face along a line that the solver decides by
-(see below).
+functions of the same names dispatch to them.  Each also has `gauge_face`,
+gauge and boundary_face of one vector on Python floats, and `line_form`, the
+float forms of its normal face along a line that the solver decides by (see
+below).
 
-There is one kernel per operation.  `gauge(v)` and `boundary_face(p)` take a
-vector of shape (2,) or rows of shape (N, 2), and row n of the result is bit
-for bit the result for the vector alone.  `boundary_face` returns the face
-as the pair (zeta_lo, zeta_hi), the same array twice for a point face;
+There is one numpy kernel per operation.  `gauge(v)` and `boundary_face(p)`
+take a vector of shape (2,) or rows of shape (N, 2), and row n of the result
+is bit for bit the result for the vector alone.  `boundary_face` returns the
+face as the pair (zeta_lo, zeta_hi), the same array twice for a point face;
 `normal_face` wraps one vector's pair in a `NormalFace` and
 `normal_face_rows` hands the rows' pair on; the solver picks points of the
 faces from those end points by one answer rule (`solver._answer`).  Every
@@ -19,13 +20,27 @@ matrix product is one element-wise expression, `_matvec`, alike for a vector
 and for rows, so each row rounds as the vector alone and no kernel calls
 BLAS: the bits depend on the input and the numpy version only.  Components
 are read from the transpose, `v.T[0]` and `v.T[1]`, which are scalars for a
-vector and columns for rows.  Every shape is a frozen value, and the kernels
-read constants derived from its fields once, stored on the instance so that
-fields, equality and repr are left alone: an ellipse's rotation matrices and
-squared semi-axes (`cached_property`s), and a polygon's half-plane form,
-facet points n_i/h_i and radii from one pass over its vertices on Python
-floats, the arrays read-only like its vertices, and its kinks and line-form
-table from a second pass on its first line form (`Polygon`).  `inner_radius`
+vector and columns for rows.
+
+`gauge_face(vx, vy)` is the float path of both kernels for one vector of
+Python floats with a positive gauge: it returns g, the boundary point
+(vx/g, vy/g) and the face there as float pairs, by the kernels' operations in
+their order (`np.hypot` on floats where the kernel calls it, as `math.hypot`
+rounds differently; `_matvec`'s products and sum written out; argmin's and
+argmax's first index), so every value is bit-equal to the row kernels'.
+Only `solve`'s finish takes it, where numpy's fixed cost on 2-element arrays
+would be most of the work; `solve_batch`, `delta`, `delta_rows`,
+`crossing_time`, `normal_face`, `normal_face_rows` and the module-level
+`gauge` take the numpy kernels.
+
+Every shape is a frozen value, and the kernels read constants derived from
+its fields once, stored on the instance so that fields, equality and repr are
+left alone: an ellipse's rotation matrices and squared semi-axes
+(`cached_property`s) and their entries as Python floats, and a polygon's
+half-plane form, facet points n_i/h_i and radii from one pass over its
+vertices on Python floats, the arrays read-only like its vertices, with the
+floats of that pass kept too, and its kinks and line-form table from a
+second pass on its first line form (`Polygon`).  `inner_radius`
 is the radius of the largest centred disk in the set and `circumradius` that
 of the smallest centred disk around it, so |v|/circumradius <= gauge(v) <=
 |v|/inner_radius.
@@ -234,6 +249,16 @@ class Ball:
         zeta = p / (self.r * self.r)
         return zeta, zeta
 
+    def gauge_face(self, vx, vy):
+        """(g, (px, py), (zeta_lo, zeta_hi)) of the vector (vx, vy) on Python floats: its
+        gauge, boundary point and boundary_face there, bit-equal to the row kernels'
+        (see the module notes)."""
+        g = float(np.hypot(vx, vy)) / self.r
+        px, py = vx / g, vy / g
+        rr = self.r * self.r
+        zeta = px / rr, py / rr
+        return g, (px, py), (zeta, zeta)
+
     def line_form(self, vy):
         """Line form along vy (see the module notes): strict is face, with no kinks.
 
@@ -300,6 +325,12 @@ class Ellipse:
     def _axes_squared(self):
         return np.array([self.a * self.a, self.b * self.b])
 
+    @cached_property
+    def _floats(self):
+        """The entries of _to_axes, _from_axes and _axes_squared as Python floats."""
+        return (*self._to_axes.ravel().tolist(), *self._from_axes.ravel().tolist(),
+                *self._axes_squared.tolist())
+
     def gauge(self, v):
         w = _matvec(self._to_axes, v).T
         return np.hypot(w[0] / self.a, w[1] / self.b)
@@ -315,6 +346,15 @@ class Ellipse:
         """Normal face at the boundary point p: the gauge gradient, taken in the axis frame."""
         zeta = _matvec(self._from_axes, _matvec(self._to_axes, p) / self._axes_squared)
         return zeta, zeta
+
+    def gauge_face(self, vx, vy):
+        """(g, p, face) of the vector (vx, vy) on Python floats, as `Ball.gauge_face`."""
+        t00, t01, t10, t11, f00, f01, f10, f11, a2, b2 = self._floats
+        g = float(np.hypot((t00 * vx + t01 * vy) / self.a, (t10 * vx + t11 * vy) / self.b))
+        px, py = vx / g, vy / g
+        s0, s1 = (t00 * px + t01 * py) / a2, (t10 * px + t11 * py) / b2
+        zeta = f00 * s0 + f01 * s1, f10 * s0 + f11 * s1
+        return g, (px, py), (zeta, zeta)
 
     def line_form(self, vy):
         """Line form along vy (see the module notes): strict is face, with no kinks.
@@ -348,9 +388,7 @@ class Ellipse:
         a, b = self.a, self.b
         if not (_in_scale(a, b, vy) and self.circumradius <= _ASPECT_MAX * self.inner_radius):
             return None
-        (t00, t01), (t10, t11) = self._to_axes.tolist()
-        (f00, f01), _ = self._from_axes.tolist()
-        a2, b2 = self._axes_squared.tolist()
+        t00, t01, t10, t11, f00, f01, _, _, a2, b2 = self._floats
         t01_vy, t11_vy = t01 * vy, t11 * vy
         m = self.inner_radius
         k = self.circumradius / m
@@ -401,7 +439,10 @@ class Polygon:
       `offsets`, facet i joining vertex i to vertex i+1;
     - the facet points `facet_points`, row i n_i/h_i, the point of the polar
       boundary that facet i exposes;
-    - `circumradius` and `inner_radius` (the least offset).
+    - `circumradius` and `inner_radius` (the least offset);
+    - `_floats`, the pass's Python floats: the vertex coordinates xs and ys,
+      the normals' nx and ny, the offsets h and the facet points' fx and fy,
+      as tuples, which `gauge_face` and `_derive_line_table` read.
 
     Each value has the bits of the array expression it replaces: edge
     lengths and radii come from one `np.hypot` call (libm, which may round
@@ -440,6 +481,7 @@ class Polygon:
     facet_points = _Derived("_derive_shape")
     circumradius = _Derived("_derive_shape")
     inner_radius = _Derived("_derive_shape")
+    _floats = _Derived("_derive_shape")
     kinks = _Derived("_derive_line_table")
     kink_flanks = _Derived("_derive_line_table")
     _line_table = _Derived("_derive_line_table")
@@ -482,6 +524,7 @@ class Polygon:
         self.__dict__.update(
             normals=_columns(nx, ny), offsets=_read_only(np.array(h)),
             facet_points=_columns(fx, fy), circumradius=max(hyp[n:]), inner_radius=h_min,
+            _floats=tuple(map(tuple, (xs, ys, nx, ny, h, fx, fy))),
         )
 
     def _derive_line_table(self):
@@ -498,10 +541,7 @@ class Polygon:
         then its right gap.  A run of vertices that are not answered,
         with the failed gaps between them, is one slot of None.
         """
-        flat = self.vertices.ravel().tolist()
-        xs, ys = flat[0::2], flat[1::2]
-        nf, fp = self.normals.ravel().tolist(), self.facet_points.ravel().tolist()
-        nx, ny, fx, fy = nf[0::2], nf[1::2], fp[0::2], fp[1::2]
+        xs, ys, nx, ny, _, fx, fy = self._floats
         h_min, radius = self.inner_radius, self.circumradius
         n = len(xs)
         upper = sorted((x / y, i) for i, (x, y) in enumerate(zip(xs, ys)) if y > 0)
@@ -666,6 +706,22 @@ class Polygon:
         # point to facet i's; index -1 is the last facet, the one before vertex 0.
         k = j + (i - j) * snap
         return self.facet_points[k - snap], self.facet_points[k]
+
+    def gauge_face(self, vx, vy):
+        """(g, p, face) of the vector (vx, vy) on Python floats, as `Ball.gauge_face`; g
+        must be positive."""
+        xs, ys, nx, ny, h, fx, fy = self._floats
+        g = max(0.0, *[(p * vx + q * vy) / t for p, q, t in zip(nx, ny, h)])
+        px, py = vx / g, vy / g
+        dists = np.hypot([x - px for x in xs], [y - py for y in ys]).tolist()
+        near = min(dists)
+        if near <= VERTEX_FACE_TOL * self.circumradius:
+            i = dists.index(near)  # argmin's first index
+            return g, (px, py), ((fx[i - 1], fy[i - 1]), (fx[i], fy[i]))
+        taus = [(p * px + q * py) / t for p, q, t in zip(nx, ny, h)]
+        j = taus.index(max(taus))  # argmax's first index
+        zeta = fx[j], fy[j]
+        return g, (px, py), (zeta, zeta)
 
     def line_form(self, vy):
         """Line form along vy (see the module notes): face and strict give the answers

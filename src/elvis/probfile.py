@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ProblemFormatError, ValidationError
 from .geometry import Ball, Ellipse, Polygon
-from .solver import ElvisProblem, make_problem
+from .solver import _GAUGE_FLOOR, ElvisProblem, make_problem
 
 PROBLEM_KEYS = ("x0", "x1", "F0", "F1", "epsilon", "max_iter")
 SWEEP_KEYS = ("x0", "F0", "F1", "epsilon", "max_iter", "x1_grid")
@@ -181,7 +181,8 @@ def parse_sweep(text, epsilon_override=None):
     """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface).
 
     The grid's spans xmax - xmin and ymax - ymin must be finite, and its lowest row,
-    min(ymin, ymax), must pass `make_problem`'s gauge floor.
+    min(ymin, ymax), must pass `make_problem`'s gauge floor, checked apart from x0's so
+    that the error names x1_grid.
     """
     doc = _read_document(text, "sweep", ("x0", "F0", "F1", "x1_grid"), SWEEP_KEYS)
     grid = _object(doc["x1_grid"], "x1_grid", GRID_KEYS, GRID_KEYS)
@@ -200,10 +201,15 @@ def parse_sweep(text, epsilon_override=None):
     xmin, xmax, ymin, ymax = float(xmin), float(xmax), float(ymin), float(ymax)
     if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
         raise ValidationError("x1_grid: xmax - xmin and ymax - ymin must be finite")
-    # Validate everything once up front at the grid's lowest row: no node's x1_y is below
-    # it, so every node passes make_problem's gauge floor too.
-    probe = make_problem(x0, np.array([xmin, min(ymin, ymax)]), f0, f1, epsilon, max_iter)
-    return SweepSpec(**vars(probe), xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
+    # Validate x0, the sets and the tolerances once up front, at a target that clears the gauge
+    # floor for any valid F1, then the grid's lowest row: no node's x1_y is below it, so every
+    # node passes make_problem's gauge floor too.
+    low = min(ymin, ymax)
+    probe = make_problem(x0, np.array([xmin, _FLOAT_MAX]), f0, f1, epsilon, max_iter)
+    if not low / probe.F1.circumradius >= _GAUGE_FLOOR:
+        raise ValidationError("x1_grid: min(ymin, ymax)/F1.circumradius must be at least 2**-1020")
+    return SweepSpec(**dict(vars(probe), x1=np.array([xmin, low])),
+                     xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
 
 
 def load_sweep(path, epsilon_override=None):

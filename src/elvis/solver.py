@@ -20,19 +20,19 @@ certifies points a <= c <= d <= b of the bracket where the kernels decide
 those midpoints by one comparison.  A loop that stops on a decision 0
 ends on a nearby polygon kink that decides 0 too (see `_kink_stop`).  At
 the final y `solve` takes each side's gauge once, and the boundary points
-it gives are both the result's velocities and where the faces are taken;
-`_answer`, the one answer rule, forms the interval, status and multipliers
-from those faces' end points on Python floats.  The trace keeps each
-step's (k, l, r, y, d) and fills in delta_lo and delta_hi by one
-`delta_rows` call, bit-equal to `delta` row by row, when its rows are
-first read.
+it gives are both the result's velocities and where the faces are taken,
+all on Python floats by the sets' `gauge_face`, bit-equal to the numpy
+kernels; `_answer`, the one answer rule, forms the interval, status and
+multipliers from those faces' end points.  The trace keeps each step's
+(k, l, r, y, d) and fills in delta_lo and delta_hi by one `delta_rows`
+call, bit-equal to `delta` row by row, when its rows are first read.
 
 `solve_batch`, for many targets x1 that share x0, F0 and F1, runs each of
 the bisection's four phases (`_expand`, `_thresholds`, `_halve`, `_kink_stop`)
 over every node before it starts the next, then makes one row call of the
-same gauge and face kernels per side at the abscissae where the nodes
-stopped, each row bit-equal to the vector call, and `_answer` per node;
-every node's result is equal to `solve`'s field by field.
+numpy gauge and face kernels per side at the abscissae where the nodes
+stopped, each row bit-equal to `solve`'s `gauge_face`, and `_answer` per
+node; every node's result is equal to `solve`'s field by field.
 """
 
 import math
@@ -51,6 +51,9 @@ MAX_BRACKET_DOUBLINGS = 64
 # An offset's gauge is at least |offset_y|/circumradius, and the kernels divide by gauges,
 # so make_problem and solve_batch keep that bound at least this, above the least normal float.
 _GAUGE_FLOOR = 2.0**-1020
+
+# No sum of two floats at most this in magnitude overflows.
+_HALF_MAX = sys.float_info.max / 2.0
 
 # The threshold locator's safeguarded secant stops after this many probes.
 _SECANT_PROBES = 8
@@ -603,19 +606,23 @@ def _halve(problem, side, l, r, a, c, d, b):
     """The loop on [l, r]: (steps, y, last), steps each step's (k, l, r, y, d), y the last
     midpoint and last the final (l, r) where the last decision was 0, else None.  A
     midpoint that overflows raises BracketExpansionFailedError before it is decided."""
-    max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
+    max_iter, ulp = problem.max_iter, math.ulp
+    # Every midpoint lies in [l, r]: none overflows unless an end exceeds max/2, and as ulp
+    # is monotone, none stops on 4 ulp(|y|) unless d_k <= 4 ulp of the larger end first.
+    wide = not (abs(l) <= _HALF_MAX and abs(r) <= _HALF_MAX)
+    stop_from = 4.0 * ulp(max(abs(l), abs(r)))
     d_k = r - l
     steps = []
     k = 0
     while True:
         y = 0.5 * (l + r)
-        if not isfinite(y):
+        if wide and not math.isfinite(y):
             raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
         steps.append((k, l, r, y, d_k))
         sign = -1 if y <= a else 1 if y >= b else 0 if c <= y <= d else side(y)
         if sign == 0:
             return steps, y, (l, r)
-        if k + 1 >= max_iter or d_k <= 4.0 * ulp(abs(y)):
+        if k + 1 >= max_iter or (d_k <= stop_from and d_k <= 4.0 * ulp(abs(y))):
             return steps, y, None
         if sign > 0:
             r = y
@@ -672,24 +679,21 @@ def solve(problem):
     The final y is the last midpoint, or, where the loop stopped on a
     decision 0, a polygon kink inside the last bracket that decides 0 too
     (see `_kink_stop`).  There each side's gauge g is taken once: v = w/g is
-    both the result's v0 or v1 and the boundary point its face is taken at,
-    and `_answer` forms the interval, status and multipliers from those
-    faces; y, l, r and d are reported as np.float64.
+    both the result's v0 or v1 and the boundary point its face is taken at.
+    The sets' `gauge_face` forms g, v and the face on Python floats, with
+    no numpy call on one vector (delta aside), each value bit-equal to the
+    numpy kernels' on a row; `_answer` forms the interval, status and
+    multipliers from those faces; y, l, r and d are reported as np.float64.
     """
     steps, y, expanded = _bisect(problem, *_line_forms(problem))
-    y = np.float64(y)
-    yv = np.array([y, 0.0])
-    w0 = yv - problem.x0
-    w1 = problem.x1 - yv
-    g0 = problem.F0.gauge(w0)
-    g1 = problem.F1.gauge(w1)
-    v0, v1 = w0 / g0, w1 / g1
-    # normal_face at w0 and w1, taken at the boundary points v0 and v1; its zero check
-    # cannot fire, as w0_y = -x0_y and w1_y = x1_y are positive.
-    face0 = [zeta.tolist() for zeta in problem.F0.boundary_face(v0)]
-    neg_face1 = [zeta.tolist() for zeta in problem.F1.boundary_face(v1)]
-    result = _answer(problem.epsilon, y, float(g0 + g1), v0, v1, face0, neg_face1, len(steps),
-                     expanded)
+    x0x, x0y = problem.x0.tolist()
+    x1x, x1y = problem.x1.tolist()
+    # The offsets as `_offset_rows` forms them; w0_y = -x0_y and w1_y = x1_y are positive,
+    # so normal_face's zero check cannot fire.
+    g0, v0, face0 = problem.F0.gauge_face(y - x0x, 0.0 - x0y)
+    g1, v1, neg_face1 = problem.F1.gauge_face(x1x - y, x1y)
+    result = _answer(problem.epsilon, np.float64(y), g0 + g1, np.array(v0), np.array(v1), face0,
+                     neg_face1, len(steps), expanded)
     return result, BisectionTrace(problem, steps)
 
 
@@ -701,9 +705,9 @@ def solve_batch(problem, x1s):
     phase over every node before the next, with F0's forms built once for
     all of them and F1's once per run of nodes with equal x1_y, and keeps
     only its stopping abscissa, step count and expanded flag; one row call
-    of the gauge and face kernels per side at those abscissae gives every
-    node its gauges and faces, bit-equal to solve's vector calls, and solve's
-    `_answer` its result, so result n equals solve(problem with
+    of the numpy gauge and face kernels per side at those abscissae gives
+    every node its gauges and faces, bit-equal to solve's `gauge_face`, and
+    solve's `_answer` its result, so result n equals solve(problem with
     x1 = x1s[n])[0] field by field.  Result n is None where `_expand` or
     `_halve` raises BracketExpansionFailedError, as solve does.  Every
     x1 must be finite, with x1_y > 0 and x1_y/F1.circumradius >= 2**-1020.

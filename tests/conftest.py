@@ -119,14 +119,24 @@ def boundary_points(vset, n, rng):
     return (1.0 - t) * verts[idx] + t * nxt[idx]
 
 
-def pool_problems(seed, n=270):
-    """The problem texts of the benchmark's `problem_pool(seed, n)` (perfbench/inputs.py)."""
+def _bench_inputs():
+    """The benchmark's input module, perfbench/inputs.py."""
     root = str(Path(__file__).resolve().parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
-    from perfbench.inputs import problem_pool
+    from perfbench import inputs
 
-    return problem_pool(seed, n)
+    return inputs
+
+
+def pool_problems(seed, n=270):
+    """The problem texts of the benchmark's `problem_pool(seed, n)` (perfbench/inputs.py)."""
+    return _bench_inputs().problem_pool(seed, n)
+
+
+def sweep_polygon():
+    """The validated 48-gon of the benchmark's sweep files (perfbench/inputs.py)."""
+    return validate(Polygon(_bench_inputs().sweep_polygon()))
 
 
 def output_probe(seed=1, n=27):

@@ -268,10 +268,12 @@ class TestSweep:
     def test_malformed_grid(self, tmp_path, capsys, key, value, expected):
         doc = dict(BALL_SWEEP, x1_grid=dict(BALL_SWEEP["x1_grid"], **{key: value}))
         out_csv = tmp_path / "sweep.csv"
-        code, _, _ = run_main(["sweep", write(tmp_path, "s.json", doc), "--out", str(out_csv)],
-                              capsys)
+        code, _, err = run_main(["sweep", write(tmp_path, "s.json", doc), "--out", str(out_csv)],
+                                capsys)
         assert code == expected
         assert not out_csv.exists()
+        if value == 1e-310:  # the message names the grid, not x0 or x1
+            assert "x1_grid: min(ymin, ymax)/F1.circumradius must be at least 2**-1020" in err
 
     def test_span_overflow_exit_2(self, tmp_path, capsys):
         """A grid whose xmax - xmin overflows fails validation before the CSV is opened,

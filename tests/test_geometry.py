@@ -39,6 +39,7 @@ from conftest import (
     egg_polygon,
     pool_problems,
     random_validated_set,
+    sweep_polygon,
 )
 
 
@@ -494,7 +495,9 @@ def random_row_set(rng, kind):
 class TestGaugeRows:
     """gauge on rows must equal gauge on each row bit for bit: `_matvec` forms a row by
     the same element-wise products and sum as a single vector, so a change that gives
-    rows a different product (a matmul, einsum) fails here."""
+    rows a different product (a matmul, einsum) fails here.  Both are the numpy kernels;
+    the float path of one vector, `gauge_face`, which only solve's finish takes, is held
+    to the rows' bits by TestGaugeFace."""
 
     @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
     def test_bit_equal_to_gauge(self, kind):
@@ -616,6 +619,77 @@ class TestNormalFaceRows:
         faces = [normal_face(vset, v) for v in vs]
         assert lo.tobytes() == np.array([f.zeta_lo for f in faces]).tobytes()
         assert hi.tobytes() == np.array([f.zeta_hi for f in faces]).tobytes()
+
+
+def assert_gauge_face_bits(vset, vs):
+    """gauge_face of every row of vs gives, on Python floats, the bytes of the row kernels'
+    gauge g, boundary point v/g and both ends of boundary_face there."""
+    g = vset.gauge(vs)
+    p = vs / g[:, None]
+    lo, hi = vset.boundary_face(p)
+    got = [vset.gauge_face(vx, vy) for vx, vy in vs.tolist()]
+    assert all(type(x) is float for g_n, p_n, (lo_n, hi_n) in got for x in (g_n, *p_n, *lo_n, *hi_n))
+    assert np.array([g_n for g_n, _, _ in got]).tobytes() == g.tobytes()
+    assert np.array([p_n for _, p_n, _ in got]).tobytes() == p.tobytes()
+    assert np.array([face[0] for _, _, face in got]).tobytes() == lo.tobytes()
+    assert np.array([face[1] for _, _, face in got]).tobytes() == hi.tobytes()
+
+
+class TestGaugeFace:
+    """gauge_face, the float path of solve's finish, must give the row kernels' bits."""
+
+    @pytest.mark.parametrize("kind", ["ball", "ellipse", "polygon"])
+    def test_random_sets(self, kind):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            vset = random_row_set(rng, kind)
+            vs = rng.normal(size=(100, 2)) * 10.0 ** rng.uniform(-6, 6, (100, 1))
+            assert_gauge_face_bits(vset, vs)
+
+    def test_near_vertex_rows(self):
+        """Every row of TestNormalFaceRows.near_vertex_rows, with both branches of the snap."""
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            vset = random_row_set(rng, "polygon")
+            snapped, apart = TestNormalFaceRows.near_vertex_rows(vset, rng)
+            assert_gauge_face_bits(vset, np.vstack((snapped, apart)))
+            assert all(lo != hi for _, _, (lo, hi) in (vset.gauge_face(*v) for v in snapped.tolist()))
+            assert all(lo == hi for _, _, (lo, hi) in (vset.gauge_face(*v) for v in apart.tolist()))
+
+    def test_ties(self):
+        """Ties keep argmin's and argmax's first index: directions through the square's
+        vertices, where two facet terms tie in the gauge; the middle of a cut corner's edge
+        shorter than the snap band, equally near both its ends; and a facet bent by 1e-11 at
+        (1, 0), whose two terms round equal outside the band."""
+        square = validate(Polygon(SQUARE0_VERTICES))
+        vs = np.array([[3.0, 3.0], [1.0, 1.0], [1e-7, 1e-7], [-2.0, 2.0], [-5.0, -5.0]])
+        assert_gauge_face_bits(square, vs)
+        assert square.gauge_face(3.0, 3.0)[2] == ((1.0, 0.0), (0.0, 1.0))
+        cut = validate(Polygon([(-1, -1), (1, -1), (1, 1 - 1e-10), (1 - 1e-10, 1), (-1, 1)]))
+        assert_gauge_face_bits(cut, np.array([[1.0, 1.0], [2.0, 2.0]]))
+        assert cut.gauge_face(1.0, 1.0)[2][0] == tuple(cut.facet_points[1])
+        bent = validate(Polygon([(-1, -1), (1, -1), (1, 0), (1 - 1e-11, 1), (-1, 1)]))
+        vs = np.column_stack((np.ones(50), np.geomspace(1e-7, 1e-2, 50)))
+        assert_gauge_face_bits(bent, vs)
+        assert bent.gauge_face(1.0, 1.846408988144408e-07)[2][0] == tuple(bent.facet_points[1])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pool_sets(self, seed):
+        rng = np.random.default_rng([25, seed])
+        for text in pool_problems(seed):
+            problem = parse_problem(text)
+            for vset in (problem.F0, problem.F1):
+                vs = rng.normal(size=(20, 2))
+                if isinstance(vset, Polygon):
+                    vs = np.vstack((vs, *TestNormalFaceRows.near_vertex_rows(vset, rng)))
+                assert_gauge_face_bits(vset, vs)
+
+    def test_sweep_polygon(self):
+        rng = np.random.default_rng(26)
+        polygon = sweep_polygon()
+        vs = rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
+        snapped, apart = TestNormalFaceRows.near_vertex_rows(polygon, rng)
+        assert_gauge_face_bits(polygon, np.vstack((vs, snapped, apart)))
 
 
 U = 2.0**-53

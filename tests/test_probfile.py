@@ -136,6 +136,18 @@ def test_sweep_requires_positive_ymin():
         parse_sweep(json.dumps(bad))
 
 
+def test_sweep_gauge_floor_messages():
+    """A grid row under the gauge floor is named as the grid's; an x0 under it keeps
+    make_problem's message.  The spec keeps x1 = (xmin, min(ymin, ymax))."""
+    low_grid = dict(SWEEP, x1_grid=dict(SWEEP["x1_grid"], ymin=1e-310))
+    with pytest.raises(ValidationError, match=r"^x1_grid: min\(ymin, ymax\)/F1.circumradius"):
+        parse_sweep(json.dumps(low_grid))
+    with pytest.raises(ValidationError, match=r"^\|x0_y\|/F0.circumradius and x1_y"):
+        parse_sweep(json.dumps(dict(SWEEP, x0=[0, -1e-310])))
+    high_first = dict(SWEEP, x1_grid=dict(SWEEP["x1_grid"], ymin=3))
+    assert parse_sweep(json.dumps(high_first)).x1.tolist() == [-2, 2]
+
+
 def test_sweep_unknown_grid_key():
     bad = dict(SWEEP, x1_grid=dict(SWEEP["x1_grid"], zmax=1))
     with pytest.raises(ProblemFormatError, match="'zmax'"):

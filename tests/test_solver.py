@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -783,6 +784,88 @@ def located_thresholds(problem):
     line0, line1 = solver._line_forms(problem)
     l, r, _ = solver._expand(problem, solver._residual_side(problem, line0, line1))
     return (l, r), solver._thresholds(problem, l, r, line0, line1)
+
+
+def reference_halve(problem, side, l, r, a, c, d, b):
+    """`solver._halve` as the loop that checks every midpoint for overflow and every
+    step for the 4-ulp stop."""
+    max_iter, isfinite, ulp = problem.max_iter, math.isfinite, math.ulp
+    d_k = r - l
+    steps = []
+    k = 0
+    while True:
+        y = 0.5 * (l + r)
+        if not isfinite(y):
+            raise BracketExpansionFailedError(f"midpoint of [{l}, {r}] overflows")
+        steps.append((k, l, r, y, d_k))
+        sign = -1 if y <= a else 1 if y >= b else 0 if c <= y <= d else side(y)
+        if sign == 0:
+            return steps, y, (l, r)
+        if k + 1 >= max_iter or d_k <= 4.0 * ulp(abs(y)):
+            return steps, y, None
+        if sign > 0:
+            r = y
+        else:
+            l = y
+        d_k *= 0.5
+        k += 1
+
+
+def halve_outcome(halve, max_iter, l, r, root, thresholds=(-math.inf, math.inf, -math.inf, math.inf)):
+    """repr of halve's (steps, y, last), or of its error, and of the midpoints it asked side
+    for; side decides -1 below root, 1 above it and 0 at it."""
+    asked = []
+
+    def side(y):
+        asked.append(y)
+        return -1 if y < root else 1 if y > root else 0
+
+    try:
+        outcome = halve(types.SimpleNamespace(max_iter=max_iter), side, l, r, *thresholds)
+    except BracketExpansionFailedError as exc:
+        outcome = exc
+    return repr(outcome), repr(asked)
+
+
+class TestHalve:
+    """_halve checks for overflow only where an end exceeds max/2 and forms 4 ulp(|y|) only
+    near the 4-ulp stop; it must take the steps of the loop that checks both every step."""
+
+    M = sys.float_info.max
+
+    @pytest.mark.parametrize("l, r, root", [
+        (-0.6 * M, 0.7 * M, 1.0),  # ends beyond +-max/2, no midpoint overflows
+        (0.6 * M, 0.9 * M, 0.0),  # the first midpoint overflows
+        (0.1 * M, 0.85 * M, M),  # the second midpoint overflows
+        (-0.9 * M, -0.1 * M, -M),
+        (-M, M, 3.0), (-math.inf, 1.0, 0.0), (-1.0, math.inf, 0.0),
+        (-1e300, 1e300, 1.0), (-1e300, 1e300, -1e-300), (-1e300, 2e300, 0.0),  # huge ends around 0
+        (-1e-300, 1e-300, 1e-310), (-5e-324, 1e-320, 0.0), (-1e-320, 1e-320, 7e-323),  # tiny ends
+        (1.0, 1.0 + 3 * 2.0**-52, 2.0), (-1.0 - 3 * 2.0**-52, -1.0, -2.0),  # a few ulps wide
+        (1e300, 1e300 * (1.0 + 5 * 2.0**-52), 0.0), (0.0, 2e-323, 1.0),
+    ])
+    @pytest.mark.parametrize("max_iter", [1, 200])
+    def test_cases(self, l, r, root, max_iter):
+        assert (halve_outcome(solver._halve, max_iter, l, r, root)
+                == halve_outcome(reference_halve, max_iter, l, r, root))
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 200])
+    def test_thresholds(self, max_iter):
+        """Present thresholds decide their midpoints without side, absent ones never."""
+        inf = math.inf
+        for thresholds in [(-2.0, 0.5, 1.5, 3.0), (-inf, 0.5, 1.5, inf), (-2.0, inf, -inf, 3.0),
+                           (0.75, 0.75, 0.75, 0.75)]:
+            for root in (-7.0, 0.75, 1.0, 9.0):
+                assert (halve_outcome(solver._halve, max_iter, -8.0, 10.0, root, thresholds)
+                        == halve_outcome(reference_halve, max_iter, -8.0, 10.0, root, thresholds))
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            l, r = sorted((rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-320, 308.2, 2)).tolist())
+            root = float(rng.uniform(l, r)) if rng.uniform() < 0.8 else float(rng.choice((l, r)))
+            assert (halve_outcome(solver._halve, 200, l, r, root)
+                    == halve_outcome(reference_halve, 200, l, r, root))
 
 
 class TestThresholds:

@@ -35,11 +35,14 @@ type name):
   the sweep files (the sweep 48-gon).
 
 The line solve_batch_vs_solve counts the nodes where `solve_batch` differs
-from a per-node `solve` in any field; it is 0 on a correct checkout.  It
-covers the sweep grids, where every node solves, and, unhashed, five
-targets per problem of pool seeds 1-3 at max_iter 200, 3 and 1 (nodes that
-expand or stop at MaxIterations) and a batch with a node that fails at an
-overflowing midpoint and one that fails in the bracket.
+from a per-node `solve` in any field; it is 0 on a correct checkout.  As
+`solve`'s finish takes the sets' float path (`gauge_face`) and
+`solve_batch`'s the numpy row kernels, it also pins the one to the other's
+bits at every node's final y.  It covers the sweep grids, where every node
+solves, and, unhashed, five targets per problem of pool seeds 1-3 at
+max_iter 200, 3 and 1 (nodes that expand or stop at MaxIterations) and a
+batch with a node that fails at an overflowing midpoint and one that fails
+in the bracket.
 """
 
 import dataclasses
