@@ -35,12 +35,16 @@ would be most of the work; `solve_batch`, `delta`, `delta_rows`,
 
 Every shape is a frozen value, and the kernels read constants derived from
 its fields once, stored on the instance so that fields, equality and repr are
-left alone: an ellipse's rotation matrices and squared semi-axes
-(`cached_property`s) and their entries as Python floats, and a polygon's
-half-plane form, facet points n_i/h_i and radii from one pass over its
-vertices on Python floats, the arrays read-only like its vertices, with the
-floats of that pass kept too, and its kinks and line-form table from a
-second pass on its first line form (`Polygon`).  `inner_radius`
+left alone.  The float paths read Python floats and the numpy kernels
+arrays, and each array is built from those floats on its first read, so a
+problem that only the float paths touch builds none.  An ellipse derives the
+entries of its rotation matrices and its squared semi-axes as floats, then
+the matrices and the squares' array from them (`cached_property`s).  A
+polygon derives three groups (`Polygon`): its shape floats (radii,
+half-plane form and facet points n_i/h_i) in one pass over its vertices,
+which `validate` makes; the read-only arrays of the half-plane form and the
+facet points on their first read by a kernel; and its kinks and line-form
+table on its first line form.  `inner_radius`
 is the radius of the largest centred disk in the set and `circumradius` that
 of the smallest centred disk around it, so |v|/circumradius <= gauge(v) <=
 |v|/inner_radius.
@@ -176,8 +180,9 @@ class NormalFace:
 
 
 def _rotation(theta):
+    """The entries (c, -s, s, c) of the rotation matrix by theta, row by row, as Python floats."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return float(c), float(-s), float(s), float(c)
 
 
 def _matvec(m, v):
@@ -314,22 +319,22 @@ class Ellipse:
         return max(self.a, self.b)
 
     @cached_property
+    def _floats(self):
+        """The entries of _to_axes, _from_axes and _axes_squared as Python floats, which
+        those arrays are built from."""
+        return (*_rotation(-self.rot), *_rotation(self.rot), self.a * self.a, self.b * self.b)
+
+    @cached_property
     def _to_axes(self):
-        return _rotation(-self.rot)
+        return np.array(self._floats[0:4]).reshape(2, 2)
 
     @cached_property
     def _from_axes(self):
-        return _rotation(self.rot)
+        return np.array(self._floats[4:8]).reshape(2, 2)
 
     @cached_property
     def _axes_squared(self):
-        return np.array([self.a * self.a, self.b * self.b])
-
-    @cached_property
-    def _floats(self):
-        """The entries of _to_axes, _from_axes and _axes_squared as Python floats."""
-        return (*self._to_axes.ravel().tolist(), *self._from_axes.ravel().tolist(),
-                *self._axes_squared.tolist())
+        return np.array(self._floats[8:10])
 
     def gauge(self, v):
         w = _matvec(self._to_axes, v).T
@@ -428,33 +433,38 @@ class _Derived:
 class Polygon:
     """Convex polygon given by counterclockwise vertices, kept as a read-only float copy.
 
-    Its constants come in two groups, each derived in one pass on Python
-    floats and stored on the polygon, the arrays read-only too.  The shape
-    constants come from the vertex coordinates (`_derive`), which `validate`
-    makes and any other polygon makes on the first read of one of them,
-    raising a ValidationError where they are undefined (an edge of length 0,
-    the origin not strictly inside, a facet point that overflows):
+    Its constants come in three groups, each derived once and stored on the
+    polygon.  The shape constants come from the vertex coordinates in one
+    pass on Python floats (`_derive`), which `validate` makes and any other
+    polygon makes on the first read of one of them, raising a
+    ValidationError where they are undefined (an edge of length 0, the
+    origin not strictly inside, a facet point that overflows):
 
-    - the half-plane form: unit outward normals `normals` and offsets
-      `offsets`, facet i joining vertex i to vertex i+1;
-    - the facet points `facet_points`, row i n_i/h_i, the point of the polar
-      boundary that facet i exposes;
     - `circumradius` and `inner_radius` (the least offset);
     - `_floats`, the pass's Python floats: the vertex coordinates xs and ys,
-      the normals' nx and ny, the offsets h and the facet points' fx and fy,
-      as tuples, which `gauge_face` and `_derive_line_table` read.
+      the unit outward normals' nx and ny, the offsets h and the facet
+      points' fx and fy, as tuples, facet i joining vertex i to vertex i+1;
+      `gauge_face`, `_derive_line_table` and the oracle read them.
 
     Each value has the bits of the array expression it replaces: edge
     lengths and radii come from one `np.hypot` call (libm, which may round
     differently from `math.hypot`), normals are (e_y, -e_x)/length, offsets
     n_x*V_x + n_y*V_y and facet points n/h, all element-wise.
 
+    The numpy kernels' arrays, read-only like the vertices, are built from
+    those floats on the first read of one of them (`_derive_arrays`), so a
+    problem that only the float paths solve never builds them:
+
+    - the half-plane form: normals `normals` and offsets `offsets`;
+    - the facet points `facet_points`, row i n_i/h_i, the point of the polar
+      boundary that facet i exposes.
+
     Near a facet at distance h from the origin the gauge errs by about u R/h
     relative, R the circumradius (1.7e-13 at h = 1e-3, 1.8e-5 at h = 1e-11 for
     R about 2), as much as moving a vertex of that facet one ulp: backward stable.
 
     The line-form constants, which only the solver reads, come from the
-    shape constants on the first read of one of them (`_derive_line_table`):
+    shape floats on the first read of one of them (`_derive_line_table`):
 
     - `kinks` = K, the sorted V_x/V_y over the vertices with V_y > 0: a
       direction (vx, vy), vy > 0, with K[m-1] < vx/vy <= K[m] meets facet
@@ -476,12 +486,12 @@ class Polygon:
 
     vertices: np.ndarray
 
-    normals = _Derived("_derive_shape")
-    offsets = _Derived("_derive_shape")
-    facet_points = _Derived("_derive_shape")
     circumradius = _Derived("_derive_shape")
     inner_radius = _Derived("_derive_shape")
     _floats = _Derived("_derive_shape")
+    normals = _Derived("_derive_arrays")
+    offsets = _Derived("_derive_arrays")
+    facet_points = _Derived("_derive_arrays")
     kinks = _Derived("_derive_line_table")
     kink_flanks = _Derived("_derive_line_table")
     _line_table = _Derived("_derive_line_table")
@@ -521,11 +531,15 @@ class Polygon:
         fy = [q / t for q, t in zip(ny, h)]
         if not max(max(map(abs, fx)), max(map(abs, fy))) < math.inf:
             raise DegenerateDimensionsError("polygon facet points n/h overflow: its offsets are too small")
-        self.__dict__.update(
-            normals=_columns(nx, ny), offsets=_read_only(np.array(h)),
-            facet_points=_columns(fx, fy), circumradius=max(hyp[n:]), inner_radius=h_min,
-            _floats=tuple(map(tuple, (xs, ys, nx, ny, h, fx, fy))),
-        )
+        self.__dict__.update(circumradius=max(hyp[n:]), inner_radius=h_min,
+                             _floats=tuple(map(tuple, (xs, ys, nx, ny, h, fx, fy))))
+
+    def _derive_arrays(self):
+        """Build `normals`, `offsets` and `facet_points` from the shape floats and store them
+        on the polygon."""
+        _, _, nx, ny, h, fx, fy = self._floats
+        self.__dict__.update(normals=_columns(nx, ny), offsets=_read_only(np.array(h)),
+                             facet_points=_columns(fx, fy))
 
     def _derive_line_table(self):
         """Derive `kinks`, `kink_flanks` and `_line_table` and store them on the polygon.
@@ -642,6 +656,9 @@ class Polygon:
                              _line_table=table)
 
     def validate(self):
+        """The polygon with collinear and duplicate vertices dropped, its shape constants
+        derived: the polygon itself when it drops no vertex, else a new one (see the
+        module-level `validate`)."""
         verts = self.vertices
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise DegenerateDimensionsError("polygon needs at least 3 planar vertices")
@@ -679,7 +696,7 @@ class Polygon:
         if not min(crosses) > 0:
             raise NonConvexError("vertices are not in strictly convex order")
 
-        polygon = Polygon(verts if len(xs) == len(verts) else _columns(xs, ys))
+        polygon = self if len(xs) == len(verts) else Polygon(_columns(xs, ys))
         polygon._derive(xs, ys, 1e-12 * scale)
         return polygon
 

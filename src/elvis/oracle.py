@@ -103,10 +103,11 @@ def contains(vset, point):
     if isinstance(vset, Ball):
         return math.hypot(x, y) <= vset.r
     if isinstance(vset, Ellipse):
-        (t00, t01), (t10, t11) = vset._to_axes.tolist()
+        t00, t01, t10, t11 = vset._floats[0:4]
         return math.hypot((t00 * x + t01 * y) / vset.a, (t10 * x + t11 * y) / vset.b) <= 1.0
     if isinstance(vset, Polygon):
-        return all(nx * x + ny * y <= h for (nx, ny), h in zip(vset.normals.tolist(), vset.offsets.tolist()))
+        _, _, nxs, nys, hs, _, _ = vset._floats
+        return all(nx * x + ny * y <= h for nx, ny, h in zip(nxs, nys, hs))
     raise TypeError(f"not a velocity set: {vset!r}")
 
 
@@ -163,7 +164,8 @@ def _live_facets(vset, vy, vx_ends):
     any precision.
     """
     e0, e1 = vx_ends
-    facets = [(nx, ny, h) for (nx, ny), h in zip(vset.normals.tolist(), vset.offsets.tolist())]
+    _, _, nxs, nys, hs, _, _ = vset._floats
+    facets = list(zip(nxs, nys, hs))
     terms = [((nx * e0 + ny * vy) / h, (nx * e1 + ny * vy) / h) for nx, ny, h in facets]
     sums = [t0 + t1 for t0, t1 in terms]
     j = sums.index(max(sums))

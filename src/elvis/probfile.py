@@ -115,10 +115,27 @@ def _unique_keys(pairs):
     return obj
 
 
+# One decoder for every document: json.loads with a hook builds a new one on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _read_document(text, where, required, allowed):
-    """JSON text -> its top-level object, checked by _object."""
+    """JSON text -> its top-level object, checked by _object.
+
+    text is a str, or bytes or a bytearray in UTF-8, UTF-16 or UTF-32, decoded
+    as json.loads decodes them; bytes that do not decode, like text that is
+    not JSON, raise ProblemFormatError.
+    """
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        elif not isinstance(text, str):
+            raise TypeError(f"the text must be str, bytes or bytearray, not {type(text).__name__}")
+        elif text[:1] == "\ufeff":  # as json.loads refuses a str with a byte order mark
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"text is not UTF-8, UTF-16 or UTF-32: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from None
     return _object(doc, where, required, allowed)
@@ -132,10 +149,11 @@ def _tolerances(doc, epsilon_override):
 
 
 def parse_problem(text, epsilon_override=None):
-    """Parse problem-file text into a validated ElvisProblem."""
+    """Parse problem-file text, a str or UTF-8, UTF-16 or UTF-32 bytes or bytearray, into a
+    validated ElvisProblem."""
     doc = _read_document(text, "problem", ("x0", "x1", "F0", "F1"), PROBLEM_KEYS)
-    x0 = np.array(_pair(doc["x0"], "key 'x0'"), dtype=float)
-    x1 = np.array(_pair(doc["x1"], "key 'x1'"), dtype=float)
+    x0 = _pair(doc["x0"], "key 'x0'")
+    x1 = _pair(doc["x1"], "key 'x1'")
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")
     epsilon, max_iter = _tolerances(doc, epsilon_override)
@@ -178,7 +196,8 @@ def dump_problem(problem):
 
 
 def parse_sweep(text, epsilon_override=None):
-    """Parse sweep-file text into a SweepSpec (sets validated, grid above the interface).
+    """Parse sweep-file text, a str or UTF-8, UTF-16 or UTF-32 bytes or bytearray, into a
+    SweepSpec (sets validated, grid above the interface).
 
     The grid's spans xmax - xmin and ymax - ymin must be finite, and its lowest row,
     min(ymin, ymax), must pass `make_problem`'s gauge floor, checked apart from x0's so
@@ -193,7 +212,7 @@ def parse_sweep(text, epsilon_override=None):
     if not (1 <= nx <= MAX_GRID_AXIS and 1 <= ny <= MAX_GRID_AXIS):
         raise ProblemFormatError(f"x1_grid: 'nx' and 'ny' must be integers from 1 to {MAX_GRID_AXIS}")
     epsilon, max_iter = _tolerances(doc, epsilon_override)
-    x0 = np.array(_pair(doc["x0"], "key 'x0'"), dtype=float)
+    x0 = _pair(doc["x0"], "key 'x0'")
     f0 = parse_set(doc["F0"], "F0")
     f1 = parse_set(doc["F1"], "F1")
     if not (ymin > 0 and ymax > 0):

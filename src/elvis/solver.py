@@ -82,32 +82,42 @@ class ElvisProblem:
 def make_problem(x0, x1, F0, F1, epsilon=1e-12, max_iter=200):
     """Validate everything and build an ElvisProblem.
 
-    x0 and x1 must be finite, x0 strictly below the interface (x-axis) and
-    x1 strictly above; epsilon must be finite and positive, max_iter a whole
+    x0 and x1 must each convert to an array of two finite floats (else
+    ValidationError), x0 strictly below the interface (x-axis) and x1
+    strictly above; epsilon must be finite and positive, max_iter a whole
     number >= 1.  A set that fails validation raises with its side ("F0: " or
     "F1: ") prefixed to the message.  |x0_y|/F0.circumradius and
     x1_y/F1.circumradius, lower bounds on the offsets' gauges, must be at
     least 2**-1020, so that no gauge underflows.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    if x0.shape != (2,) or x1.shape != (2,):
-        raise ValidationError("x0 and x1 must be planar points")
-    if not all(map(math.isfinite, (x0[0], x0[1], x1[0], x1[1]))):
+    x0, (x0x, x0y) = _planar_point(x0)
+    x1, (x1x, x1y) = _planar_point(x1)
+    if not all(map(math.isfinite, (x0x, x0y, x1x, x1y))):
         raise ValidationError("x0 and x1 must be finite")
-    if not x0[1] < 0:
+    if not x0y < 0:
         raise ValidationError("x0 must satisfy x0_y < 0")
-    if not x1[1] > 0:
+    if not x1y > 0:
         raise ValidationError("x1 must satisfy x1_y > 0")
     if not 0 < epsilon < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     if not (max_iter >= 1 and max_iter % 1 == 0):
         raise ValidationError("max_iter must be a positive integer")
     F0, F1 = _validate_side(F0, "F0"), _validate_side(F1, "F1")
-    if not (-float(x0[1]) / F0.circumradius >= _GAUGE_FLOOR
-            and float(x1[1]) / F1.circumradius >= _GAUGE_FLOOR):
+    if not (-x0y / F0.circumradius >= _GAUGE_FLOOR and x1y / F1.circumradius >= _GAUGE_FLOOR):
         raise ValidationError("|x0_y|/F0.circumradius and x1_y/F1.circumradius must be at least 2**-1020")
     return ElvisProblem(x0, x1, F0, F1, float(epsilon), int(max_iter))
+
+
+def _planar_point(x):
+    """x as a float array of shape (2,) and its entries as Python floats; ValidationError
+    where x does not convert to one."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.shape != (2,):
+        raise ValidationError("x0 and x1 must be planar points")
+    return x, x.tolist()
 
 
 def _validate_side(vset, name):

@@ -26,11 +26,12 @@ from elvis import (
     parse_problem,
     polar,
     sample_interior,
+    solve,
     support,
     validate,
 )
 
-from elvis import geometry
+from elvis import geometry, solver
 from elvis.geometry import VERTEX_FACE_TOL, normal_face_rows
 
 from conftest import (
@@ -415,6 +416,89 @@ class TestValidateMatchesLoop:
             want = validate_outcome(loop_validate, verts)
             assert validate_outcome(Polygon.validate, verts) == want
             assert constants_of(Polygon(verts)) == want
+
+
+# The arrays that only the numpy kernels read, by shape.
+KERNEL_ARRAYS = {Polygon: ("normals", "offsets", "facet_points"),
+                 Ellipse: ("_to_axes", "_from_axes", "_axes_squared")}
+
+
+def built_arrays(vset):
+    """The kernel arrays the set holds."""
+    return [name for name in KERNEL_ARRAYS.get(type(vset), ()) if name in vars(vset)]
+
+
+def elementary_rotation(theta):
+    """The rotation matrix by theta as the ellipse built it before it derived its floats."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestLazyConstants:
+    """A fresh problem derives its sets' Python floats only; the numpy kernels' arrays are
+    built from them on their first read, with the bits they had when derived up front."""
+
+    def test_solve_builds_no_arrays(self, monkeypatch):
+        """parse_problem plus solve on pool seed 1 builds no kernel array on either set
+        wherever the line forms decide every step; `delta`, which runs the kernels on close
+        calls, is the only way a solve reads them."""
+        delta, calls = solver.delta, []
+        monkeypatch.setattr(solver, "delta", lambda *args: calls.append(args) or delta(*args))
+        pairs = {}
+        for text in pool_problems(1):
+            calls.clear()
+            problem = parse_problem(text)
+            solve(problem)
+            if not calls:
+                assert built_arrays(problem.F0) == built_arrays(problem.F1) == [], text
+                key = type(problem.F0).__name__, type(problem.F1).__name__
+                pairs[key] = pairs.get(key, 0) + 1
+        assert len(pairs) == 9 and min(pairs.values()) >= 20, pairs
+
+    @pytest.mark.parametrize("forms_first", [False, True], ids=["arrays_first", "forms_first"])
+    def test_polygon_arrays_on_first_read(self, forms_first):
+        """The arrays, read before or after the line forms, on a polygon that validate keeps,
+        on one it rebuilds after dropping a collinear vertex and on a copy and a pickle,
+        equal `reference_constants` byte for byte and are read-only."""
+        vertex_lists = [SQUARE0_VERTICES]
+        for text in pool_problems(1, 27):
+            doc = json.loads(text)
+            vertex_lists += [doc[k]["vertices"] for k in ("F0", "F1") if doc[k]["kind"] == "polygon"]
+        for verts in vertex_lists:
+            verts = np.array(verts, dtype=float)
+            want = constants_of(types.SimpleNamespace(vertices=verts, **reference_constants(verts)))
+            kept = Polygon(verts)
+            assert validate(kept) is kept
+            rebuilt = validate(Polygon(edge_insert(verts, 1, (0.5, 0.0))))
+            assert len(rebuilt.vertices) == len(verts)
+            copied = copy.copy(validate(Polygon(verts)))
+            pickled = pickle.loads(pickle.dumps(validate(Polygon(verts))))
+            for polygon in (kept, rebuilt, copied, pickled):
+                assert built_arrays(polygon) == []
+                if forms_first:
+                    polygon.line_form(1.0)
+                    assert built_arrays(polygon) == []
+                assert constants_of(polygon) == want
+                assert built_arrays(polygon) == list(KERNEL_ARRAYS[Polygon])
+                for name in KERNEL_ARRAYS[Polygon]:
+                    assert not getattr(polygon, name).flags.writeable, name
+
+    def test_ellipse_floats_are_matrix_entries(self):
+        """An ellipse's floats come first, and equal byte for byte the entries of the
+        matrices and squares as they were built before: at random rotations, 0, -0.0,
+        multiples of pi/2 and 1e300."""
+        rng = np.random.default_rng(44)
+        rots = [0.0, -0.0, 1e300, -1e300, *(k * math.pi / 2 for k in range(-4, 5)),
+                *rng.uniform(-10.0, 10.0, 40).tolist()]
+        for rot in rots:
+            e = Ellipse(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)), rot)
+            floats = e._floats
+            assert built_arrays(e) == [] and all(type(x) is float for x in floats)
+            want = (elementary_rotation(-rot), elementary_rotation(rot), np.array([e.a * e.a, e.b * e.b]))
+            assert np.array(floats).tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+            for name, w in zip(KERNEL_ARRAYS[Ellipse], want):
+                got = getattr(e, name)
+                assert (got.shape, got.tobytes()) == (w.shape, w.tobytes()), (rot, name)
 
 
 class TestGauge:

@@ -163,3 +163,39 @@ def test_sweep_unknown_grid_key():
 def test_tolerance_types(parse, doc, key, value):
     with pytest.raises(ProblemFormatError, match=f"'{key}'"):
         parse(json.dumps(dict(doc, **{key: value})))
+
+
+@pytest.mark.parametrize("encode", [
+    lambda t: t.encode(), lambda t: bytearray(t.encode()), lambda t: t.encode("utf-8-sig"),
+    lambda t: t.encode("utf-16"), lambda t: bytearray(t.encode("utf-32-le")),
+], ids=["utf8", "utf8_bytearray", "utf8_bom", "utf16", "utf32le_bytearray"])
+def test_bytes_texts(encode):
+    """Bytes and bytearrays decode as json.loads decodes them, to the str text's problem and
+    sweep."""
+    text = json.dumps(json.loads(ELLIPTIC) | {"F1": {"kind": "polygon", "vertices": [
+        [1, 0.25], [0, 1.25], [-1, 0.25], [0, -0.75]]}})
+    assert dump_problem(parse_problem(encode(text))) == dump_problem(parse_problem(text))
+    want, got = parse_sweep(json.dumps(SWEEP)), parse_sweep(encode(json.dumps(SWEEP)))
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("data", [b"\x80abc", b"\xff\xfe\x00", bytearray(b'{"x0": "\xe9"}')],
+                         ids=["utf8_start", "utf16_truncated", "latin1_bytearray"])
+@pytest.mark.parametrize("parse", [parse_problem, parse_sweep])
+def test_undecodable_bytes(parse, data):
+    """Bytes that do not decode are a parse error, as a file that is not UTF-8 is."""
+    with pytest.raises(ProblemFormatError, match="not UTF-8, UTF-16 or UTF-32"):
+        parse(data)
+
+
+def test_byte_order_mark_in_str():
+    """A str that starts with a byte order mark stays refused, as json.loads refuses it."""
+    with pytest.raises(ProblemFormatError, match="BOM"):
+        parse_problem("\ufeff" + ELLIPTIC)
+
+
+@pytest.mark.parametrize("parse", [parse_problem, parse_sweep])
+def test_text_type(parse):
+    """A text that is neither str, bytes nor bytearray is a caller's error, as in json.loads."""
+    with pytest.raises(TypeError, match="str, bytes or bytearray, not NoneType"):
+        parse(None)

@@ -95,6 +95,27 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             make_problem(**{**args, **override})
 
+    @pytest.mark.parametrize("point", [lambda y: ["a", y], lambda y: [None, y],
+                                       lambda y: [[1, 2], y], lambda y: [10**400, y],
+                                       lambda y: [0, y, 2], lambda y: [[0], [y]]],
+                             ids=["string", "none", "nested", "huge_int", "three", "column"])
+    def test_point_not_two_floats(self, point):
+        """A point (point(y), y its y-component) that does not convert to two floats raises
+        ValidationError, not numpy's bare ValueError or OverflowError, on either side."""
+        with pytest.raises(ValidationError):
+            make_problem(point(-1), (0, 1), Ball(1.0), Ball(1.0))
+        with pytest.raises(ValidationError):
+            make_problem((0, -1), point(1), Ball(1.0), Ball(1.0))
+
+    @pytest.mark.parametrize("x0", [(0.5, -1.0), [0.5, -1], np.array([0.5, -1.0]),
+                                    np.array([0.5, -1.0], dtype=np.float32), ["0.5", "-1"]],
+                             ids=["tuple", "ints", "array", "float32", "strings"])
+    def test_points_accepted(self, x0):
+        """Every kind of point the float array conversion takes stays accepted, as that array."""
+        p = make_problem(x0, (1, 1), Ball(1.0), Ball(1.0))
+        assert p.x0.dtype == float and p.x0.tolist() == [0.5, -1.0]
+        assert p.x1.tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("f1", [Ball(1e200), Ellipse(1e-200, 1e-201, 0.3)],
                              ids=["ball_1e200", "ellipse_1e-200"])
     def test_squared_radius_out_of_range(self, f1):
